@@ -12,8 +12,9 @@ from .hier import (HierPrior, VariationalFit, bhd_local_log_score, elbo,
 from .metrics import RunRecord, evaluate, paired_difference
 from .scores import (LocalScoreCache, ScoreConfig, bd_local_log_score,
                      bdeu_local_log_score, bic_local_log_score,
-                     classic_posterior_mean, local_log_score, total_log_score)
-from .search import SearchConfig, SearchResult, hill_climb, neighbourhood, run_hill_climb
+                     classic_posterior_mean, fold_total, local_log_score,
+                     total_log_score)
+from .search import SearchConfig, SearchResult, neighbourhood, run_hill_climb
 from .simgen import (GenConfig, GroundTruth, generate, perturb_structures,
                      random_dag, sample_data, sample_params)
 
@@ -28,8 +29,8 @@ __all__ = [
     "RunRecord", "evaluate", "paired_difference",
     "LocalScoreCache", "ScoreConfig", "bd_local_log_score",
     "bdeu_local_log_score", "bic_local_log_score", "classic_posterior_mean",
-    "local_log_score", "total_log_score",
-    "SearchConfig", "SearchResult", "hill_climb", "neighbourhood", "run_hill_climb",
+    "fold_total", "local_log_score", "total_log_score",
+    "SearchConfig", "SearchResult", "neighbourhood", "run_hill_climb",
     "GenConfig", "GroundTruth", "generate", "perturb_structures",
     "random_dag", "sample_data", "sample_params",
     "__version__",

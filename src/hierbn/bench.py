@@ -13,12 +13,12 @@ import os
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .metrics import RunRecord, evaluate, read_records, record_sort_key, write_records
-from .scores import LocalScoreCache, ScoreConfig
+from .scores import ScoreConfig
 from .search import run_hill_climb
 from .simgen import GenConfig, generate
 
@@ -34,13 +34,13 @@ class ExperimentPlan:
 
     cells: tuple
     scores: tuple = ("bdeu", "bhd")
-    iss: tuple = (1.0,)
+    iss: tuple = (ScoreConfig.iss,)
     n_structures: int = 3
     n_param_sets: int = 10
     n_data_sets: int = 10
     root_seed: int = 0
-    vb_tol: float = 1e-6
-    vb_max_iters: int = 500
+    vb_tol: float = ScoreConfig.vb_tol
+    vb_max_iters: int = ScoreConfig.vb_max_iters
 
     def __post_init__(self):
         object.__setattr__(self, "cells", tuple(self.cells))
@@ -114,7 +114,7 @@ def run_job(job):
             score_config = ScoreConfig(kind=kind, iss=iss, vb_tol=job.vb_tol,
                                        vb_max_iters=job.vb_max_iters)
             started = time.perf_counter()
-            result = run_hill_climb(dataset, score_config, cache=LocalScoreCache())
+            result = run_hill_climb(dataset, score_config)
             elapsed = time.perf_counter() - started
             shd_, tp, fp, fn = evaluate(result.dag, truth.master)
             records.append(RunRecord(
@@ -147,7 +147,8 @@ def run(plan, out_path, jobs=1, resume=False):
     file are skipped and their rows kept; partial rows from an interrupted
     run are discarded and recomputed. A failing job is logged to
     ``out_path``.errors.log with its id and traceback, and the batch keeps
-    going. On completion the file is rewritten in canonical sort order.
+    going; a run without ``resume`` first deletes the log of earlier runs.
+    On completion the file is rewritten in canonical sort order.
     """
     all_jobs = expand(plan)
     kept = []
@@ -161,33 +162,28 @@ def run(plan, out_path, jobs=1, resume=False):
     write_records(out_path, kept, append=False)
 
     errors_path = out_path + ".errors.log"
+    if not resume and os.path.exists(errors_path):
+        os.remove(errors_path)
     new_records = []
 
-    def record_failure(job, exc):
-        with open(errors_path, "a") as fh:
-            fh.write(f"{job.job_id}: {exc!r}\n{traceback.format_exc()}\n")
+    def collect(job, result):
+        try:
+            rows = result()
+        except Exception as exc:  # noqa: BLE001 - batch must not abort
+            with open(errors_path, "a") as fh:
+                fh.write(f"{job.job_id}: {exc!r}\n{traceback.format_exc()}\n")
+            return
+        new_records.extend(rows)
+        write_records(out_path, rows, append=True)
 
     if jobs <= 1:
         for job in pending:
-            try:
-                rows = run_job(job)
-            except Exception as exc:  # noqa: BLE001 - batch must not abort
-                record_failure(job, exc)
-                continue
-            new_records.extend(rows)
-            write_records(out_path, rows, append=True)
+            collect(job, lambda: run_job(job))
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = {pool.submit(run_job, job): job for job in pending}
             for future in as_completed(futures):
-                job = futures[future]
-                try:
-                    rows = future.result()
-                except Exception as exc:  # noqa: BLE001
-                    record_failure(job, exc)
-                    continue
-                new_records.extend(rows)
-                write_records(out_path, rows, append=True)
+                collect(futures[future], future.result)
 
     final = sorted(kept + new_records, key=record_sort_key)
     tmp_path = out_path + ".tmp"
@@ -196,51 +192,40 @@ def run(plan, out_path, jobs=1, resume=False):
     return final
 
 
+# plan JSON key -> (ExperimentPlan field, parser); a key left out of a plan
+# file takes the field's default
+_PLAN_FIELDS = {
+    "root_seed": ("root_seed", int),
+    "scores": ("scores", tuple),
+    "iss": ("iss", tuple),
+    "structures": ("n_structures", int),
+    "param_sets": ("n_param_sets", int),
+    "data_sets": ("n_data_sets", int),
+    "vb_tol": ("vb_tol", float),
+    "vb_max_iters": ("vb_max_iters", int),
+}
+
+
 def plan_to_json(plan):
-    doc = {
-        "schema": 1,
-        "root_seed": plan.root_seed,
-        "scores": list(plan.scores),
-        "iss": list(plan.iss),
-        "structures": plan.n_structures,
-        "param_sets": plan.n_param_sets,
-        "data_sets": plan.n_data_sets,
-        "vb_tol": plan.vb_tol,
-        "vb_max_iters": plan.vb_max_iters,
-        "cells": [{
-            "n_nodes": c.n_nodes, "card": c.card, "arc_ratio": c.arc_ratio,
-            "n_groups": c.n_groups, "rows_per_group": c.rows_per_group,
-            "regime": c.regime, "scenario": c.scenario,
-            "n_perturbed": c.n_perturbed, "n_removed": c.n_removed,
-        } for c in plan.cells],
-    }
+    doc = {"schema": 1}
+    doc.update((key, getattr(plan, name)) for key, (name, _) in _PLAN_FIELDS.items())
+    doc["cells"] = [{f.name: getattr(c, f.name) for f in fields(c) if f.name != "seed"}
+                    for c in plan.cells]
     return json.dumps(doc, indent=2)
-
-
-_PLAN_KEYS = {"schema", "root_seed", "scores", "iss", "structures",
-              "param_sets", "data_sets", "vb_tol", "vb_max_iters", "cells"}
 
 
 def plan_from_json(text):
     doc = json.loads(text)
-    unknown = set(doc) - _PLAN_KEYS
+    unknown = set(doc) - set(_PLAN_FIELDS) - {"schema", "cells"}
     if unknown:
         raise ValueError(f"unknown plan fields: {sorted(unknown)}")
     try:
         cells = tuple(GenConfig(**cell) for cell in doc["cells"])
     except TypeError as exc:
         raise ValueError(f"bad cell in plan: {exc}") from exc
-    return ExperimentPlan(
-        cells=cells,
-        scores=tuple(doc.get("scores", ("bdeu", "bhd"))),
-        iss=tuple(doc.get("iss", (1.0,))),
-        n_structures=int(doc.get("structures", 3)),
-        n_param_sets=int(doc.get("param_sets", 10)),
-        n_data_sets=int(doc.get("data_sets", 10)),
-        root_seed=int(doc.get("root_seed", 0)),
-        vb_tol=float(doc.get("vb_tol", 1e-6)),
-        vb_max_iters=int(doc.get("vb_max_iters", 500)),
-    )
+    return ExperimentPlan(cells=cells, **{name: parse(doc[key])
+                                          for key, (name, parse) in _PLAN_FIELDS.items()
+                                          if key in doc})
 
 
 def full_grid(regime, scenario="a", scores=("bdeu", "bhd"), root_seed=0,

@@ -9,12 +9,12 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import bench as bench_mod
 from .data import DataError, load_csv
 from .graph import dag_from_dot, dag_from_json, dag_to_dot, dag_to_json
-from .metrics import record_sort_key
-from .scores import LocalScoreCache, ScoreConfig, local_log_score
+from .scores import ScoreConfig, fold_total, local_log_score
 from .search import SearchConfig, run_hill_climb
 from .simgen import GenConfig, derive_rng, generate
 
@@ -41,17 +41,19 @@ def build_parser():
             p.add_argument("--group", default=None,
                            help="column holding the group label (required for bhd)")
         p.add_argument("--score", default="bdeu", choices=("bdeu", "bic", "bhd"))
-        p.add_argument("--iss", type=float, default=1.0, help="imaginary sample size")
-        p.add_argument("--vb-tol", type=float, default=1e-6,
+        p.add_argument("--iss", type=float, default=ScoreConfig.iss,
+                       help="imaginary sample size")
+        p.add_argument("--vb-tol", type=float, default=ScoreConfig.vb_tol,
                        help="relative bound tolerance of the variational fit")
-        p.add_argument("--vb-max-iters", type=int, default=500)
+        p.add_argument("--vb-max-iters", type=int, default=ScoreConfig.vb_max_iters)
         p.add_argument("--s0", type=float, default=None,
                        help="total mass of the flat hyperprior (default: one per cell)")
 
     learn = sub.add_parser("learn", help="greedy structure search on a dataset")
     add_score_flags(learn)
     learn.add_argument("--max-parents", type=int, default=None)
-    learn.add_argument("--max-iters", type=int, default=1000, help="search step cap")
+    learn.add_argument("--max-iters", type=int, default=SearchConfig.max_iterations,
+                       help="search step cap")
     learn.add_argument("--out", default=None, help="write the graph JSON here instead of stdout")
     learn.add_argument("--dot", default=None, help="also write the graph in DOT form")
 
@@ -134,16 +136,11 @@ def _cmd_score(args):
     data = _load_dataset(args)
     dag = _read_graph(args.graph, data)
     config = _score_config(args)
-    cache = LocalScoreCache()
-    names = [v.name for v in data.variables]
-    per_node = {}
-    total = 0.0
-    for node in range(data.n_variables):  # node order matches total_log_score
-        value = local_log_score(data, node, dag.parents(node), config, cache)
-        per_node[names[node]] = value
-        total += value
+    locals_ = [local_log_score(data, node, dag.parents(node), config)
+               for node in range(data.n_variables)]
+    per_node = dict(zip((v.name for v in data.variables), locals_))
     print(json.dumps({"schema": 1, "score": args.score, "iss": args.iss,
-                      "logscore": total, "per_node": per_node}, indent=2))
+                      "logscore": fold_total(locals_), "per_node": per_node}, indent=2))
     return 0
 
 
@@ -204,12 +201,10 @@ def _cmd_bench(args):
         except ValueError as exc:
             raise DataError(f"cannot parse plan {args.plan}: {exc}") from exc
     if args.seed is not None:
-        from dataclasses import replace as _replace
-        plan = _replace(plan, root_seed=args.seed)
+        plan = replace(plan, root_seed=args.seed)
     if args.jobs < 1:
         raise _UsageError("--jobs must be at least 1")
     records = bench_mod.run(plan, args.out, jobs=args.jobs, resume=args.resume)
-    records = sorted(records, key=record_sort_key)
     print(json.dumps({"schema": 1, "records": len(records), "out": args.out}))
     return 0
 

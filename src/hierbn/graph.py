@@ -282,15 +282,7 @@ def dag_from_json(text):
 
 
 def dag_to_dot(dag, names=None, graph_name="g"):
-    if names is None:
-        names = [f"X{i}" for i in range(dag.node_count)]
-    lines = [f"digraph {graph_name} {{"]
-    for name in names:
-        lines.append(f'  "{name}";')
-    for u, v in dag.sorted_arcs():
-        lines.append(f'  "{names[u]}" -> "{names[v]}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return cpdag_to_dot(Cpdag(dag.node_count, dag.arcs, frozenset()), names, graph_name)
 
 
 def cpdag_to_dot(cpdag, names=None, graph_name="g"):

@@ -51,14 +51,10 @@ class RunRecord:
 
     @staticmethod
     def from_row(row):
-        (config_id, scenario, regime, n_nodes, n_groups, card, arc_ratio,
-         rows_per_group, n_perturbed, n_removed, seed, score, shd_, tp, fp, fn,
-         logscore, wall_time_s) = row
-        return RunRecord(config_id, scenario, regime, int(n_nodes), int(n_groups),
-                         int(card), float(arc_ratio), int(rows_per_group),
-                         int(n_perturbed), int(n_removed), int(seed), score,
-                         int(shd_), int(tp), int(fp), int(fn), float(logscore),
-                         float(wall_time_s))
+        columns = fields(RunRecord)[:-1]
+        if len(row) != len(columns):
+            raise ValueError(f"expected {len(columns)} cells in a result row, got {len(row)}")
+        return RunRecord(*(f.type(cell) for f, cell in zip(columns, row)))
 
 
 def evaluate(learned, truth):

@@ -116,15 +116,12 @@ class ScoreConfig:
 
 
 class LocalScoreCache:
-    """Memo table for local scores keyed by (child, parent set, score identity).
-
-    Lookups and inserts are plain dict operations, safe under concurrent
-    use from threads; a race can at worst recompute the same deterministic
-    value, and the duplicate insert is idempotent.
-    """
+    """Memo table of one dataset's local scores, keyed by (child, parent
+    set, score identity); the first scored dataset binds it."""
 
     def __init__(self):
         self._store = {}
+        self.data = None
         self.hits = 0
         self.misses = 0
 
@@ -162,15 +159,29 @@ def local_log_score(data, child, parents, config, cache=None):
     parents = tuple(parents)
     if cache is None:
         return _compute_local(data, child, parents, config)
+    if cache.data is None:
+        cache.data = data
+    elif cache.data is not data:
+        raise ValueError("the cache holds scores of another dataset")
     key = (child, tuple(sorted(parents))) + config.cache_key()
     return cache.get_or_compute(key, lambda: _compute_local(data, child, parents, config))
 
 
+def fold_total(local_scores):
+    """Network total: local scores added left to right from 0.0.
+
+    Every total the package reports (search, cold rescore, ``hierbn score``)
+    goes through this fold, so equal locals give bit-equal totals.
+    """
+    total = 0.0
+    for value in local_scores:
+        total += value
+    return total
+
+
 def total_log_score(dag, data, config, cache=None):
-    """Network score: sum of local scores, accumulated in node order."""
+    """Network score: the local scores folded in node order."""
     if dag.node_count != data.n_variables:
         raise ValueError("graph size does not match the dataset")
-    total = 0.0
-    for node in range(dag.node_count):
-        total += local_log_score(data, node, dag.parents(node), config, cache)
-    return total
+    return fold_total(local_log_score(data, node, dag.parents(node), config, cache)
+                      for node in range(dag.node_count))

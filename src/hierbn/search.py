@@ -3,7 +3,7 @@
 from dataclasses import dataclass
 
 from .graph import Dag
-from .scores import LocalScoreCache, local_log_score
+from .scores import LocalScoreCache, fold_total, local_log_score
 
 
 @dataclass(frozen=True)
@@ -69,22 +69,14 @@ def apply_move(dag, move):
     raise ValueError(f"unknown move kind {kind!r}")
 
 
-def _fold_total(locals_):
-    # same accumulation order as total_log_score: nodes ascending
-    total = 0.0
-    for value in locals_:
-        total += value
-    return total
-
-
 def run_hill_climb(data, score_config, search_config=None, start=None, cache=None):
     """Greedy ascent applying the best strictly improving single-arc move.
 
     A reversal is evaluated as delete plus add, rescoring only the two
     endpoints' families. Ties between equal improvements fall to the
     lexicographically first move. Returns the climbed DAG, its total score
-    (accumulated from the per-node locals in node order, so it matches a
-    cold evaluation of the final graph), and the score trace.
+    (the per-node locals folded by ``fold_total``, so it matches a cold
+    evaluation of the final graph), and the score trace.
     """
     cfg = search_config or SearchConfig()
     n = data.n_variables
@@ -96,7 +88,7 @@ def run_hill_climb(data, score_config, search_config=None, start=None, cache=Non
 
     locals_ = [local_log_score(data, i, dag.parents(i), score_config, cache)
                for i in range(n)]
-    total = _fold_total(locals_)
+    total = fold_total(locals_)
     trace = [total]
 
     for _ in range(cfg.max_iterations):
@@ -114,7 +106,7 @@ def run_hill_climb(data, score_config, search_config=None, start=None, cache=Non
                 new_locals[node] = local_log_score(data, node,
                                                    candidate.parents(node),
                                                    score_config, cache)
-            new_total = _fold_total(new_locals)
+            new_total = fold_total(new_locals)
             if new_total > best_total:
                 best_total = new_total
                 best = (candidate, new_locals)
@@ -126,8 +118,3 @@ def run_hill_climb(data, score_config, search_config=None, start=None, cache=Non
 
     return SearchResult(dag, total, tuple(trace))
 
-
-def hill_climb(data, score_config, search_config=None, start=None, cache=None):
-    """Convenience wrapper returning just (dag, score)."""
-    result = run_hill_climb(data, score_config, search_config, start, cache)
-    return result.dag, result.score

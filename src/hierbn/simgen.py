@@ -99,7 +99,7 @@ def random_dag(n_nodes, arc_ratio, rng):
     Arcs are drawn uniformly without replacement among the order-consistent
     pairs. ``rng`` may be a Generator or an integer seed.
     """
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     n_arcs = round(arc_ratio * n_nodes)
     pairs_available = n_nodes * (n_nodes - 1) // 2
     if not 0 <= n_arcs <= pairs_available:
@@ -118,7 +118,7 @@ def perturb_structures(master, n_groups, n_perturbed, n_removed, rng):
     drawn uniformly without replacement; with n_perturbed = 0 all groups
     share the master unchanged.
     """
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     if not 0 <= n_perturbed <= n_groups:
         raise ValueError("n_perturbed must lie in [0, n_groups]")
     dags = [master] * n_groups
@@ -157,8 +157,9 @@ def _draw_joint_tables(master, card, regime, n_groups, rng):
     return tables
 
 
-def _conditional_table(joint, master_parents, group_parents, card):
+def _conditional_table(joint, master_parents, group_parents):
     """Aggregate a joint table onto a reduced parent set, then normalize rows."""
+    card = joint.shape[-1]
     drop_axes = tuple(i for i, p in enumerate(master_parents) if p not in group_parents)
     reduced = joint.sum(axis=drop_axes) if drop_axes else joint
     flat = reduced.reshape(card ** len(group_parents), card)
@@ -173,35 +174,21 @@ def sample_params(dag, card, regime, n_groups, rng):
     """
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}")
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     joint = _draw_joint_tables(dag, card, regime, n_groups, rng)
-    out = []
-    for f in range(n_groups):
-        per_node = []
-        for node in range(dag.node_count):
-            parents = dag.parents(node)
-            per_node.append(_conditional_table(joint[f][node], parents, parents, card))
-        out.append(tuple(per_node))
-    return tuple(out)
+    return _group_conditionals(dag, (dag,) * n_groups, joint)
 
 
 def _group_conditionals(master, group_dags, joint):
-    out = []
-    card = None
-    for f, gdag in enumerate(group_dags):
-        per_node = []
-        for node in range(master.node_count):
-            mp = master.parents(node)
-            gp = gdag.parents(node)
-            card = joint[f][node].shape[-1]
-            per_node.append(_conditional_table(joint[f][node], mp, gp, card))
-        out.append(tuple(per_node))
-    return tuple(out)
+    return tuple(tuple(_conditional_table(joint[f][node], master.parents(node),
+                                          gdag.parents(node))
+                       for node in range(master.node_count))
+                 for f, gdag in enumerate(group_dags))
 
 
 def sample_data(truth, rows_per_group, rng):
     """Ancestral sampling of every group under its own structure and tables."""
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     config = truth.config
     card = config.card
     n = truth.master.node_count

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from hierbn import bench
 from hierbn.bench import (ExperimentPlan, Job, cell_id, desk_plan, expand,
                           full_grid, plan_from_json, plan_to_json, run,
                           run_job)
@@ -131,6 +132,28 @@ class TestRun:
         write_records(partial, broken)
         run(plan, partial, resume=True)
         assert strip_all(read_records(partial)) == strip_all(records)
+
+    def test_fresh_run_deletes_errors_log_resume_keeps_it(self, tmp_path, monkeypatch):
+        plan = tiny_plan()
+        out = str(tmp_path / "res.csv")
+        log = tmp_path / "res.csv.errors.log"
+        failing = expand(plan)[0].job_id
+
+        def run_job_failing_one(job):
+            if job.job_id == failing:
+                raise RuntimeError("synthetic failure")
+            return run_job(job)
+
+        monkeypatch.setattr(bench, "run_job", run_job_failing_one)
+        run(plan, out)
+        assert log.read_text().startswith(failing + ": RuntimeError")
+        run(plan, out, resume=True)
+        assert log.read_text().count(failing + ": ") == 2
+        monkeypatch.setattr(bench, "run_job", run_job)
+        run(plan, out, resume=True)
+        assert log.exists()
+        run(plan, out)
+        assert not log.exists()
 
     def test_parallel_matches_serial(self, tmp_path):
         plan = tiny_plan(root_seed=11)

@@ -71,6 +71,14 @@ class TestRecordCsv:
         with pytest.raises(ValueError):
             read_records(str(path))
 
+    def test_row_of_wrong_length_rejected(self, tmp_path):
+        row = ",".join(record().to_row())
+        for bad in (row + ",1", row.rsplit(",", 1)[0]):
+            path = tmp_path / "r.csv"
+            path.write_text(",".join(CSV_COLUMNS) + "\n" + bad + "\n")
+            with pytest.raises(ValueError):
+                read_records(str(path))
+
     def test_float_fields_preserved_exactly(self, tmp_path):
         path = str(tmp_path / "r.csv")
         rec = record(logscore=-0.1 + 0.7, wall=1e-17)

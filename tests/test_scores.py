@@ -9,8 +9,9 @@ from hierbn.data import family_counts, load_csv
 from hierbn.graph import Dag
 from hierbn.scores import (LocalScoreCache, ScoreConfig, bd_local_log_score,
                            bdeu_local_log_score, bic_local_log_score,
-                           classic_posterior_mean, local_log_score,
+                           classic_posterior_mean, fold_total, local_log_score,
                            total_log_score)
+from hierbn.simgen import GenConfig, generate
 
 from oracles import all_dags, bd_local_oracle, bdeu_local_oracle, class_signature
 
@@ -193,8 +194,14 @@ class TestTotalScore:
         rng = np.random.default_rng(19)
         data = random_csv(tmp_path, rng)
         config = ScoreConfig("bdeu")
-        want = sum(local_log_score(data, i, (), config) for i in range(3))
-        assert total_log_score(Dag(3), data, config) == pytest.approx(want, abs=1e-12)
+        want = fold_total(local_log_score(data, i, (), config) for i in range(3))
+        assert total_log_score(Dag(3), data, config) == want
+
+    def test_fold_is_left_to_right_from_zero(self):
+        # a compensated sum (math.fsum, or sum() from Python 3.12) gives 1.0
+        assert fold_total([1e16, 1.0, -1e16]) == 0.0
+        assert fold_total([]) == 0.0
+        assert fold_total(iter([0.1, 0.2, 0.3])) == (0.0 + 0.1 + 0.2) + 0.3
 
     def test_decomposability(self, tmp_path):
         rng = np.random.default_rng(21)
@@ -246,6 +253,19 @@ class TestTotalScore:
         b = local_log_score(data, 2, (1, 0), config, cache)
         assert a == b
         assert cache.hits == 1 and cache.misses == 1
+
+    def test_cache_bound_to_first_dataset(self):
+        # the key holds no dataset, so a shared cache would hand the first
+        # dataset's scores to the second
+        _, first = generate(GenConfig(n_nodes=3, seed=1))
+        _, second = generate(GenConfig(n_nodes=3, seed=2))
+        config = ScoreConfig("bdeu")
+        cache = LocalScoreCache()
+        warm = local_log_score(first, 0, (), config, cache)
+        assert local_log_score(first, 0, (), config, cache) == warm
+        with pytest.raises(ValueError):
+            local_log_score(second, 0, (), config, cache)
+        assert local_log_score(second, 0, (), config) != warm
 
 
 class TestScoreConfig:

@@ -6,8 +6,7 @@ import pytest
 from hierbn.data import load_csv
 from hierbn.graph import Dag, is_acyclic
 from hierbn.scores import LocalScoreCache, ScoreConfig, total_log_score
-from hierbn.search import (SearchConfig, apply_move, hill_climb, neighbourhood,
-                           run_hill_climb)
+from hierbn.search import SearchConfig, apply_move, neighbourhood, run_hill_climb
 
 
 def dataset_from_rows(tmp_path, rows, header, name="d.csv"):
@@ -82,21 +81,20 @@ class TestHillClimb:
     def test_independent_variables_give_empty_graph(self, tmp_path):
         data = independent_pair(tmp_path)
         for kind in ("bdeu", "bic"):
-            dag, score = hill_climb(data, ScoreConfig(kind))
-            assert dag.arcs == frozenset()
-            assert score == total_log_score(dag, data, ScoreConfig(kind))
+            result = run_hill_climb(data, ScoreConfig(kind))
+            assert result.dag.arcs == frozenset()
+            assert result.score == total_log_score(result.dag, data, ScoreConfig(kind))
 
     def test_dependent_variables_get_one_edge(self, tmp_path):
         data = deterministic_copy(tmp_path)
         for kind in ("bdeu", "bic"):
-            dag, _ = hill_climb(data, ScoreConfig(kind))
-            assert len(dag.arcs) == 1
+            assert len(run_hill_climb(data, ScoreConfig(kind)).dag.arcs) == 1
 
     def test_final_score_matches_cold_recomputation(self, tmp_path):
         data = deterministic_copy(tmp_path)
         config = ScoreConfig("bdeu")
-        dag, score = hill_climb(data, config)
-        assert score == pytest.approx(total_log_score(dag, data, config), abs=1e-12)
+        result = run_hill_climb(data, config)
+        assert result.score == total_log_score(result.dag, data, config)
 
     def test_local_optimum_and_increasing_trace(self, tmp_path):
         rng = np.random.default_rng(5)
