@@ -192,12 +192,18 @@ def run(plan, out_path, jobs=1, resume=False):
     return final
 
 
+def _json_list(value):
+    if not isinstance(value, list):
+        raise ValueError(f"expected a JSON list, got {json.dumps(value)}")
+    return tuple(value)
+
+
 # plan JSON key -> (ExperimentPlan field, parser); a key left out of a plan
 # file takes the field's default
 _PLAN_FIELDS = {
     "root_seed": ("root_seed", int),
-    "scores": ("scores", tuple),
-    "iss": ("iss", tuple),
+    "scores": ("scores", _json_list),
+    "iss": ("iss", _json_list),
     "structures": ("n_structures", int),
     "param_sets": ("n_param_sets", int),
     "data_sets": ("n_data_sets", int),
@@ -215,17 +221,22 @@ def plan_to_json(plan):
 
 
 def plan_from_json(text):
+    """Parse a plan file; any malformed content raises ValueError."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("a plan must be a JSON object")
     unknown = set(doc) - set(_PLAN_FIELDS) - {"schema", "cells"}
     if unknown:
         raise ValueError(f"unknown plan fields: {sorted(unknown)}")
+    if "cells" not in doc:
+        raise ValueError('a plan needs a "cells" list')
     try:
-        cells = tuple(GenConfig(**cell) for cell in doc["cells"])
+        cells = tuple(GenConfig(**cell) for cell in _json_list(doc["cells"]))
+        settings = {name: parse(doc[key]) for key, (name, parse) in _PLAN_FIELDS.items()
+                    if key in doc}
     except TypeError as exc:
-        raise ValueError(f"bad cell in plan: {exc}") from exc
-    return ExperimentPlan(cells=cells, **{name: parse(doc[key])
-                                          for key, (name, parse) in _PLAN_FIELDS.items()
-                                          if key in doc})
+        raise ValueError(f"bad plan: {exc}") from exc
+    return ExperimentPlan(cells=cells, **settings)
 
 
 def full_grid(regime, scenario="a", scores=("bdeu", "bhd"), root_seed=0,

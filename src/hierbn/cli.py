@@ -44,8 +44,12 @@ def build_parser():
         p.add_argument("--iss", type=float, default=ScoreConfig.iss,
                        help="imaginary sample size")
         p.add_argument("--vb-tol", type=float, default=ScoreConfig.vb_tol,
-                       help="relative bound tolerance of the variational fit")
-        p.add_argument("--vb-max-iters", type=int, default=ScoreConfig.vb_max_iters)
+                       help="the variational fit has converged when its largest gradient "
+                            "component is at most this times |initial bound| (or when no "
+                            "step raises the bound in floating point)")
+        p.add_argument("--vb-max-iters", type=int, default=ScoreConfig.vb_max_iters,
+                       help="L-BFGS step cap of the variational fit; a fit that reaches it "
+                            "unconverged warns")
         p.add_argument("--s0", type=float, default=None,
                        help="total mass of the flat hyperprior (default: one per cell)")
 

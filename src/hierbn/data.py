@@ -7,6 +7,7 @@ never treated as a candidate variable itself.
 
 import csv
 import os
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,6 +137,9 @@ def load_csv(path, group_column):
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
         rows = list(reader)
+    repeated = sorted(name for name, k in Counter(header).items() if k > 1)
+    if repeated:
+        raise DataError(f"repeated column names: {repeated}")
     if group_column is not None and group_column not in header:
         raise DataError(f"unknown group column {group_column!r}")
     if not rows:

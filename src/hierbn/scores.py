@@ -92,7 +92,11 @@ class ScoreConfig:
 
     ``iss`` is the imaginary sample size shared by the Dirichlet scores.
     The vb_* fields and s0 only affect the hierarchical score; they are part
-    of the cache identity for it.
+    of the cache identity for it. Its variational fit has converged when the
+    largest component of the bound's gradient is at most ``vb_tol *
+    max(1, |initial bound|)``, or when no step raises the bound in floating
+    point; ``vb_max_iters`` caps its L-BFGS steps, and a fit that reaches
+    the cap unconverged warns.
     """
 
     kind: str = "bdeu"

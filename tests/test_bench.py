@@ -185,3 +185,16 @@ class TestPlanJson:
     def test_unknown_fields_rejected(self):
         with pytest.raises(ValueError):
             plan_from_json('{"schema": 1, "cells": [], "bogus": true}')
+
+    @pytest.mark.parametrize("text", [
+        '{"scores": ["bdeu"]}',
+        '{"cells": [], "iss": 1.0}',
+        '{"cells": [], "scores": "bdeu"}',
+        '{"cells": [], "structures": null}',
+        '{"cells": {"n_nodes": 3}}',
+        '{"cells": [3]}',
+        '[]',
+    ])
+    def test_malformed_plans_rejected(self, text):
+        with pytest.raises(ValueError):
+            plan_from_json(text)

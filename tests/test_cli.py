@@ -61,6 +61,18 @@ class TestExitCodes:
         assert main(["bench", "--plan", str(plan), "--out",
                      str(tmp_path / "out.csv")]) == 2
 
+    @pytest.mark.parametrize("text", ['{"scores": ["bdeu"]}', '{"cells": [], "iss": 1.0}'])
+    def test_malformed_plan_is_data_error(self, tmp_path, capsys, text):
+        plan = tmp_path / "plan.json"
+        plan.write_text(text)
+        assert main(["bench", "--plan", str(plan), "--out",
+                     str(tmp_path / "out.csv")]) == 2
+
+    def test_repeated_column_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "dup.csv"
+        path.write_text("g,a,a\ns1,v0,v1\ns1,v1,v0\ns2,v0,v0\n")
+        assert main(["learn", "--data", str(path), "--group", "g"]) == 2
+
     def test_zero_jobs_is_usage_error(self, tmp_path, capsys):
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps({

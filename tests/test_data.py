@@ -55,6 +55,12 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="degenerate"):
             load_csv(path, "site")
 
+    @pytest.mark.parametrize("header", ["site,a,a", "site,a,site", "a,b,a"])
+    def test_repeated_column_name_rejected(self, tmp_path, header):
+        path = write(tmp_path, header + "\ns1,no,0\ns1,yes,1\ns2,yes,0\n")
+        with pytest.raises(DataError, match="repeated column"):
+            load_csv(path, "site" if header.startswith("site") else None)
+
     def test_unknown_group_column(self, tmp_path):
         with pytest.raises(DataError, match="group column"):
             load_csv(write(tmp_path, SMALL), "nope")

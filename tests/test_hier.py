@@ -1,10 +1,12 @@
 """Variational fit of the shared centre and the per-group family score."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import softmax
 
-from hierbn.data import FamilyCounts, load_csv
+from hierbn.data import FamilyCounts, family_counts, load_csv
 from hierbn.graph import Dag
 from hierbn.hier import (HierPrior, VariationalConvergenceWarning,
                          VariationalFit, _elbo_flat, _elbo_grad_flat,
@@ -13,6 +15,7 @@ from hierbn.hier import (HierPrior, VariationalConvergenceWarning,
 from hierbn.scores import (ScoreConfig, bd_local_log_score,
                            bdeu_local_log_score, local_log_score,
                            total_log_score)
+from hierbn.simgen import GenConfig, generate
 
 
 def make_counts(arr):
@@ -133,6 +136,95 @@ class TestFitVariational:
         fit = fit_variational(counts, HierPrior.uniform((1, 2), s=1.0))
         with pytest.raises(ValueError):
             fit.kappa[0, 0] = 0.9
+
+
+def reference_fit(counts, prior):
+    """Tight scipy L-BFGS-B maximum of the bound with nu profiled out.
+
+    Restarted from its own optimum until the bound stops rising, so it is
+    an oracle for where the package's fit should land.
+    """
+    from scipy.optimize import minimize
+    n_groups = counts.n_groups
+    shape = (counts.n_configs, counts.child_card)
+    m = shape[0] * shape[1]
+    n = counts.per_group.reshape(n_groups, m).astype(float)
+    a0 = prior.alpha0.reshape(m)
+    s = prior.s
+
+    def decode(x):
+        kappa = np.maximum(softmax(x[:-1]), 1e-12)
+        return kappa / kappa.sum(), float(np.exp(x[-1]))
+
+    def negative(x):
+        kappa, tau = decode(x)
+        nu = s * kappa + n
+        g_rho, g_tau = _elbo_grad_flat(n, a0, s, kappa, tau, nu)
+        return -_elbo_flat(n, a0, s, kappa, tau, nu), -np.append(g_rho, g_tau * tau)
+
+    start = n.sum(axis=0) + a0
+    x = np.append(np.log(start / start.sum()), np.log(a0.sum()))
+    best = np.inf
+    while True:
+        result = minimize(negative, x, jac=True, method="L-BFGS-B",
+                          options={"maxiter": 20000, "ftol": 1e-16, "gtol": 1e-10,
+                                   "maxcor": 20})
+        if not result.fun < best:
+            break
+        x, best = result.x, result.fun
+    kappa, tau = decode(x)
+    return VariationalFit(kappa.reshape(shape), tau,
+                          (s * kappa + n).reshape((n_groups,) + shape), (-best,), True)
+
+
+@pytest.fixture(scope="module")
+def oracle_cases():
+    """(counts, prior, reference fit): 30 random families and one K5 F10
+    family with two parents (125 cells, 1000 rows per group)."""
+    rng = np.random.default_rng(41)
+    families = [(random_counts(rng, top=int(rng.choice([5, 25, 200]))),
+                 float(rng.choice([0.5, 1.0, 2.0]))) for _ in range(30)]
+    _, data = generate(GenConfig(n_nodes=3, card=5, arc_ratio=1.0, n_groups=10,
+                                 rows_per_group=1000, seed=1))
+    families.append((family_counts(data, 0, (1, 2)), 1.0))
+    cases = []
+    for counts, s in families:
+        prior = HierPrior.uniform((counts.n_configs, counts.child_card), s=s)
+        cases.append((counts, prior, reference_fit(counts, prior)))
+    return cases
+
+
+class TestFitAgainstReference:
+    def test_score_within_a_twentieth_nat_of_reference(self, oracle_cases):
+        # at the default tolerance
+        for counts, prior, ref in oracle_cases:
+            fit = fit_variational(counts, prior)
+            error = abs(bhd_local_log_score(counts, fit, prior.s)
+                        - bhd_local_log_score(counts, ref, prior.s))
+            assert fit.converged
+            assert error <= 0.05
+
+    def test_bound_reaches_reference_at_float_precision(self, oracle_cases):
+        # the default tolerance bounds the largest gradient component, which
+        # leaves up to ~1e-8 |bound| on the 125-cell family; a fit run until
+        # the bound stalls must reach the reference optimum itself
+        for counts, prior, ref in oracle_cases:
+            fit = fit_variational(counts, prior, tol=1e-15)
+            bound, best = fit.elbo_trace[-1], ref.elbo_trace[-1]
+            assert fit.converged
+            assert bound >= best - 1e-9 * abs(bound)
+
+    def test_large_counts_stall_at_float_precision_without_warning(self):
+        # 1e5 rows per group: no gradient can reach 1e-15 |bound| in floats,
+        # so the fit ends when no step raises the bound, and that is converged
+        rng = np.random.default_rng(43)
+        counts = make_counts(rng.multinomial(100000, rng.dirichlet(np.ones(12)),
+                                             size=4).reshape(4, 3, 4))
+        prior = HierPrior.uniform((3, 4), s=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", VariationalConvergenceWarning)
+            fit = fit_variational(counts, prior, tol=1e-15)
+        assert fit.converged
 
 
 class TestElboGradient:
