@@ -93,10 +93,13 @@ def _load_dataset(args):
 
 
 def _cmd_learn(args):
+    try:
+        search_config = SearchConfig(max_parents=args.max_parents,
+                                     max_iterations=args.max_iters)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
     data = _load_dataset(args)
     config = _score_config(args)
-    search_config = SearchConfig(max_parents=args.max_parents,
-                                 max_iterations=args.max_iters)
     result = run_hill_climb(data, config, search_config)
     names = [v.name for v in data.variables]
     doc = json.loads(dag_to_json(result.dag, names))

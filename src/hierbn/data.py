@@ -17,6 +17,10 @@ class DataError(ValueError):
     """Raised when an input dataset violates the complete-data contract."""
 
 
+# largest dense count table family_counts allocates (2**26 int64 cells, 512 MiB)
+MAX_COUNT_CELLS = 2 ** 26
+
+
 @dataclass(frozen=True)
 class VariableMeta:
     """Name and ordered level labels of one categorical variable."""
@@ -97,6 +101,7 @@ class GroupedDataset:
             arr.flags.writeable = False
             blocks.append(arr)
         self.group_rows = tuple(blocks)
+        self._cards = tuple(v.card for v in self.variables)
 
     @property
     def n_variables(self):
@@ -117,7 +122,7 @@ class GroupedDataset:
         raise KeyError(name)
 
     def cardinalities(self):
-        return tuple(v.card for v in self.variables)
+        return self._cards
 
 
 def load_csv(path, group_column):
@@ -203,6 +208,10 @@ def family_counts(data, child, parents):
     n_configs = 1
     for c in parent_cards:
         n_configs *= c
+    cells = data.n_groups * n_configs * child_card
+    if cells > MAX_COUNT_CELLS:
+        raise DataError(f"count table of {data.variables[child].name!r} given {len(parents)} "
+                        f"parents needs {cells} cells, more than {MAX_COUNT_CELLS}")
     table = np.zeros((data.n_groups, n_configs, child_card), dtype=np.int64)
     for f, block in enumerate(data.group_rows):
         if block.shape[0] == 0:

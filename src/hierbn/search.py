@@ -27,11 +27,6 @@ class SearchResult:
     trace: tuple  # total score after the start state and each applied move
 
 
-def _reverse_keeps_acyclic(dag, u, v):
-    # reversing u->v cycles iff another directed path u ~> v survives
-    return not dag.without_arc(u, v).has_path(u, v)
-
-
 def neighbourhood(dag, max_parents=None):
     """All legal single-arc moves, deterministically ordered.
 
@@ -39,21 +34,29 @@ def neighbourhood(dag, max_parents=None):
     acyclicity-preserving (and parent-limit-respecting) moves appear. The
     list is sorted lexicographically, which fixes tie-breaking downstream.
     """
-    moves = []
     n = dag.node_count
+    children = [[] for _ in range(n)]
+    n_parents = [0] * n
+    for u, v in dag.arcs:
+        children[u].append(v)
+        n_parents[v] += 1
+    below = [0] * n  # bit w of below[v] is set iff w is a proper descendant of v
+    for v in reversed(dag.topological_order()):
+        for c in children[v]:
+            below[v] |= below[c] | (1 << c)
+    room = [max_parents is None or k < max_parents for k in n_parents]
+    moves = []
     for u in range(n):
         for v in range(n):
             if u == v:
                 continue
-            if dag.has_arc(u, v):
+            if (u, v) in dag.arcs:
                 moves.append(("delete", u, v))
-                if _reverse_keeps_acyclic(dag, u, v) and (
-                        max_parents is None or len(dag.parents(u)) < max_parents):
+                # reversing u->v cycles iff another child of u reaches v
+                if room[u] and not any(below[c] >> v & 1 for c in children[u]):
                     moves.append(("reverse", u, v))
-            elif not dag.has_arc(v, u):
-                if not dag.has_path(v, u) and (
-                        max_parents is None or len(dag.parents(v)) < max_parents):
-                    moves.append(("add", u, v))
+            elif not below[v] >> u & 1 and room[v]:
+                moves.append(("add", u, v))
     moves.sort()
     return moves
 
@@ -69,11 +72,21 @@ def apply_move(dag, move):
     raise ValueError(f"unknown move kind {kind!r}")
 
 
+def _moved_families(move, parents):
+    """(node, new parents sorted as ``Dag.parents`` gives them) per changed family."""
+    kind, u, v = move
+    if kind == "add":
+        return ((v, tuple(sorted(parents[v] + (u,)))),)
+    dropped = (v, tuple(p for p in parents[v] if p != u))
+    return (dropped,) if kind == "delete" else ((u, tuple(sorted(parents[u] + (v,)))), dropped)
+
+
 def run_hill_climb(data, score_config, search_config=None, start=None, cache=None):
     """Greedy ascent applying the best strictly improving single-arc move.
 
-    A reversal is evaluated as delete plus add, rescoring only the two
-    endpoints' families. Ties between equal improvements fall to the
+    A move is scored from the families it changes (one for add or delete,
+    both endpoints' for reverse); those locals are reused until one of the
+    families changes. Ties between equal improvements fall to the
     lexicographically first move. Returns the climbed DAG, its total score
     (the per-node locals folded by ``fold_total``, so it matches a cold
     evaluation of the final graph), and the score trace.
@@ -86,10 +99,12 @@ def run_hill_climb(data, score_config, search_config=None, start=None, cache=Non
     if cache is None:
         cache = LocalScoreCache()
 
-    locals_ = [local_log_score(data, i, dag.parents(i), score_config, cache)
+    parents = [dag.parents(i) for i in range(n)]
+    locals_ = [local_log_score(data, i, parents[i], score_config, cache)
                for i in range(n)]
     total = fold_total(locals_)
     trace = [total]
+    table = {}  # move -> ((node, new local), ...) under the current parents
 
     for _ in range(cfg.max_iterations):
         # candidates are compared on the folded total, the same arithmetic a
@@ -98,23 +113,28 @@ def run_hill_climb(data, score_config, search_config=None, start=None, cache=Non
         best_total = total
         best = None
         for move in neighbourhood(dag, cfg.max_parents):
-            kind, u, v = move
-            affected = (v,) if kind in ("add", "delete") else (u, v)
-            candidate = apply_move(dag, move)
+            changes = table.get(move)
+            if changes is None:
+                changes = table[move] = tuple(
+                    (node, local_log_score(data, node, pa, score_config, cache))
+                    for node, pa in _moved_families(move, parents))
             new_locals = list(locals_)
-            for node in affected:
-                new_locals[node] = local_log_score(data, node,
-                                                   candidate.parents(node),
-                                                   score_config, cache)
+            for node, value in changes:
+                new_locals[node] = value
             new_total = fold_total(new_locals)
             if new_total > best_total:
                 best_total = new_total
-                best = (candidate, new_locals)
+                best = (move, new_locals)
         if best is None:
             break
-        dag, locals_ = best
+        move, locals_ = best
+        dag = apply_move(dag, move)
         total = best_total
         trace.append(total)
+        changed = dict(_moved_families(move, parents))
+        for node, pa in changed.items():
+            parents[node] = pa
+        table = {m: c for m, c in table.items()
+                 if not any(node in changed for node, _ in c)}
 
     return SearchResult(dag, total, tuple(trace))
-

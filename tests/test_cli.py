@@ -81,6 +81,22 @@ class TestExitCodes:
         assert main(["bench", "--plan", str(plan), "--out",
                      str(tmp_path / "out.csv"), "--jobs", "0"]) == 1
 
+    @pytest.mark.parametrize("flag, value", [("--max-parents", "-1"), ("--max-iters", "0")])
+    def test_bad_search_limit_is_usage_error(self, data_csv, capsys, flag, value):
+        assert main(["learn", "--data", data_csv, "--group", "site", flag, value]) == 1
+        assert capsys.readouterr().err.startswith("hierbn: error:")
+
+    def test_oversize_count_table_is_data_error(self, tmp_path, capsys):
+        names = [f"v{i}" for i in range(63)]
+        path = tmp_path / "wide.csv"
+        path.write_text("\n".join(",".join(row) for row in
+                                  (names, ["a"] * 63, ["b"] * 63)) + "\n")
+        graph = tmp_path / "g.json"
+        graph.write_text(json.dumps({"schema": 1, "nodes": names,
+                                     "arcs": [[p, "v62"] for p in names[:62]]}))
+        assert main(["score", "--data", str(path), "--graph", str(graph)]) == 2
+        assert "'v62' given 62 parents" in capsys.readouterr().err
+
     def test_internal_failure_is_runtime_error(self, data_csv, monkeypatch, capsys):
         def boom(*args, **kwargs):
             raise RuntimeError("synthetic failure")
@@ -229,8 +245,12 @@ class TestBench:
 
 class TestConsoleScript:
     def test_help_runs(self):
+        # the checkout's package, whether or not it is installed
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run([sys.executable, "-m", "hierbn.cli", "--help"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path))
         assert proc.returncode == 0
         for sub in ("learn", "score", "simulate", "bench"):
             assert sub in proc.stdout

@@ -150,6 +150,13 @@ class TestFamilyCounts:
         assert sub.n_groups == 1
         np.testing.assert_array_equal(sub.per_group[0], counts.per_group[1])
 
+    def test_oversize_table_rejected_before_allocation(self):
+        # 62 binary parents of a binary child: 2**63 cells, beyond numpy's shapes
+        variables = [VariableMeta(f"v{i}", ("0", "1")) for i in range(63)]
+        data = GroupedDataset(variables, ["g"], [np.zeros((2, 63), dtype=np.int64)])
+        with pytest.raises(DataError, match=f"'v62' given 62 parents needs {2 ** 63} cells"):
+            family_counts(data, 62, range(62))
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             FamilyCounts(2, (3,), np.zeros((1, 2, 2), dtype=np.int64))

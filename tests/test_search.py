@@ -1,5 +1,8 @@
 """Greedy structure search: move enumeration and the ascent contract."""
 
+import itertools
+
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -7,6 +10,9 @@ from hierbn.data import load_csv
 from hierbn.graph import Dag, is_acyclic
 from hierbn.scores import LocalScoreCache, ScoreConfig, total_log_score
 from hierbn.search import SearchConfig, apply_move, neighbourhood, run_hill_climb
+from hierbn.simgen import GenConfig, generate
+
+from oracles import random_dag_uniform_pairs
 
 
 def dataset_from_rows(tmp_path, rows, header, name="d.csv"):
@@ -30,6 +36,31 @@ def deterministic_copy(tmp_path, n=1000, seed=1):
         rows.append(f"g0,v{v},v{v}")
     rows += ["g0,v0,v0", "g0,v1,v1"]
     return dataset_from_rows(tmp_path, rows, "g,x,y")
+
+
+def brute_force_moves(dag, max_parents):
+    """Every single-arc edit whose result networkx accepts as acyclic and
+    that pushes no node's parent count above ``max_parents``."""
+    n = dag.node_count
+    moves = set()
+    for u, v in itertools.permutations(range(n), 2):
+        if (u, v) in dag.arcs:
+            edits = [("delete", dag.arcs - {(u, v)}),
+                     ("reverse", (dag.arcs - {(u, v)}) | {(v, u)})]
+        elif (v, u) in dag.arcs:
+            edits = []  # a second arc between the pair is no single-arc edit
+        else:
+            edits = [("add", dag.arcs | {(u, v)})]
+        for kind, arcs in edits:
+            graph = nx.DiGraph()
+            graph.add_nodes_from(range(n))
+            graph.add_edges_from(arcs)
+            if not nx.is_directed_acyclic_graph(graph):
+                continue
+            grown = [w for w in range(n) if graph.in_degree(w) > len(dag.parents(w))]
+            if max_parents is None or all(graph.in_degree(w) <= max_parents for w in grown):
+                moves.add((kind, u, v))
+    return moves
 
 
 class TestNeighbourhood:
@@ -75,6 +106,16 @@ class TestNeighbourhood:
     def test_deterministic_order(self):
         dag = Dag(4, frozenset({(0, 1), (2, 3)}))
         assert neighbourhood(dag, None) == sorted(neighbourhood(dag, None))
+
+    @pytest.mark.parametrize("max_parents", [None, 0, 1, 2])
+    def test_matches_brute_force_enumeration(self, max_parents):
+        rng = np.random.default_rng(11)
+        for trial in range(120):
+            dag = random_dag_uniform_pairs(1 + trial % 7, rng, p=rng.uniform(0.1, 0.9))
+            moves = neighbourhood(dag, max_parents)
+            assert moves == sorted(moves)
+            assert len(set(moves)) == len(moves)
+            assert set(moves) == brute_force_moves(dag, max_parents)
 
 
 class TestHillClimb:
@@ -147,3 +188,45 @@ class TestHillClimb:
         assert result.trace[0] == pytest.approx(
             total_log_score(Dag(2), data, config), abs=1e-12)
         assert result.trace[-1] == result.score
+
+
+def replay_climb(data, config, max_parents=None, start=None):
+    """The greedy rule with cold scoring: from the start graph, apply the
+    first move in neighbourhood order whose folded total is strictly the
+    highest, until none improves."""
+    dag = start if start is not None else Dag(data.n_variables)
+    totals = [total_log_score(dag, data, config)]
+    while True:
+        best, best_total = None, totals[-1]
+        for move in neighbourhood(dag, max_parents):
+            candidate = total_log_score(apply_move(dag, move), data, config)
+            if candidate > best_total:
+                best, best_total = move, candidate
+        if best is None:
+            return dag, totals
+        dag = apply_move(dag, best)
+        totals.append(best_total)
+
+
+class TestGreedyReplay:
+    @pytest.mark.parametrize("kind, gen, max_parents, with_start", [
+        ("bdeu", dict(n_nodes=6, arc_ratio=1.5, rows_per_group=150, seed=0), None, False),
+        ("bdeu", dict(n_nodes=5, card=3, rows_per_group=60, seed=8), None, False),
+        ("bic", dict(n_nodes=6, arc_ratio=1.5, rows_per_group=200, seed=4), None, False),
+        ("bhd", dict(n_nodes=3, n_groups=3, rows_per_group=40, seed=5), None, False),
+        ("bdeu", dict(n_nodes=6, arc_ratio=2.0, rows_per_group=200, seed=6), 1, False),
+        ("bdeu", dict(n_nodes=6, arc_ratio=1.5, rows_per_group=150, seed=1), None, True),
+    ])
+    def test_climb_matches_cold_replay(self, kind, gen, max_parents, with_start):
+        truth, data = generate(GenConfig(**gen))
+        config = ScoreConfig(kind)
+        # the reversed true graph starts the climb far from the optimum
+        start = (Dag(data.n_variables, frozenset((v, u) for u, v in truth.master.arcs))
+                 if with_start else None)
+        result = run_hill_climb(data, config, SearchConfig(max_parents=max_parents),
+                                start=start)
+        dag, totals = replay_climb(data, config, max_parents, start)
+        assert len(totals) > 2
+        assert list(result.trace) == totals
+        assert result.dag == dag
+        assert result.score == totals[-1]
