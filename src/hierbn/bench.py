@@ -52,6 +52,11 @@ class ExperimentPlan:
             raise ValueError("plan needs at least one score and one iss value")
         if min(self.n_structures, self.n_param_sets, self.n_data_sets) < 1:
             raise ValueError("replication counts must be at least 1")
+        # a score setting no job could use fails here, before any job runs
+        for kind in self.scores:
+            for iss in self.iss:
+                ScoreConfig(kind=kind, iss=iss, vb_tol=self.vb_tol,
+                            vb_max_iters=self.vb_max_iters)
 
     @property
     def records_per_job(self):

@@ -6,10 +6,13 @@ requested output files.
 """
 
 import argparse
+import csv
 import json
 import os
 import sys
 from dataclasses import replace
+
+import numpy as np
 
 from . import bench as bench_mod
 from .data import DataError, load_csv
@@ -82,8 +85,11 @@ def build_parser():
 
 
 def _score_config(args):
-    return ScoreConfig(kind=args.score, iss=args.iss, vb_tol=args.vb_tol,
-                       vb_max_iters=args.vb_max_iters, s0=args.s0)
+    try:
+        return ScoreConfig(kind=args.score, iss=args.iss, vb_tol=args.vb_tol,
+                           vb_max_iters=args.vb_max_iters, s0=args.s0)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
 
 
 def _load_dataset(args):
@@ -98,8 +104,8 @@ def _cmd_learn(args):
                                      max_iterations=args.max_iters)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    data = _load_dataset(args)
     config = _score_config(args)
+    data = _load_dataset(args)
     result = run_hill_climb(data, config, search_config)
     names = [v.name for v in data.variables]
     doc = json.loads(dag_to_json(result.dag, names))
@@ -140,9 +146,9 @@ def _read_graph(path, data):
 
 
 def _cmd_score(args):
+    config = _score_config(args)
     data = _load_dataset(args)
     dag = _read_graph(args.graph, data)
-    config = _score_config(args)
     locals_ = [local_log_score(data, node, dag.parents(node), config)
                for node in range(data.n_variables)]
     per_node = dict(zip((v.name for v in data.variables), locals_))
@@ -152,15 +158,13 @@ def _cmd_score(args):
 
 
 def _write_replicate_csv(path, dataset):
-    import csv as _csv
+    levels = [np.array(v.levels, dtype=object) for v in dataset.variables]
     with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        names = [v.name for v in dataset.variables]
-        writer.writerow(["group"] + names)
+        writer = csv.writer(fh)
+        writer.writerow(["group"] + [v.name for v in dataset.variables])
         for label, block in zip(dataset.groups, dataset.group_rows):
-            for row in block:
-                writer.writerow([label] + [dataset.variables[i].levels[row[i]]
-                                           for i in range(len(names))])
+            writer.writerows(zip([label] * block.shape[0],
+                                 *(lv[block[:, i]] for i, lv in enumerate(levels))))
 
 
 def _cmd_simulate(args):

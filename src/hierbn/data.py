@@ -132,63 +132,80 @@ def load_csv(path, group_column):
     the distinct observed strings, sorted lexicographically. Groups are the
     distinct labels of ``group_column``, also sorted. Passing
     ``group_column=None`` places all rows in a single unnamed group.
+
+    Each distinct line is parsed, checked and encoded once; a row is kept
+    only as the id of its line, so memory grows with the distinct rows.
     """
     if not os.path.exists(path):
         raise FileNotFoundError(path)
+    line_ids = {}
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        rows = list(reader)
+        ids = np.fromiter((line_ids.setdefault(line, len(line_ids)) for line in fh), np.int64)
+    lines = list(line_ids)
+    texts = {}  # one object per distinct cell text, so later passes touch few strings
+
+    def parse(source):
+        return (tuple(map(texts.setdefault, rec, rec)) for rec in csv.reader(source))
+
+    try:
+        # the sentinel parses to () unless a quote left open swallows it;
+        # no row id refers to that last record
+        records = list(parse(lines + ["\n"]))
+        one_per_line = len(records) == len(lines) + 1 and records[-1] == ()
+    except csv.Error:
+        one_per_line = False
+    if not one_per_line:
+        # a quoted cell spans lines: parse the lines in file order, dedupe the records
+        record_ids = {}
+        ids = np.fromiter((record_ids.setdefault(rec, len(record_ids))
+                           for rec in parse(map(lines.__getitem__, ids.tolist()))), np.int64)
+        records = list(record_ids)
+    if not ids.size:
+        raise DataError(f"{path}: empty file")
+    header, ids = records[ids[0]], ids[1:]
     repeated = sorted(name for name, k in Counter(header).items() if k > 1)
     if repeated:
         raise DataError(f"repeated column names: {repeated}")
     if group_column is not None and group_column not in header:
         raise DataError(f"unknown group column {group_column!r}")
-    if not rows:
+    if not ids.size:
         raise DataError(f"{path}: no data rows")
 
     group_idx = header.index(group_column) if group_column is not None else None
-    var_names = [name for i, name in enumerate(header) if i != group_idx]
-    if not var_names:
+    var_cols = [i for i in range(len(header)) if i != group_idx]
+    if not var_cols:
         raise DataError("no variable columns besides the group column")
 
-    for r, row in enumerate(rows):
-        if len(row) != len(header):
-            raise DataError(f"row {r + 2}: expected {len(header)} cells, got {len(row)}")
-        for cell in row:
-            if cell == "":
-                raise DataError(f"row {r + 2}: incomplete data (empty cell)")
+    bad = np.array([len(rec) != len(header) or "" in rec for rec in records])
+    first_bad = np.flatnonzero(bad[ids])
+    if first_bad.size:
+        r = int(first_bad[0])
+        width = len(records[ids[r]])
+        if width != len(header):
+            raise DataError(f"row {r + 2}: expected {len(header)} cells, got {width}")
+        raise DataError(f"row {r + 2}: incomplete data (empty cell)")
 
-    var_cols = [i for i in range(len(header)) if i != group_idx]
-    levels = []
-    for i in var_cols:
-        observed = sorted({row[i] for row in rows})
-        if len(observed) < 2:
+    # encode the distinct records the data rows use; ids then index that table
+    kept, ids = np.unique(ids, return_inverse=True)
+    columns = list(zip(*(records[k] for k in kept.tolist())))
+
+    def encode(i):
+        levels = sorted(set(columns[i]))
+        index = dict(zip(levels, range(len(levels))))
+        return levels, np.fromiter(map(index.__getitem__, columns[i]), np.int64, len(kept))
+
+    variables, table = [], np.empty((len(kept), len(var_cols)), dtype=np.int64)
+    for c, i in enumerate(var_cols):
+        levels, table[:, c] = encode(i)
+        if len(levels) < 2:
             raise DataError(f"degenerate variable {header[i]!r}: fewer than 2 observed levels")
-        levels.append(observed)
-    variables = [VariableMeta(header[i], tuple(lv)) for i, lv in zip(var_cols, levels)]
-    level_index = [{label: k for k, label in enumerate(lv)} for lv in levels]
-
+        variables.append(VariableMeta(header[i], tuple(levels)))
     if group_idx is None:
-        group_labels = [""]
-        by_group = {"": rows}
-    else:
-        group_labels = sorted({row[group_idx] for row in rows})
-        by_group = {g: [] for g in group_labels}
-        for row in rows:
-            by_group[row[group_idx]].append(row)
-
-    blocks = []
-    for g in group_labels:
-        block = np.empty((len(by_group[g]), len(var_cols)), dtype=np.int64)
-        for r, row in enumerate(by_group[g]):
-            for c, i in enumerate(var_cols):
-                block[r, c] = level_index[c][row[i]]
-        blocks.append(block)
-    return GroupedDataset(variables, group_labels, blocks)
+        return GroupedDataset(variables, [""], [table[ids]])
+    group_labels, group_codes = encode(group_idx)
+    row_groups = group_codes[ids]
+    return GroupedDataset(variables, group_labels,
+                          [table[ids[row_groups == g]] for g in range(len(group_labels))])
 
 
 def family_counts(data, child, parents):

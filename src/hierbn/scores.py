@@ -110,6 +110,10 @@ class ScoreConfig:
             raise ValueError(f"unknown score kind {self.kind!r}")
         if not self.iss > 0:
             raise ValueError("imaginary sample size must be positive")
+        if not self.vb_tol > 0:
+            raise ValueError("vb_tol must be positive")
+        if not self.vb_max_iters >= 1:
+            raise ValueError("vb_max_iters must be at least 1")
         if self.s0 is not None and not self.s0 > 0:
             raise ValueError("s0 must be positive when given")
 

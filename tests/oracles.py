@@ -2,15 +2,19 @@
 
 Everything here deliberately avoids the package's own evaluation paths:
 scores are recomputed with arbitrary-precision arithmetic, equivalence
-classes by exhaustive enumeration, and distances by breadth-first search
-over single-edge edits.
+classes by exhaustive enumeration, distances by breadth-first search
+over single-edge edits, and CSV files are read and written row by row.
 """
 
+import csv
 import itertools
-from collections import deque
+import os
+from collections import Counter, deque
 
 import mpmath as mp
+import numpy as np
 
+from hierbn.data import DataError, GroupedDataset, VariableMeta
 from hierbn.graph import Dag
 
 mp.mp.dps = 50
@@ -129,3 +133,81 @@ def random_dag_uniform_pairs(n, rng, p=0.4):
             if rng.random() < p:
                 arcs.add((int(order[i]), int(order[j])))
     return Dag(n, frozenset(arcs))
+
+
+def load_csv_oracle(path, group_column):
+    """Read a header-named CSV into a GroupedDataset.
+
+    Every column except ``group_column`` becomes a variable whose levels are
+    the distinct observed strings, sorted lexicographically. Groups are the
+    distinct labels of ``group_column``, also sorted. Passing
+    ``group_column=None`` places all rows in a single unnamed group.
+    """
+    if not os.path.exists(path):
+        raise FileNotFoundError(path)
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file") from None
+        rows = list(reader)
+    repeated = sorted(name for name, k in Counter(header).items() if k > 1)
+    if repeated:
+        raise DataError(f"repeated column names: {repeated}")
+    if group_column is not None and group_column not in header:
+        raise DataError(f"unknown group column {group_column!r}")
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+
+    group_idx = header.index(group_column) if group_column is not None else None
+    var_names = [name for i, name in enumerate(header) if i != group_idx]
+    if not var_names:
+        raise DataError("no variable columns besides the group column")
+
+    for r, row in enumerate(rows):
+        if len(row) != len(header):
+            raise DataError(f"row {r + 2}: expected {len(header)} cells, got {len(row)}")
+        for cell in row:
+            if cell == "":
+                raise DataError(f"row {r + 2}: incomplete data (empty cell)")
+
+    var_cols = [i for i in range(len(header)) if i != group_idx]
+    levels = []
+    for i in var_cols:
+        observed = sorted({row[i] for row in rows})
+        if len(observed) < 2:
+            raise DataError(f"degenerate variable {header[i]!r}: fewer than 2 observed levels")
+        levels.append(observed)
+    variables = [VariableMeta(header[i], tuple(lv)) for i, lv in zip(var_cols, levels)]
+    level_index = [{label: k for k, label in enumerate(lv)} for lv in levels]
+
+    if group_idx is None:
+        group_labels = [""]
+        by_group = {"": rows}
+    else:
+        group_labels = sorted({row[group_idx] for row in rows})
+        by_group = {g: [] for g in group_labels}
+        for row in rows:
+            by_group[row[group_idx]].append(row)
+
+    blocks = []
+    for g in group_labels:
+        block = np.empty((len(by_group[g]), len(var_cols)), dtype=np.int64)
+        for r, row in enumerate(by_group[g]):
+            for c, i in enumerate(var_cols):
+                block[r, c] = level_index[c][row[i]]
+        blocks.append(block)
+    return GroupedDataset(variables, group_labels, blocks)
+
+
+def write_replicate_csv_oracle(path, dataset):
+    """Write ``dataset`` as ``hierbn simulate`` does, one cell lookup at a time."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        names = [v.name for v in dataset.variables]
+        writer.writerow(["group"] + names)
+        for label, block in zip(dataset.groups, dataset.group_rows):
+            for row in block:
+                writer.writerow([label] + [dataset.variables[i].levels[row[i]]
+                                           for i in range(len(names))])

@@ -1,5 +1,6 @@
 """Experiment orchestration: expansion, execution, resume, parallel runs."""
 
+import json
 import os
 
 import pytest
@@ -198,3 +199,14 @@ class TestPlanJson:
     def test_malformed_plans_rejected(self, text):
         with pytest.raises(ValueError):
             plan_from_json(text)
+
+    @pytest.mark.parametrize("settings, message", [
+        ({"scores": ["bdx"]}, "unknown score kind"),
+        ({"iss": [1.0, -1]}, "imaginary sample size"),
+        ({"vb_tol": 0}, "vb_tol"),
+        ({"vb_max_iters": 0}, "vb_max_iters"),
+    ])
+    def test_bad_score_settings_rejected(self, settings, message):
+        doc = {"cells": [{"n_nodes": 3}], "scores": ["bdeu"], **settings}
+        with pytest.raises(ValueError, match=message):
+            plan_from_json(json.dumps(doc))

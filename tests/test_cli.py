@@ -13,6 +13,8 @@ from hierbn.cli import main
 from hierbn.data import load_csv
 from hierbn.metrics import read_records
 from hierbn.scores import fold_total
+from hierbn.simgen import GenConfig, generate
+from oracles import write_replicate_csv_oracle
 
 
 @pytest.fixture()
@@ -85,6 +87,33 @@ class TestExitCodes:
     def test_bad_search_limit_is_usage_error(self, data_csv, capsys, flag, value):
         assert main(["learn", "--data", data_csv, "--group", "site", flag, value]) == 1
         assert capsys.readouterr().err.startswith("hierbn: error:")
+
+    @pytest.mark.parametrize("command", ["learn", "score"])
+    @pytest.mark.parametrize("score", ["bdeu", "bhd"])
+    @pytest.mark.parametrize("flag, value", [("--iss", "0"), ("--s0", "0"),
+                                             ("--vb-tol", "0"), ("--vb-max-iters", "0")])
+    def test_bad_score_setting_is_usage_error(self, tmp_path, capsys, command, score,
+                                              flag, value):
+        # the data file does not exist: a usage error shows the setting was
+        # rejected before the data were read
+        argv = [command, "--data", str(tmp_path / "absent.csv"), "--group", "site",
+                "--score", score, flag, value]
+        if command == "score":
+            argv += ["--graph", str(tmp_path / "absent.json")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("hierbn: error:")
+
+    @pytest.mark.parametrize("settings", [{"scores": ["bdx"]}, {"iss": [-1]},
+                                          {"vb_tol": 0}])
+    def test_bad_plan_score_setting_is_data_error(self, tmp_path, capsys, settings):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({
+            "cells": [{"n_nodes": 3, "n_groups": 2, "rows_per_group": 10}],
+            "scores": ["bdeu"], "structures": 1, "param_sets": 1, "data_sets": 1,
+            **settings}))
+        out = tmp_path / "out.csv"
+        assert main(["bench", "--plan", str(plan), "--out", str(out), "--jobs", "1"]) == 2
+        assert not out.exists() and not (tmp_path / "out.csv.errors.log").exists()
 
     def test_oversize_count_table_is_data_error(self, tmp_path, capsys):
         names = [f"v{i}" for i in range(63)]
@@ -196,6 +225,21 @@ class TestSimulate:
         base = open(os.path.join(d1, rep)).read()
         assert open(os.path.join(d2, rep)).read() == base
         assert open(os.path.join(d3, rep)).read() != base
+
+    def test_replicate_bytes_match_row_by_row_writer(self, tmp_path, capsys):
+        config_path = self.config(tmp_path, n_nodes=5, card=3)
+        out_dir = str(tmp_path / "sims")
+        assert main(["simulate", "--config", config_path, "--out-dir", out_dir]) == 0
+        doc = json.loads(open(config_path).read())
+        for key in ("structures", "param_sets", "data_sets"):
+            del doc[key]
+        truth = json.loads(open(os.path.join(out_dir, "truth.json")).read())
+        for rep_id, rep in truth["replicates"].items():
+            _, dataset = generate(GenConfig(**{**doc, "seed": rep["seed"]}))
+            reference = str(tmp_path / f"ref_{rep_id}.csv")
+            write_replicate_csv_oracle(reference, dataset)
+            written = open(os.path.join(out_dir, f"rep_{rep_id}.csv"), "rb").read()
+            assert written == open(reference, "rb").read()
 
     def test_bad_config_key_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "gen.json"

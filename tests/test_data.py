@@ -1,10 +1,14 @@
 """Dataset loading and family counting."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
 from hierbn.data import (DataError, FamilyCounts, GroupedDataset, VariableMeta,
                          family_counts, load_csv)
+from oracles import load_csv_oracle
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -75,6 +79,104 @@ class TestLoadCsv:
         data = load_csv(write(tmp_path, SMALL), "site")
         with pytest.raises(ValueError):
             data.group_rows[0][0, 0] = 1
+
+
+def outcome(loader, path, group_column):
+    """Everything a load shows: the dataset's contents, or the error raised."""
+    try:
+        data = loader(path, group_column)
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return type(exc), str(exc)
+    return (data.variables, data.groups,
+            [(b.dtype, b.shape, b.tolist(), b.flags.writeable, b.flags.c_contiguous)
+             for b in data.group_rows])
+
+
+def assert_matches_oracle(tmp_path, text):
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode())
+    for group_column in ("g", None):
+        expected = outcome(load_csv_oracle, str(path), group_column)
+        assert outcome(load_csv, str(path), group_column) == expected
+    return outcome(load_csv, str(path), "g")
+
+
+ORACLE_CASES = {
+    "quoted": 'g,a,b\n1,"x,y",p\n1,"he said ""hi""",q\n2,"x,y",q\n2,plain,p\n1,"x,y",p\n',
+    "quoted_header": '"g","a,b",c\n1,x,p\n2,y,q\n',
+    "spanning": 'g,a,b\n1,"two\nlines",p\n2,x,q\n1,"two\nlines",q\n2,x,p\n',
+    "closed_after_repeat": 'g,a,b\n1,x,p\n2,"y\n1,x,p\n",q\n1,x,p\n',
+    "open_last_distinct": 'g,a,b\n1,x,p\n2,y,q\n1,x,"open\n1,x,p\n2,y,q\n',
+    "open_last_distinct_short": 'g,a,b\n1,x,p\n2,y,q\n1,"open\n1,x,p\n2,y,q\n',
+    "open_at_end": 'g,a,b\n1,x,p\n2,y,q\n1,x,"open',
+    "crlf": 'g,a,b\r\n1,x,p\r\n2,y,q\r\n1,x,p\r\n',
+    "bare_cr": 'g,a,b\r1,x,p\r2,y,q\r1,x,q\r',
+    "mixed_ends": 'g,a,b\n1,x,p\r\n2,y,q\r1,x,p\n2,y,q',
+    "no_final_newline": 'g,a,b\n1,x,p\n2,y,q\n1,x,p',
+    "blank_line": 'g,a,b\n1,x,p\n\n2,y,q\n',
+    "header_as_row": 'g,a,b\n1,x,p\ng,a,b\n2,y,q\n1,x,p\n',
+    "short_row": 'g,a,b\n1,x,p\n2,y,q\n2,y\n1,x,q\n',
+    "long_row": 'g,a,b\n1,x,p\n2,y,q,r\n',
+    "empty_cell": 'g,a,b\n1,x,p\n2,y,q\n2,,q\n',
+    "short_before_empty": 'g,a,b\n1,x,p\n1,x\n2,,q\n',
+    "empty_before_short": 'g,a,b\n1,x,p\n2,,q\n1,x\n',
+    "short_and_empty_in_row": 'g,a,b\n1,x,p\n2,\n',
+    "repeat_of_bad_row": 'g,a,b\n1,x,p\n2,y,q\n1,x,p\n2,y,q\n1,,p\n1,,p\n',
+    "header_only": 'g,a,b\n',
+    "empty_file": '',
+    "blank_header": '\n1,x,p\n',
+    "repeated_name": 'g,a,a\n1,x,p\n2,y,q\n',
+    "degenerate": 'g,a,b\n1,x,p\n2,x,q\n1,x,q\n',
+    "group_only": 'g\n1\n2\n1\n',
+}
+
+
+class TestLoadCsvMatchesOracle:
+    """load_csv against the row-by-row reader it replaced: the same dataset,
+    or the same exception type and message, with and without the group column."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+    def test_case(self, tmp_path, name):
+        assert_matches_oracle(tmp_path, ORACLE_CASES[name])
+
+    def test_cases_reach_both_outcomes(self, tmp_path):
+        # the cases are not all errors: quoted, spanning and repeated rows load
+        for name in ("quoted", "spanning", "closed_after_repeat", "bare_cr", "header_as_row"):
+            variables, _, _ = assert_matches_oracle(tmp_path, ORACLE_CASES[name])
+        assert variables[0].levels == ("a", "x", "y")
+        spanning = assert_matches_oracle(tmp_path, ORACLE_CASES["spanning"])
+        assert spanning[0][0].levels == ("two\nlines", "x")
+        closed = assert_matches_oracle(tmp_path, ORACLE_CASES["closed_after_repeat"])
+        assert closed[0][0].levels == ("x", "y\n1,x,p\n")
+        # the open quote swallows the repeated lines after it into one last row
+        open_last = assert_matches_oracle(tmp_path, ORACLE_CASES["open_last_distinct"])
+        assert open_last[0][1].levels == ("open\n1,x,p\n2,y,q\n", "p", "q")
+
+    def test_field_past_csv_limit_only_in_distinct_order(self, tmp_path):
+        # the line that closes the quote opened by "2,"y" repeats an earlier
+        # line, so parsed as distinct lines the quote swallows every long line
+        # after it, past the csv field limit; in file order each is a row
+        long_lines = "".join(f"k,{i}{'e' * 1000},p\n" for i in range(200))
+        text = 'g,a,b\n1,"w\n",q\n2,"y\n",q\n' + long_lines
+        variables, groups, blocks = assert_matches_oracle(tmp_path, text)
+        assert groups == ("1", "2", "k") and len(variables[0].levels) == 202
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_repetitive_csv(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        pool = ["0", "1", "yes", "no", "a b", "x,y", 'say "hi"', "é", "two\nlines", "Z"]
+        n_cols = int(rng.integers(2, 6))
+        # a few distinct rows, each column showing at least two values
+        distinct = rng.choice(pool[:6] if seed % 3 else pool, size=(int(rng.integers(2, 12)), n_cols))
+        distinct[0], distinct[1] = "0", "1"
+        rows = distinct[rng.integers(0, len(distinct), size=int(rng.integers(50, 800)))]
+        groups = rng.choice(["s1", "s2", "s3"], size=len(rows))
+        buf = io.StringIO(newline="")
+        csv.writer(buf, lineterminator=("\n", "\r\n", "\r")[seed % 3]).writerows(
+            [["g"] + [f"v{j}" for j in range(n_cols)]] + [[g, *row] for g, row in zip(groups, rows)])
+        text = buf.getvalue()
+        loaded = assert_matches_oracle(tmp_path, text[:-1] if seed % 4 == 0 else text)
+        assert not isinstance(loaded[0], type)
 
 
 class TestFamilyCounts:

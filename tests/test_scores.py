@@ -277,6 +277,14 @@ class TestScoreConfig:
         with pytest.raises(ValueError):
             ScoreConfig("bdeu", iss=-1.0)
 
+    @pytest.mark.parametrize("kind", ["bdeu", "bhd"])
+    @pytest.mark.parametrize("settings", [{"vb_tol": 0.0}, {"vb_tol": -1e-6},
+                                          {"vb_tol": float("nan")}, {"vb_max_iters": 0}])
+    def test_bad_vb_settings(self, kind, settings):
+        # checked for every kind, so a setting no fit could use never passes silently
+        with pytest.raises(ValueError, match="vb_"):
+            ScoreConfig(kind, **settings)
+
     def test_cache_key_includes_vb_settings_only_for_bhd(self):
         a = ScoreConfig("bdeu", vb_tol=1e-6)
         b = ScoreConfig("bdeu", vb_tol=1e-3)
