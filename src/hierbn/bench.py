@@ -52,15 +52,15 @@ class ExperimentPlan:
             raise ValueError("plan needs at least one score and one iss value")
         if min(self.n_structures, self.n_param_sets, self.n_data_sets) < 1:
             raise ValueError("replication counts must be at least 1")
-        # a score setting no job could use fails here, before any job runs
-        for kind in self.scores:
-            for iss in self.iss:
-                ScoreConfig(kind=kind, iss=iss, vb_tol=self.vb_tol,
-                            vb_max_iters=self.vb_max_iters)
+        # one config per (score, iss) pair, scores outer; a setting no job
+        # could use fails here, before any job runs
+        object.__setattr__(self, "score_configs", tuple(
+            ScoreConfig(kind=kind, iss=iss, vb_tol=self.vb_tol, vb_max_iters=self.vb_max_iters)
+            for kind in self.scores for iss in self.iss))
 
     @property
     def records_per_job(self):
-        return len(self.scores) * len(self.iss)
+        return len(self.score_configs)
 
 
 @dataclass(frozen=True)
@@ -69,10 +69,7 @@ class Job:
 
     job_id: str
     config: GenConfig
-    scores: tuple
-    iss: tuple
-    vb_tol: float
-    vb_max_iters: int
+    score_configs: tuple
 
 
 def cell_id(cell):
@@ -103,8 +100,7 @@ def expand(plan):
                                            structure, param_set, data_set)
                     config = replace(cell, seed=seed)
                     jobs.append(Job(f"{cid}#s{structure}p{param_set}d{data_set}",
-                                    config, plan.scores, plan.iss,
-                                    plan.vb_tol, plan.vb_max_iters))
+                                    config, plan.score_configs))
     return jobs
 
 
@@ -114,21 +110,18 @@ def run_job(job):
     cfg = job.config
     cid = cell_id(cfg)
     records = []
-    for kind in job.scores:
-        for iss in job.iss:
-            score_config = ScoreConfig(kind=kind, iss=iss, vb_tol=job.vb_tol,
-                                       vb_max_iters=job.vb_max_iters)
-            started = time.perf_counter()
-            result = run_hill_climb(dataset, score_config)
-            elapsed = time.perf_counter() - started
-            shd_, tp, fp, fn = evaluate(result.dag, truth.master)
-            records.append(RunRecord(
-                config_id=cid, scenario=cfg.scenario, regime=cfg.regime,
-                n_nodes=cfg.n_nodes, n_groups=cfg.n_groups, card=cfg.card,
-                arc_ratio=cfg.arc_ratio, rows_per_group=cfg.rows_per_group,
-                n_perturbed=cfg.n_perturbed, n_removed=cfg.n_removed,
-                seed=cfg.seed, score=kind, shd=shd_, tp=tp, fp=fp, fn=fn,
-                logscore=result.score, wall_time_s=elapsed, learned=result.dag))
+    for score_config in job.score_configs:
+        started = time.perf_counter()
+        result = run_hill_climb(dataset, score_config)
+        elapsed = time.perf_counter() - started
+        shd_, tp, fp, fn = evaluate(result.dag, truth.master)
+        records.append(RunRecord(
+            config_id=cid, scenario=cfg.scenario, regime=cfg.regime,
+            n_nodes=cfg.n_nodes, n_groups=cfg.n_groups, card=cfg.card,
+            arc_ratio=cfg.arc_ratio, rows_per_group=cfg.rows_per_group,
+            n_perturbed=cfg.n_perturbed, n_removed=cfg.n_removed,
+            seed=cfg.seed, score=score_config.kind, shd=shd_, tp=tp, fp=fp, fn=fn,
+            logscore=result.score, wall_time_s=elapsed, learned=result.dag))
     return records
 
 

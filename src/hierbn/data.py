@@ -115,12 +115,6 @@ class GroupedDataset:
     def n_rows(self):
         return sum(block.shape[0] for block in self.group_rows)
 
-    def variable_index(self, name):
-        for i, var in enumerate(self.variables):
-            if var.name == name:
-                return i
-        raise KeyError(name)
-
     def cardinalities(self):
         return self._cards
 
@@ -157,8 +151,11 @@ def load_csv(path, group_column):
     if not one_per_line:
         # a quoted cell spans lines: parse the lines in file order, dedupe the records
         record_ids = {}
-        ids = np.fromiter((record_ids.setdefault(rec, len(record_ids))
-                           for rec in parse(map(lines.__getitem__, ids.tolist()))), np.int64)
+        try:
+            ids = np.fromiter((record_ids.setdefault(rec, len(record_ids))
+                               for rec in parse(map(lines.__getitem__, ids.tolist()))), np.int64)
+        except csv.Error as exc:  # e.g. a cell past csv.field_size_limit()
+            raise DataError(f"{path}: {exc}") from exc
         records = list(record_ids)
     if not ids.size:
         raise DataError(f"{path}: empty file")

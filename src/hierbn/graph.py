@@ -5,6 +5,7 @@ Nodes are integer indices 0..n-1; name mapping is left to callers. Dag values
 are immutable snapshots: mutating operations return new values.
 """
 
+import heapq
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -16,23 +17,31 @@ class CycleError(ValueError):
     """Raised when an arc set admits no topological order."""
 
 
-def is_acyclic(node_count, arcs):
-    """Kahn's algorithm on an explicit arc set."""
-    indegree = [0] * node_count
-    children = [[] for _ in range(node_count)]
-    for u, v in arcs:
-        indegree[v] += 1
-        children[u].append(v)
-    stack = [i for i in range(node_count) if indegree[i] == 0]
-    seen = 0
-    while stack:
-        u = stack.pop()
-        seen += 1
+def _smallest_first_order(children):
+    """Kahn's walk over child lists, always taking the smallest ready node;
+    the order is shorter than the node count iff the graph has a cycle."""
+    indegree = [0] * len(children)
+    for kids in children:
+        for v in kids:
+            indegree[v] += 1
+    ready = [v for v, k in enumerate(indegree) if k == 0]  # ascending, so a heap
+    order = []
+    while ready:
+        u = heapq.heappop(ready)
+        order.append(u)
         for v in children[u]:
             indegree[v] -= 1
             if indegree[v] == 0:
-                stack.append(v)
-    return seen == node_count
+                heapq.heappush(ready, v)
+    return order
+
+
+def is_acyclic(node_count, arcs):
+    """Whether the arc set over ``node_count`` nodes admits a topological order."""
+    children = [[] for _ in range(node_count)]
+    for u, v in arcs:
+        children[u].append(v)
+    return len(_smallest_first_order(children)) == node_count
 
 
 @dataclass(frozen=True)
@@ -45,19 +54,25 @@ class Dag:
     def __post_init__(self):
         arcs = frozenset((int(u), int(v)) for u, v in self.arcs)
         object.__setattr__(self, "arcs", arcs)
-        for u, v in arcs:
+        parents = [[] for _ in range(self.node_count)]
+        children = [[] for _ in range(self.node_count)]
+        for u, v in sorted(arcs):
             if u == v:
                 raise ValueError(f"self-loop on node {u}")
             if not (0 <= u < self.node_count and 0 <= v < self.node_count):
                 raise ValueError(f"arc ({u}, {v}) out of range")
+            parents[v].append(u)
+            children[u].append(v)
         if not is_acyclic(self.node_count, arcs):
             raise CycleError("arc set contains a cycle")
+        object.__setattr__(self, "_parents", tuple(map(tuple, parents)))
+        object.__setattr__(self, "_children", tuple(map(tuple, children)))
 
     def parents(self, v):
-        return tuple(sorted(u for u, w in self.arcs if w == v))
+        return self._parents[v]
 
     def children(self, u):
-        return tuple(sorted(w for x, w in self.arcs if x == u))
+        return self._children[u]
 
     def has_arc(self, u, v):
         return (u, v) in self.arcs
@@ -66,23 +81,16 @@ class Dag:
         return (u, v) in self.arcs or (v, u) in self.arcs
 
     def has_path(self, source, target):
-        """Reachability via arcs; used for incremental acyclicity checks."""
-        if source == target:
-            return True
-        children = {}
-        for u, v in self.arcs:
-            children.setdefault(u, []).append(v)
-        stack = [source]
-        visited = {source}
-        while stack:
-            u = stack.pop()
-            for v in children.get(u, ()):
-                if v == target:
-                    return True
-                if v not in visited:
-                    visited.add(v)
-                    stack.append(v)
-        return False
+        return source == target or bool(self.descendants()[source] >> target & 1)
+
+    def descendants(self):
+        """One int bitmask per node: bit w of entry v is set iff w is a
+        proper descendant of v."""
+        below = [0] * self.node_count
+        for v in reversed(self.topological_order()):
+            for c in self._children[v]:
+                below[v] |= below[c] | (1 << c)
+        return tuple(below)
 
     def with_arc(self, u, v):
         return Dag(self.node_count, self.arcs | {(u, v)})
@@ -98,26 +106,8 @@ class Dag:
         return Dag(self.node_count, (self.arcs - {(u, v)}) | {(v, u)})
 
     def topological_order(self):
-        indegree = [0] * self.node_count
-        children = [[] for _ in range(self.node_count)]
-        for u, v in self.arcs:
-            indegree[v] += 1
-            children[u].append(v)
-        # smallest-index-first for a deterministic order
-        ready = sorted(i for i in range(self.node_count) if indegree[i] == 0)
-        order = []
-        while ready:
-            u = ready.pop(0)
-            order.append(u)
-            changed = False
-            for v in children[u]:
-                indegree[v] -= 1
-                if indegree[v] == 0:
-                    ready.append(v)
-                    changed = True
-            if changed:
-                ready.sort()
-        return tuple(order)
+        """Smallest index first: simgen samples in this order, so it fixes every dataset."""
+        return tuple(_smallest_first_order(self._children))
 
     @property
     def arc_count(self):

@@ -35,16 +35,8 @@ def neighbourhood(dag, max_parents=None):
     list is sorted lexicographically, which fixes tie-breaking downstream.
     """
     n = dag.node_count
-    children = [[] for _ in range(n)]
-    n_parents = [0] * n
-    for u, v in dag.arcs:
-        children[u].append(v)
-        n_parents[v] += 1
-    below = [0] * n  # bit w of below[v] is set iff w is a proper descendant of v
-    for v in reversed(dag.topological_order()):
-        for c in children[v]:
-            below[v] |= below[c] | (1 << c)
-    room = [max_parents is None or k < max_parents for k in n_parents]
+    below = dag.descendants()  # bit w of below[v] is set iff w is a proper descendant of v
+    room = [max_parents is None or len(dag.parents(v)) < max_parents for v in range(n)]
     moves = []
     for u in range(n):
         for v in range(n):
@@ -53,7 +45,7 @@ def neighbourhood(dag, max_parents=None):
             if (u, v) in dag.arcs:
                 moves.append(("delete", u, v))
                 # reversing u->v cycles iff another child of u reaches v
-                if room[u] and not any(below[c] >> v & 1 for c in children[u]):
+                if room[u] and not any(below[c] >> v & 1 for c in dag.children(u)):
                     moves.append(("reverse", u, v))
             elif not below[v] >> u & 1 and room[v]:
                 moves.append(("add", u, v))
@@ -72,13 +64,13 @@ def apply_move(dag, move):
     raise ValueError(f"unknown move kind {kind!r}")
 
 
-def _moved_families(move, parents):
+def _moved_families(move, dag):
     """(node, new parents sorted as ``Dag.parents`` gives them) per changed family."""
     kind, u, v = move
     if kind == "add":
-        return ((v, tuple(sorted(parents[v] + (u,)))),)
-    dropped = (v, tuple(p for p in parents[v] if p != u))
-    return (dropped,) if kind == "delete" else ((u, tuple(sorted(parents[u] + (v,)))), dropped)
+        return ((v, tuple(sorted(dag.parents(v) + (u,)))),)
+    dropped = (v, tuple(p for p in dag.parents(v) if p != u))
+    return (dropped,) if kind == "delete" else ((u, tuple(sorted(dag.parents(u) + (v,)))), dropped)
 
 
 def run_hill_climb(data, score_config, search_config=None, start=None, cache=None):
@@ -99,8 +91,7 @@ def run_hill_climb(data, score_config, search_config=None, start=None, cache=Non
     if cache is None:
         cache = LocalScoreCache()
 
-    parents = [dag.parents(i) for i in range(n)]
-    locals_ = [local_log_score(data, i, parents[i], score_config, cache)
+    locals_ = [local_log_score(data, i, dag.parents(i), score_config, cache)
                for i in range(n)]
     total = fold_total(locals_)
     trace = [total]
@@ -117,7 +108,7 @@ def run_hill_climb(data, score_config, search_config=None, start=None, cache=Non
             if changes is None:
                 changes = table[move] = tuple(
                     (node, local_log_score(data, node, pa, score_config, cache))
-                    for node, pa in _moved_families(move, parents))
+                    for node, pa in _moved_families(move, dag))
             new_locals = list(locals_)
             for node, value in changes:
                 new_locals[node] = value
@@ -131,9 +122,7 @@ def run_hill_climb(data, score_config, search_config=None, start=None, cache=Non
         dag = apply_move(dag, move)
         total = best_total
         trace.append(total)
-        changed = dict(_moved_families(move, parents))
-        for node, pa in changed.items():
-            parents[node] = pa
+        changed = {node for node, _ in table[move]}
         table = {m: c for m, c in table.items()
                  if not any(node in changed for node, _ in c)}
 

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output shapes, round trips."""
 
+import csv
 import json
 import os
 import subprocess
@@ -50,6 +51,12 @@ class TestExitCodes:
         path = tmp_path / "bad.csv"
         path.write_text("g,a,b\ns1,,v0\ns1,v1,v0\n")
         assert main(["learn", "--data", str(path), "--group", "g"]) == 2
+
+    def test_csv_field_past_limit_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "long.csv"
+        path.write_text("g,a\ns1," + "x" * (csv.field_size_limit() + 1) + "\ns1,y\n")
+        assert main(["learn", "--data", str(path), "--group", "g"]) == 2
+        assert "field larger than field limit" in capsys.readouterr().err
 
     def test_corrupt_graph_file_is_data_error(self, data_csv, tmp_path, capsys):
         graph = tmp_path / "g.json"

@@ -80,6 +80,11 @@ class TestLoadCsv:
         with pytest.raises(ValueError):
             data.group_rows[0][0, 0] = 1
 
+    def test_field_past_csv_limit_is_data_error(self, tmp_path):
+        path = write(tmp_path, "g,a\ns1," + "x" * (csv.field_size_limit() + 1) + "\ns1,y\n")
+        with pytest.raises(DataError, match="field larger than field limit"):
+            load_csv(path, "g")
+
 
 def outcome(loader, path, group_column):
     """Everything a load shows: the dataset's contents, or the error raised."""

@@ -2,6 +2,7 @@
 
 import itertools
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -74,6 +75,45 @@ class TestDag:
             assert ok == built
             accepted += built
         assert 0 < accepted < 200
+
+
+def oracle_dags():
+    """Seeded random DAGs of 1-12 nodes along a random order, the empty and
+    the complete order among them."""
+    rng = np.random.default_rng(41)
+    for n in range(1, 13):
+        for p in (0.0, 0.2, 0.4, 0.4, 0.7, 1.0):
+            dag = random_dag_uniform_pairs(n, rng, p)
+            graph = nx.DiGraph()
+            graph.add_nodes_from(range(n))
+            graph.add_edges_from(dag.arcs)
+            yield dag, graph
+
+
+class TestDagStructureMatchesNetworkx:
+    def test_topological_order_is_lexicographic(self):
+        for dag, graph in oracle_dags():
+            assert dag.topological_order() == tuple(nx.lexicographical_topological_sort(graph))
+
+    def test_descendants(self):
+        for dag, graph in oracle_dags():
+            below = dag.descendants()
+            assert len(below) == dag.node_count
+            for v in range(dag.node_count):
+                assert 0 <= below[v] < 1 << dag.node_count
+                assert {w for w in range(dag.node_count) if below[v] >> w & 1} == \
+                    nx.descendants(graph, v)
+
+    def test_has_path(self):
+        for dag, graph in oracle_dags():
+            for u, v in itertools.product(range(dag.node_count), repeat=2):
+                assert dag.has_path(u, v) == nx.has_path(graph, u, v), (dag, u, v)
+
+    def test_parents_and_children(self):
+        for dag, graph in oracle_dags():
+            for v in range(dag.node_count):
+                assert dag.parents(v) == tuple(sorted(graph.predecessors(v)))
+                assert dag.children(v) == tuple(sorted(graph.successors(v)))
 
 
 class TestCpdag:
