@@ -6,6 +6,7 @@ never treated as a candidate variable itself.
 """
 
 import csv
+import itertools
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -149,14 +150,19 @@ def load_csv(path, group_column):
     except csv.Error:
         one_per_line = False
     if not one_per_line:
-        # a quoted cell spans lines: parse the lines in file order, dedupe the records
+        # a quoted cell spans lines: parse the lines in file order, dedupe the
+        # records; the same sentinel ends the last record unless a quote is open
         record_ids = {}
+        in_order = itertools.chain(map(lines.__getitem__, ids.tolist()), ["\n"])
         try:
             ids = np.fromiter((record_ids.setdefault(rec, len(record_ids))
-                               for rec in parse(map(lines.__getitem__, ids.tolist()))), np.int64)
+                               for rec in parse(in_order)), np.int64)
         except csv.Error as exc:  # e.g. a cell past csv.field_size_limit()
             raise DataError(f"{path}: {exc}") from exc
         records = list(record_ids)
+        if records[ids[-1]] != ():
+            raise DataError(f"{path}: quoted cell left open at the end of the file")
+        ids = ids[:-1]
     if not ids.size:
         raise DataError(f"{path}: empty file")
     header, ids = records[ids[0]], ids[1:]

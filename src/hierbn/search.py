@@ -2,8 +2,12 @@
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .graph import Dag
 from .scores import LocalScoreCache, fold_total, local_log_score
+
+MOVE_KINDS = ("add", "delete", "reverse")  # sorted, so moves read off kind by kind are too
 
 
 @dataclass(frozen=True)
@@ -27,30 +31,36 @@ class SearchResult:
     trace: tuple  # total score after the start state and each applied move
 
 
+def _legal_masks(dag, max_parents):
+    """N x N bool masks of the legal add, delete and reverse moves; entry
+    [u, v] is the move on the arc u->v. Only acyclicity-preserving (and
+    parent-limit-respecting) moves are legal."""
+    n = dag.node_count
+    width = (n + 7) // 8
+    packed = b"".join(bits.to_bytes(width, "little") for bits in dag.descendants())
+    # below[v, w]: w is a proper descendant of v
+    below = np.unpackbits(np.frombuffer(packed, np.uint8).reshape(n, width), axis=1,
+                          count=n, bitorder="little").astype(bool)
+    arcs = np.zeros((n, n), dtype=bool)
+    if dag.arcs:
+        arcs[tuple(zip(*dag.arcs))] = True
+    room = np.full(n, True) if max_parents is None else arcs.sum(axis=0) < max_parents
+    add = ~arcs & ~below.T & room
+    np.fill_diagonal(add, False)
+    # reversing u->v cycles iff another child of u reaches v
+    reverse = arcs & ~(arcs @ below) & room[:, None]
+    return add, arcs, reverse
+
+
 def neighbourhood(dag, max_parents=None):
     """All legal single-arc moves, deterministically ordered.
 
-    Moves are (kind, from, to) with kind in add/delete/reverse; only
-    acyclicity-preserving (and parent-limit-respecting) moves appear. The
-    list is sorted lexicographically, which fixes tie-breaking downstream.
+    Moves are (kind, from, to) with kind in add/delete/reverse. Read row-major
+    off each kind's mask, the list is sorted lexicographically, which fixes
+    tie-breaking downstream.
     """
-    n = dag.node_count
-    below = dag.descendants()  # bit w of below[v] is set iff w is a proper descendant of v
-    room = [max_parents is None or len(dag.parents(v)) < max_parents for v in range(n)]
-    moves = []
-    for u in range(n):
-        for v in range(n):
-            if u == v:
-                continue
-            if (u, v) in dag.arcs:
-                moves.append(("delete", u, v))
-                # reversing u->v cycles iff another child of u reaches v
-                if room[u] and not any(below[c] >> v & 1 for c in dag.children(u)):
-                    moves.append(("reverse", u, v))
-            elif not below[v] >> u & 1 and room[v]:
-                moves.append(("add", u, v))
-    moves.sort()
-    return moves
+    return [(kind, u, v) for kind, mask in zip(MOVE_KINDS, _legal_masks(dag, max_parents))
+            for u, v in np.argwhere(mask).tolist()]
 
 
 def apply_move(dag, move):
@@ -64,24 +74,16 @@ def apply_move(dag, move):
     raise ValueError(f"unknown move kind {kind!r}")
 
 
-def _moved_families(move, dag):
-    """(node, new parents sorted as ``Dag.parents`` gives them) per changed family."""
-    kind, u, v = move
-    if kind == "add":
-        return ((v, tuple(sorted(dag.parents(v) + (u,)))),)
-    dropped = (v, tuple(p for p in dag.parents(v) if p != u))
-    return (dropped,) if kind == "delete" else ((u, tuple(sorted(dag.parents(u) + (v,)))), dropped)
-
-
 def run_hill_climb(data, score_config, search_config=None, start=None, cache=None):
     """Greedy ascent applying the best strictly improving single-arc move.
 
-    A move is scored from the families it changes (one for add or delete,
-    both endpoints' for reverse); those locals are reused until one of the
-    families changes. Ties between equal improvements fall to the
-    lexicographically first move. Returns the climbed DAG, its total score
-    (the per-node locals folded by ``fold_total``, so it matches a cold
-    evaluation of the final graph), and the score trace.
+    Each node's locals with one parent added or dropped are kept in N x N
+    tables, rescored only when that node's parents change. Every legal
+    move's score change is screened from the tables; the moves that can
+    still win are compared on their folded totals, the arithmetic of a cold
+    evaluation, and ties fall to the lexicographically first move. Returns
+    the climbed DAG, its total score (so it matches a cold evaluation of the
+    final graph, and no neighbour folds higher), and the score trace.
     """
     cfg = search_config or SearchConfig()
     n = data.n_variables
@@ -95,35 +97,52 @@ def run_hill_climb(data, score_config, search_config=None, start=None, cache=Non
                for i in range(n)]
     total = fold_total(locals_)
     trace = [total]
-    table = {}  # move -> ((node, new local), ...) under the current parents
+    # grown[u, v]: local of v with parent u added; shrunk[u, v]: with u dropped
+    grown, shrunk = np.full((n, n), np.nan), np.full((n, n), np.nan)
 
     for _ in range(cfg.max_iterations):
-        # candidates are compared on the folded total, the same arithmetic a
-        # cold rescore of the candidate uses, so termination means no
-        # neighbour scores higher even at the last floating-point bit
-        best_total = total
-        best = None
-        for move in neighbourhood(dag, cfg.max_parents):
-            changes = table.get(move)
-            if changes is None:
-                changes = table[move] = tuple(
-                    (node, local_log_score(data, node, pa, score_config, cache))
-                    for node, pa in _moved_families(move, dag))
-            new_locals = list(locals_)
-            for node, value in changes:
-                new_locals[node] = value
-            new_total = fold_total(new_locals)
-            if new_total > best_total:
-                best_total = new_total
-                best = (move, new_locals)
+        masks = add, arcs, reverse = _legal_masks(dag, cfg.max_parents)
+        for table, cells, adding in ((grown, add, True), (shrunk, arcs, False),
+                                     (grown, reverse.T, True)):
+            for u, v in np.argwhere(cells & np.isnan(table)).tolist():
+                pa = dag.parents(v)
+                pa = sorted(pa + (u,)) if adding else [p for p in pa if p != u]
+                table[u, v] = local_log_score(data, v, pa, score_config, cache)
+        gain, loss = grown - locals_, shrunk - locals_  # column v minus the local of v
+        deltas = [np.where(add, gain, -np.inf), np.where(arcs, loss, -np.inf),
+                  np.where(reverse, loss + gain.T, -np.inf)]
+        # Screen. fold_total is recursive summation: |fold(x) - sum(x)| <=
+        # g(n-1) * sum|x|, g(k) = k*u / (1 - k*u), u = eps / 2 (Higham 2002,
+        # ch. 4), and a delta's (at most three) roundings add g(2) times its
+        # locals' magnitudes, so |fold(new) - (total + delta)| <= g(n+1) *
+        # (sum|old| + sum|new|) <= 2 * g(n+1) * (sum|old| + big), big the
+        # largest |local| in the tables. slack exceeds that with room for its
+        # own rounding and that of top - 2 * slack. The exact winner w folds
+        # at least as high as the top-delta move t: total + delta_w + slack >=
+        # fold(w) >= fold(t) >= total + top - slack, so w and every move tied
+        # with it have delta >= top - 2 * slack. Non-finite values fold all.
+        top = max(delta.max() for delta in deltas)
+        big = max(np.max(np.abs(t), where=~np.isnan(t), initial=0.0) for t in (grown, shrunk))
+        slack = 2 * (n + 3) * np.finfo(float).eps * (np.abs(locals_).sum() + big)
+        screened = np.isfinite(top + slack)
+        best_total, best = total, None
+        for kind, mask, delta in zip(MOVE_KINDS, masks, deltas):
+            window = mask & (delta >= top - 2 * slack) if screened else mask
+            for u, v in np.argwhere(window).tolist():
+                new_locals = list(locals_)
+                new_locals[v] = float((grown if kind == "add" else shrunk)[u, v])
+                if kind == "reverse":
+                    new_locals[u] = float(grown[v, u])
+                new_total = fold_total(new_locals)
+                if new_total > best_total:
+                    best_total, best = new_total, ((kind, u, v), new_locals)
         if best is None:
             break
-        move, locals_ = best
-        dag = apply_move(dag, move)
+        (kind, u, v), locals_ = best
+        dag = apply_move(dag, (kind, u, v))
         total = best_total
         trace.append(total)
-        changed = {node for node, _ in table[move]}
-        table = {m: c for m, c in table.items()
-                 if not any(node in changed for node, _ in c)}
+        changed = [u, v] if kind == "reverse" else [v]  # nodes whose parents changed
+        grown[:, changed] = shrunk[:, changed] = np.nan
 
     return SearchResult(dag, total, tuple(trace))

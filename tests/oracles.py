@@ -146,12 +146,13 @@ def load_csv_oracle(path, group_column):
     if not os.path.exists(path):
         raise FileNotFoundError(path)
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        rows = list(reader)
+        # a blank line parses to [] unless a quote left open swallows it
+        rows = list(csv.reader(itertools.chain(fh, ["\n"])))
+    if rows.pop() != []:
+        raise DataError(f"{path}: quoted cell left open at the end of the file")
+    if not rows:
+        raise DataError(f"{path}: empty file")
+    header, rows = rows[0], rows[1:]
     repeated = sorted(name for name, k in Counter(header).items() if k > 1)
     if repeated:
         raise DataError(f"repeated column names: {repeated}")

@@ -52,6 +52,13 @@ class TestExitCodes:
         path.write_text("g,a,b\ns1,,v0\ns1,v1,v0\n")
         assert main(["learn", "--data", str(path), "--group", "g"]) == 2
 
+    def test_quote_open_at_end_of_file_is_data_error(self, tmp_path, capsys):
+        # csv's lenient reader would end the file's last cell at EOF as a third level "p\n"
+        path = tmp_path / "open.csv"
+        path.write_text('g,a,b\n1,x,p\n2,y,q\n1,x,"p\n')
+        assert main(["learn", "--data", str(path), "--group", "g"]) == 2
+        assert "left open" in capsys.readouterr().err
+
     def test_csv_field_past_limit_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "long.csv"
         path.write_text("g,a\ns1," + "x" * (csv.field_size_limit() + 1) + "\ns1,y\n")

@@ -153,9 +153,9 @@ class TestLoadCsvMatchesOracle:
         assert spanning[0][0].levels == ("two\nlines", "x")
         closed = assert_matches_oracle(tmp_path, ORACLE_CASES["closed_after_repeat"])
         assert closed[0][0].levels == ("x", "y\n1,x,p\n")
-        # the open quote swallows the repeated lines after it into one last row
+        # the open quote swallows the repeated lines after it and is never closed
         open_last = assert_matches_oracle(tmp_path, ORACLE_CASES["open_last_distinct"])
-        assert open_last[0][1].levels == ("open\n1,x,p\n2,y,q\n", "p", "q")
+        assert open_last[0] is DataError and "left open" in open_last[1]
 
     def test_field_past_csv_limit_only_in_distinct_order(self, tmp_path):
         # the line that closes the quote opened by "2,"y" repeats an earlier

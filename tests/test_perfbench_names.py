@@ -5,15 +5,17 @@ and ``perfbench/checks.py`` import names from hierbn and read plan fields,
 and the grid_slice workload captures learned DAGs by patching
 ``bench.run_hill_climb``. A refactor that breaks one of these would break
 the benchmark run without failing any other test. ``tracing.install()`` is
-never called.
+never called. The search_wide reference learn is checked here too, so that
+a climb that slips by one bit fails the suite and not only the benchmark.
 """
 
 import importlib.util
 import inspect
+import json
 import os
 import sys
 
-from hierbn import bench
+from hierbn import bench, cli
 from hierbn.scores import ScoreConfig
 from hierbn.simgen import GenConfig
 
@@ -77,3 +79,17 @@ def test_run_job_climbs_through_bench_globals(monkeypatch):
     assert calls == list(plan.score_configs) == [ScoreConfig("bdeu", iss=1.0),
                                                   ScoreConfig("bdeu", iss=10.0)]
     assert [r.score for r in records] == ["bdeu", "bdeu"]
+
+
+def test_search_wide_reference_learn(monkeypatch, tmp_path):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # workloads.py prepends src/
+    workloads = load_as(monkeypatch, "workloads")
+    with open(os.path.join(PERFBENCH, "reference.json")) as fh:
+        reference = json.load(fh)
+    workloads.setup("search_wide", reference["seed"], str(tmp_path))
+    out = tmp_path / "learned.json"
+    assert cli.main(["learn", "--data", str(tmp_path / reference["data"]), "--group", "group",
+                     "--score", "bdeu", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["arcs"] == reference["arcs"]
+    assert doc["logscore"] == reference["logscore"]

@@ -1,11 +1,13 @@
 """Greedy structure search: move enumeration and the ascent contract."""
 
 import itertools
+from types import SimpleNamespace
 
 import networkx as nx
 import numpy as np
 import pytest
 
+from hierbn import scores, search
 from hierbn.data import load_csv
 from hierbn.graph import Dag, is_acyclic
 from hierbn.scores import LocalScoreCache, ScoreConfig, total_log_score
@@ -216,16 +218,63 @@ class TestGreedyReplay:
         ("bhd", dict(n_nodes=3, n_groups=3, rows_per_group=40, seed=5), None, False),
         ("bdeu", dict(n_nodes=6, arc_ratio=2.0, rows_per_group=200, seed=6), 1, False),
         ("bdeu", dict(n_nodes=6, arc_ratio=1.5, rows_per_group=150, seed=1), None, True),
+        ("bdeu", dict(n_nodes=12, arc_ratio=1.5, rows_per_group=150, seed=3), 2, False),
+        ("bic", dict(n_nodes=7, arc_ratio=1.5, rows_per_group=200, seed=9), None, "random"),
     ])
     def test_climb_matches_cold_replay(self, kind, gen, max_parents, with_start):
         truth, data = generate(GenConfig(**gen))
         config = ScoreConfig(kind)
-        # the reversed true graph starts the climb far from the optimum
-        start = (Dag(data.n_variables, frozenset((v, u) for u, v in truth.master.arcs))
-                 if with_start else None)
+        if with_start == "random":
+            start = random_dag_uniform_pairs(data.n_variables, np.random.default_rng(gen["seed"]))
+        else:  # the reversed true graph starts the climb far from the optimum
+            start = (Dag(data.n_variables, frozenset((v, u) for u, v in truth.master.arcs))
+                     if with_start else None)
         result = run_hill_climb(data, config, SearchConfig(max_parents=max_parents),
                                 start=start)
         dag, totals = replay_climb(data, config, max_parents, start)
+        assert len(totals) > 2
+        assert list(result.trace) == totals
+        assert result.dag == dag
+        assert result.score == totals[-1]
+
+    def test_screen_keeps_near_ties_exact(self, monkeypatch):
+        """Locals of mixed magnitude, where a move's score change and its
+        folded total disagree. Node order folds 1e16, then the locals of
+        nodes 1 and 2 (which -7.5e15 brings back to 2.5e15), then node 3: a
+        change of node 0 or 1 rounds to a multiple of 2, one of node 3 to a
+        multiple of 0.5. So adding 0->1 (+3.9) and 1->0 (+4 after rounding)
+        both gain exactly 4, and the first must win; +0.9 on node 1 gains
+        nothing where +0.6 on node 3 gains 0.5."""
+        base = (1e16, 0.0, -7.5e15, 0.0)
+        weight = {(0, 1): 3.9, (1, 0): 4.2, (1, 2): 2.6, (2, 1): 0.9, (1, 3): 0.6,
+                  (0, 3): 1.7}
+
+        def stub(data, child, parents, config, cache=None):
+            value = base[child]
+            for p in sorted(parents):
+                value += weight.get((p, child), -0.25)
+            return value
+
+        monkeypatch.setattr(search, "local_log_score", stub)
+        monkeypatch.setattr(scores, "local_log_score", stub)
+        data, config = SimpleNamespace(n_variables=4), ScoreConfig("bdeu")
+        empty = Dag(4)
+        total = total_log_score(empty, data, config)
+        moves = neighbourhood(empty)
+        delta = {m: sum(stub(data, w, apply_move(empty, m).parents(w), config)
+                        - stub(data, w, (), config) for w in m[1:]) for m in moves}
+        folded = {m: total_log_score(apply_move(empty, m), data, config) for m in moves}
+        # score changes that rank moves against their folded totals
+        assert any(delta[a] > delta[b] and folded[a] < folded[b] for a in moves for b in moves)
+        # an exact tie for the best total, whose winner has not the largest change
+        best = max(folded.values())
+        tied = [m for m in moves if folded[m] == best]
+        assert len(tied) > 1 and max(delta[m] for m in tied) > delta[tied[0]]
+        # a positive change that folds to no gain, which must not be applied
+        assert any(delta[m] > 0 and folded[m] == total for m in moves)
+
+        result = run_hill_climb(data, config)
+        dag, totals = replay_climb(data, config)
         assert len(totals) > 2
         assert list(result.trace) == totals
         assert result.dag == dag
