@@ -173,8 +173,14 @@ def _cmd_simulate(args):
             doc = json.load(fh)
         except ValueError as exc:
             raise DataError(f"cannot parse {args.config}: {exc}") from exc
-    reps = {key: int(doc.pop(key, 1))
-            for key in ("structures", "param_sets", "data_sets")}
+    if not isinstance(doc, dict):
+        raise DataError(f"{args.config}: a generator configuration must be a JSON object")
+    try:
+        reps = {key: int(doc.pop(key, 1)) for key in ("structures", "param_sets", "data_sets")}
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"bad replication count: {exc}") from exc
+    if min(reps.values()) < 1:
+        raise DataError("replication counts must be at least 1")
     if args.seed is not None:
         doc["seed"] = args.seed
     try:
@@ -206,6 +212,8 @@ def _cmd_simulate(args):
 
 
 def _cmd_bench(args):
+    if args.jobs < 1:
+        raise _UsageError("--jobs must be at least 1")
     with open(args.plan) as fh:
         try:
             plan = bench_mod.plan_from_json(fh.read())
@@ -213,8 +221,6 @@ def _cmd_bench(args):
             raise DataError(f"cannot parse plan {args.plan}: {exc}") from exc
     if args.seed is not None:
         plan = replace(plan, root_seed=args.seed)
-    if args.jobs < 1:
-        raise _UsageError("--jobs must be at least 1")
     records = bench_mod.run(plan, args.out, jobs=args.jobs, resume=args.resume)
     print(json.dumps({"schema": 1, "records": len(records), "out": args.out}))
     return 0

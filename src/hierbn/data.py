@@ -7,6 +7,7 @@ never treated as a candidate variable itself.
 
 import csv
 import itertools
+import math
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -18,7 +19,8 @@ class DataError(ValueError):
     """Raised when an input dataset violates the complete-data contract."""
 
 
-# largest dense count table family_counts allocates (2**26 int64 cells, 512 MiB)
+# largest array one family_count_tables batch allocates, count table or row codes
+# (2**26 int64 cells, 512 MiB)
 MAX_COUNT_CELLS = 2 ** 26
 
 
@@ -211,6 +213,77 @@ def load_csv(path, group_column):
                           [table[ids[row_groups == g]] for g in range(len(group_labels))])
 
 
+def family_count_tables(data, child, parent_sets):
+    """Contingency counts of one child given each of several parent sets.
+
+    ``parent_sets`` is a sequence of parent index tuples (order within a set
+    fixes its row-major configuration indexing). Every set's cell count is
+    checked before anything is allocated. Sets with the same number of
+    parent configurations are counted together, in batches that hold no
+    array of more than ``MAX_COUNT_CELLS`` elements (unless the row codes of
+    one set in one group alone need more).
+
+    Returns ``(positions, tables)`` pairs covering every set once:
+    ``tables[i]`` is the (F, J, K) count table of ``parent_sets[positions[i]]``.
+    """
+    sets = [tuple(parents) for parents in parent_sets]
+    cards = data.cardinalities()
+    child_card, n_groups = cards[child], data.n_groups
+    by_configs = {}
+    for position, parents in enumerate(sets):
+        if child in parents:
+            raise ValueError("child cannot be its own parent")
+        n_configs = math.prod(map(cards.__getitem__, parents))
+        cells = n_groups * n_configs * child_card
+        if cells > MAX_COUNT_CELLS:
+            raise DataError(f"count table of {data.variables[child].name!r} given "
+                            f"{len(parents)} parents needs {cells} cells, more than "
+                            f"{MAX_COUNT_CELLS}")
+        by_configs.setdefault(n_configs, []).append(position)
+    rows = max((block.shape[0] for block in data.group_rows), default=0)
+    out = []
+    for n_configs, positions in sorted(by_configs.items()):
+        # a batch's row codes (one group at a time) and its tables fit under the cap
+        size = max(1, MAX_COUNT_CELLS // max(rows, n_groups * n_configs * child_card, 1))
+        for start in range(0, len(positions), size):
+            batch = positions[start:start + size]
+            out.append(_count_batch(data, child, [sets[i] for i in batch], batch, n_configs))
+    return out
+
+
+def _count_batch(data, child, sets, positions, n_configs):
+    # A row's cell in a set's table is the sum of each variable's level times
+    # its row-major stride (the child's is 1). Set i owns cells
+    # [i, i + 1) * J * K of each group's bincount.
+    cards = data.cardinalities()
+    child_card, n_groups = cards[child], data.n_groups
+    width = max(map(len, sets))
+    # column and stride of each parent position, padded with stride-0 terms
+    terms = []
+    for parents in sets:
+        stride, tail = child_card, ()
+        for p in reversed(parents):
+            tail = (p, stride) + tail
+            stride *= cards[p]
+        terms.append((child, 0) * (width - len(parents)) + tail)
+    terms = np.array(terms, dtype=np.intp).reshape(len(sets), width, 2)
+    columns, strides = terms[:, :, 0].T.copy(), terms[:, :, 1].T[:, :, None].astype(np.int64)
+    table_cells = n_configs * child_card
+    offsets = np.arange(len(sets))[:, None] * table_cells
+    counted = np.empty((len(sets), n_groups, n_configs, child_card), dtype=np.int64)
+    for f, block in enumerate(data.group_rows):
+        codes = np.empty((len(sets), block.shape[0]), dtype=np.int64)
+        np.add(offsets, block[:, child], out=codes)
+        for cols, stride in zip(columns, strides):
+            # block[:, cols] comes out column-major, so its transpose is contiguous
+            levels = block[:, cols].T
+            levels *= stride
+            codes += levels
+        counted[:, f] = np.bincount(codes.ravel(), minlength=len(sets) * table_cells).reshape(
+            len(sets), n_configs, child_card)
+    return positions, counted
+
+
 def family_counts(data, child, parents):
     """Contingency counts of one child variable given a parent set, per group.
 
@@ -220,25 +293,6 @@ def family_counts(data, child, parents):
     configurations never observed stay as zero rows.
     """
     parents = tuple(parents)
-    if child in parents:
-        raise ValueError("child cannot be its own parent")
+    [(_, tables)] = family_count_tables(data, child, [parents])
     cards = data.cardinalities()
-    child_card = cards[child]
-    parent_cards = tuple(cards[p] for p in parents)
-    n_configs = 1
-    for c in parent_cards:
-        n_configs *= c
-    cells = data.n_groups * n_configs * child_card
-    if cells > MAX_COUNT_CELLS:
-        raise DataError(f"count table of {data.variables[child].name!r} given {len(parents)} "
-                        f"parents needs {cells} cells, more than {MAX_COUNT_CELLS}")
-    table = np.zeros((data.n_groups, n_configs, child_card), dtype=np.int64)
-    for f, block in enumerate(data.group_rows):
-        if block.shape[0] == 0:
-            continue
-        config = np.zeros(block.shape[0], dtype=np.int64)
-        for p, card in zip(parents, parent_cards):
-            config = config * card + block[:, p]
-        flat = config * child_card + block[:, child]
-        table[f] = np.bincount(flat, minlength=n_configs * child_card).reshape(n_configs, child_card)
-    return FamilyCounts(child_card, parent_cards, table)
+    return FamilyCounts(cards[child], tuple(cards[p] for p in parents), tables[0])

@@ -265,6 +265,12 @@ def dag_to_json(dag, names=None):
 def dag_from_json(text):
     """Inverse of dag_to_json; returns (Dag, node names)."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("a graph must be a JSON object")
+    if not isinstance(doc.get("nodes"), list) or not isinstance(doc.get("arcs"), list):
+        raise ValueError('a graph needs "nodes" and "arcs" lists')
+    if not all(isinstance(arc, list) and len(arc) == 2 for arc in doc["arcs"]):
+        raise ValueError("every arc must be a [from, to] pair")
     names = list(doc["nodes"])
     index = {name: i for i, name in enumerate(names)}
     arcs = {(index[u], index[v]) for u, v in doc["arcs"]}

@@ -296,14 +296,10 @@ def bhd_local_log_score(counts, fit, s=1.0):
     a uniform kappa this reduces exactly to the sum of per-group uniform-
     prior scores, since both run through the same evaluation kernel.
     """
-    from .scores import bd_local_log_score
+    from .scores import bd_local_log_scores, fold_total
     if fit.kappa.shape != (counts.n_configs, counts.child_card):
         raise ValueError("fit shape does not match the family's cell grid")
-    alpha = s * fit.kappa
-    total = 0.0
-    for f in range(counts.n_groups):
-        total += bd_local_log_score(counts.per_group[f], alpha)
-    return total
+    return fold_total(bd_local_log_scores(counts.per_group, s * fit.kappa).tolist())
 
 
 def hier_posterior_means(counts, fit, s=1.0):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .data import FamilyCounts, family_counts
+from .data import FamilyCounts, family_count_tables
 
 SCORE_KINDS = ("bdeu", "bic", "bhd")
 
@@ -25,35 +25,54 @@ def _pooled_table(counts):
     return table
 
 
-def bd_local_log_score(counts, alpha):
-    """Dirichlet-multinomial log marginal likelihood of one family.
+def bd_local_log_scores(tables, alpha):
+    """Dirichlet-multinomial log marginal likelihoods of stacked families.
 
-    ``alpha`` gives a positive pseudo-count per (config, level) cell. Counts
-    may be a FamilyCounts (pooled over groups) or a plain (J, K) table. This
-    is the single evaluation kernel shared by every Dirichlet-family score,
-    so algebraic reductions between them hold bit-for-bit.
+    ``tables`` is a (B, J, K) stack of count tables; ``alpha`` gives a
+    positive pseudo-count per (config, level) cell, shape (J, K) for every
+    table or (B, J, K). Returns the B scores. This is the single evaluation
+    kernel shared by every Dirichlet-family score, and each table's sums run
+    along the contiguous last axis, so a family scores bit for bit the same
+    alone or in any stack and algebraic reductions between the scores hold
+    bit for bit.
     """
-    table = _pooled_table(counts)
+    tables = np.asarray(tables)
     alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != table.shape:
+    if tables.ndim != 3:
+        raise ValueError("expected a (families, configs, levels) stack of count tables")
+    if alpha.shape not in (tables.shape, tables.shape[1:]):
         raise ValueError("alpha shape must match the count table")
     if np.any(alpha <= 0):
         raise ValueError("alpha must be strictly positive")
-    alpha_j = alpha.sum(axis=1)
-    n_j = table.sum(axis=1)
-    value = (gammaln(alpha_j) - gammaln(alpha_j + n_j)).sum()
-    value += (gammaln(alpha + table) - gammaln(alpha)).sum()
-    return float(value)
+    alpha_j = alpha.sum(axis=-1)
+    n_j = tables.sum(axis=-1)
+    value = (gammaln(alpha_j) - gammaln(alpha_j + n_j)).sum(axis=-1)
+    value += (gammaln(alpha + tables) - gammaln(alpha)).reshape(len(tables), -1).sum(axis=-1)
+    return value
+
+
+def bd_local_log_score(counts, alpha):
+    """Dirichlet-multinomial log marginal likelihood of one family.
+
+    Counts may be a FamilyCounts (pooled over groups) or a plain (J, K)
+    table; the one-table case of ``bd_local_log_scores``.
+    """
+    table = _pooled_table(counts)
+    if np.shape(alpha) != table.shape:
+        raise ValueError("alpha shape must match the count table")
+    return float(bd_local_log_scores(table[None], alpha)[0])
+
+
+def _uniform_alpha(shape, s):
+    if not s > 0:
+        raise ValueError("imaginary sample size must be positive")
+    return np.full(shape, s / (shape[0] * shape[1]))
 
 
 def bdeu_local_log_score(counts, s=1.0):
     """Uniform-mass special case: every cell gets s / (configs * levels)."""
-    if not s > 0:
-        raise ValueError("imaginary sample size must be positive")
     table = _pooled_table(counts)
-    n_configs, child_card = table.shape
-    alpha = np.full(table.shape, s / (n_configs * child_card))
-    return bd_local_log_score(table, alpha)
+    return bd_local_log_score(table, _uniform_alpha(table.shape, s))
 
 
 def bic_local_log_score(counts):
@@ -136,6 +155,9 @@ class LocalScoreCache:
     def __len__(self):
         return len(self._store)
 
+    def __contains__(self, key):
+        return key in self._store
+
     def get_or_compute(self, key, compute):
         try:
             value = self._store[key]
@@ -148,10 +170,25 @@ class LocalScoreCache:
         return value
 
 
-def _compute_local(data, child, parents, config):
-    counts = family_counts(data, child, parents)
-    if config.kind == "bdeu":
-        return bdeu_local_log_score(counts, config.iss)
+def _compute_locals(data, child, parent_sets, config):
+    # bdeu scores each run of equal-shape tables in one stacked kernel call;
+    # bic and bhd score table by table
+    cards = data.cardinalities()
+    out = np.empty(len(parent_sets))
+    for positions, tables in family_count_tables(data, child, parent_sets):
+        if config.kind == "bdeu":
+            pooled = tables.sum(axis=1)
+            out[positions] = bd_local_log_scores(pooled, _uniform_alpha(pooled.shape[1:],
+                                                                        config.iss))
+        else:
+            for position, table in zip(positions, tables):
+                parent_cards = tuple(cards[p] for p in parent_sets[position])
+                counts = FamilyCounts(cards[child], parent_cards, table)
+                out[position] = _score_family(counts, config)
+    return out.tolist()
+
+
+def _score_family(counts, config):
     if config.kind == "bic":
         return bic_local_log_score(counts)
     from . import hier  # deferred: hier shares this module's kernel
@@ -162,17 +199,34 @@ def _compute_local(data, child, parents, config):
     return hier.bhd_local_log_score(counts, fit, config.iss)
 
 
-def local_log_score(data, child, parents, config, cache=None):
-    """Score one family under ``config``, consulting ``cache`` if given."""
-    parents = tuple(parents)
+def local_log_scores(data, child, parent_sets, config, cache=None):
+    """Scores of one child given each of several parent sets under
+    ``config``, as a list in ``parent_sets`` order.
+
+    With a ``cache``, each set is looked up in turn (so hits and misses
+    count as if the sets were scored one by one) and only the distinct
+    missing families are counted and scored, in one batch.
+    """
+    parent_sets = [tuple(parents) for parents in parent_sets]
     if cache is None:
-        return _compute_local(data, child, parents, config)
+        return _compute_locals(data, child, parent_sets, config)
     if cache.data is None:
         cache.data = data
     elif cache.data is not data:
         raise ValueError("the cache holds scores of another dataset")
-    key = (child, tuple(sorted(parents))) + config.cache_key()
-    return cache.get_or_compute(key, lambda: _compute_local(data, child, parents, config))
+    identity = config.cache_key()
+    keys = [(child, tuple(sorted(parents))) + identity for parents in parent_sets]
+    missing = {}
+    for key, parents in zip(keys, parent_sets):
+        if key not in cache:
+            missing.setdefault(key, parents)
+    computed = dict(zip(missing, _compute_locals(data, child, list(missing.values()), config)))
+    return [cache.get_or_compute(key, lambda key=key: computed[key]) for key in keys]
+
+
+def local_log_score(data, child, parents, config, cache=None):
+    """Score one family under ``config``, consulting ``cache`` if given."""
+    return local_log_scores(data, child, [parents], config, cache)[0]
 
 
 def fold_total(local_scores):

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Dag
-from .scores import LocalScoreCache, fold_total, local_log_score
+from .scores import LocalScoreCache, fold_total, local_log_score, local_log_scores
 
 MOVE_KINDS = ("add", "delete", "reverse")  # sorted, so moves read off kind by kind are too
 
@@ -78,10 +78,11 @@ def run_hill_climb(data, score_config, search_config=None, start=None, cache=Non
     """Greedy ascent applying the best strictly improving single-arc move.
 
     Each node's locals with one parent added or dropped are kept in N x N
-    tables, rescored only when that node's parents change. Every legal
-    move's score change is screened from the tables; the moves that can
-    still win are compared on their folded totals, the arithmetic of a cold
-    evaluation, and ties fall to the lexicographically first move. Returns
+    tables, rescored only when that node's parents change, in one batched
+    call per node. Every legal move's score change is screened from the
+    tables; the moves that can still win are compared on their folded
+    totals, the arithmetic of a cold evaluation, and ties fall to the
+    lexicographically first move. Returns
     the climbed DAG, its total score (so it matches a cold evaluation of the
     final graph, and no neighbour folds higher), and the score trace.
     """
@@ -102,12 +103,16 @@ def run_hill_climb(data, score_config, search_config=None, start=None, cache=Non
 
     for _ in range(cfg.max_iterations):
         masks = add, arcs, reverse = _legal_masks(dag, cfg.max_parents)
-        for table, cells, adding in ((grown, add, True), (shrunk, arcs, False),
-                                     (grown, reverse.T, True)):
-            for u, v in np.argwhere(cells & np.isnan(table)).tolist():
-                pa = dag.parents(v)
-                pa = sorted(pa + (u,)) if adding else [p for p in pa if p != u]
-                table[u, v] = local_log_score(data, v, pa, score_config, cache)
+        # refill each column that lacks a needed local with one batched call
+        to_grow = (add | reverse.T) & np.isnan(grown)
+        to_shrink = arcs & np.isnan(shrunk)
+        for v in np.flatnonzero(to_grow.any(axis=0) | to_shrink.any(axis=0)).tolist():
+            pa = dag.parents(v)
+            up, down = np.flatnonzero(to_grow[:, v]), np.flatnonzero(to_shrink[:, v])
+            sets = ([sorted(pa + (u,)) for u in up.tolist()]
+                    + [[p for p in pa if p != u] for u in down.tolist()])
+            values = local_log_scores(data, v, sets, score_config, cache)
+            grown[up, v], shrunk[down, v] = values[:len(up)], values[len(up):]
         gain, loss = grown - locals_, shrunk - locals_  # column v minus the local of v
         deltas = [np.where(add, gain, -np.inf), np.where(arcs, loss, -np.inf),
                   np.where(reverse, loss + gain.T, -np.inf)]

@@ -1,7 +1,8 @@
 """Independent reference implementations used to pin expected test values.
 
 Everything here deliberately avoids the package's own evaluation paths:
-scores are recomputed with arbitrary-precision arithmetic, equivalence
+scores are recomputed with arbitrary-precision arithmetic (or, where a
+test pins bits, with the one-table float formula), counts row by row, equivalence
 classes by exhaustive enumeration, distances by breadth-first search
 over single-edge edits, and CSV files are read and written row by row.
 """
@@ -13,6 +14,7 @@ from collections import Counter, deque
 
 import mpmath as mp
 import numpy as np
+from scipy.special import gammaln
 
 from hierbn.data import DataError, GroupedDataset, VariableMeta
 from hierbn.graph import Dag
@@ -39,6 +41,30 @@ def bdeu_local_oracle(table, s):
     a = mp.mpf(s) / (n_configs * child_card)
     alpha = [[a] * child_card for _ in range(n_configs)]
     return bd_local_oracle(table, alpha)
+
+
+def bd_local_float_oracle(table, alpha):
+    """The family marginal likelihood of one (J, K) table in float64, summed
+    as a lone table's arrays sum: per-row totals, then each whole 2-D array."""
+    table, alpha = np.asarray(table), np.asarray(alpha, dtype=float)
+    alpha_j, n_j = alpha.sum(axis=1), table.sum(axis=1)
+    value = (gammaln(alpha_j) - gammaln(alpha_j + n_j)).sum()
+    value += (gammaln(alpha + table) - gammaln(alpha)).sum()
+    return float(value)
+
+
+def family_counts_oracle(data, child, parents):
+    """(F, J, K) counts of one family, tallied row by row in Python."""
+    cards = data.cardinalities()
+    n_configs = int(np.prod([cards[p] for p in parents], dtype=np.int64))
+    table = np.zeros((data.n_groups, n_configs, cards[child]), dtype=np.int64)
+    for f, block in enumerate(data.group_rows):
+        for row in block.tolist():
+            config = 0
+            for p in parents:
+                config = config * cards[p] + row[p]
+            table[f, config, row[child]] += 1
+    return table
 
 
 def all_dags(n):

@@ -71,6 +71,15 @@ class TestExitCodes:
         assert main(["score", "--data", data_csv, "--group", "site",
                      "--graph", str(graph)]) == 2
 
+    @pytest.mark.parametrize("text", ["[]", '{"nodes": "ab", "arcs": []}',
+                                      '{"nodes": ["a", "b"], "arcs": [["a", "b", "c"]]}'])
+    def test_malformed_graph_document_is_data_error(self, data_csv, tmp_path, capsys, text):
+        graph = tmp_path / "g.json"
+        graph.write_text(text)
+        assert main(["score", "--data", data_csv, "--group", "site",
+                     "--graph", str(graph)]) == 2
+        assert "cannot parse graph file" in capsys.readouterr().err
+
     def test_corrupt_plan_is_data_error(self, tmp_path, capsys):
         plan = tmp_path / "plan.json"
         plan.write_text('{"cells": [], "whatever": 1}')
@@ -96,6 +105,11 @@ class TestExitCodes:
             "scores": ["bdeu"], "structures": 1, "param_sets": 1, "data_sets": 1}))
         assert main(["bench", "--plan", str(plan), "--out",
                      str(tmp_path / "out.csv"), "--jobs", "0"]) == 1
+
+    def test_zero_jobs_is_usage_error_before_the_plan_is_read(self, tmp_path, capsys):
+        assert main(["bench", "--plan", str(tmp_path / "absent.json"), "--out",
+                     str(tmp_path / "out.csv"), "--jobs", "0"]) == 1
+        assert "--jobs" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value", [("--max-parents", "-1"), ("--max-iters", "0")])
     def test_bad_search_limit_is_usage_error(self, data_csv, capsys, flag, value):
@@ -260,6 +274,18 @@ class TestSimulate:
         path.write_text(json.dumps({"n_nodes": 3, "rows": 10}))
         assert main(["simulate", "--config", str(path),
                      "--out-dir", str(tmp_path / "out")]) == 2
+
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '{"n_nodes": 3, "structures": "abc"}',
+                                      '{"n_nodes": 3, "structures": 0}',
+                                      '{"n_nodes": 3, "data_sets": -2}'])
+    def test_bad_config_document_is_data_error(self, tmp_path, capsys, text):
+        path = tmp_path / "gen.json"
+        path.write_text(text)
+        out_dir = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err.startswith("hierbn: data error:")
+        assert not out_dir.exists()
 
 
 class TestBench:

@@ -6,9 +6,10 @@ import io
 import numpy as np
 import pytest
 
+import hierbn.data as data_mod
 from hierbn.data import (DataError, FamilyCounts, GroupedDataset, VariableMeta,
-                         family_counts, load_csv)
-from oracles import load_csv_oracle
+                         family_count_tables, family_counts, load_csv)
+from oracles import family_counts_oracle, load_csv_oracle
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -267,3 +268,83 @@ class TestFamilyCounts:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             FamilyCounts(2, (3,), np.zeros((1, 2, 2), dtype=np.int64))
+
+
+def mixed_dataset(seed, group_sizes=(40, 0, 25), cards=(2, 3, 4, 2, 3)):
+    """Random rows over variables of 2-4 levels; a size of 0 gives an empty group."""
+    rng = np.random.default_rng(seed)
+    variables = [VariableMeta(f"v{i}", tuple(map(str, range(c)))) for i, c in enumerate(cards)]
+    blocks = [np.stack([rng.integers(0, c, n) for c in cards], axis=1) for n in group_sizes]
+    return GroupedDataset(variables, [f"g{f}" for f in range(len(group_sizes))], blocks)
+
+
+# parent sets of child 2 (4 levels): every length from 0 to 4, unsorted
+# tuples, a repeat, and runs of equal configuration counts with and without
+# shared parents
+MIXED_SETS = [(), (0,), (1, 3), (3, 1), (0, 1), (4, 0, 1), (1,), (0, 3, 4, 1), (0,), (3,),
+              (1, 0)]
+
+
+class TestFamilyCountTables:
+    def batch(self, data, child, sets):
+        tables = [None] * len(sets)
+        for positions, stacked in family_count_tables(data, child, sets):
+            assert stacked.shape[0] == len(positions)
+            for position, table in zip(positions, stacked):
+                assert tables[position] is None
+                tables[position] = table
+        return tables
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_row_by_row_oracle(self, seed):
+        data = mixed_dataset(seed)
+        for position, table in enumerate(self.batch(data, 2, MIXED_SETS)):
+            want = family_counts_oracle(data, 2, MIXED_SETS[position])
+            assert table.dtype == np.int64 and table.shape == want.shape
+            np.testing.assert_array_equal(table, want)
+            np.testing.assert_array_equal(family_counts(data, 2, MIXED_SETS[position]).per_group,
+                                          want)
+
+    def test_every_group_empty(self):
+        data = mixed_dataset(3, group_sizes=(0, 0))
+        for table in self.batch(data, 2, MIXED_SETS):
+            assert table.shape[0] == 2 and not table.any()
+
+    def test_no_sets(self):
+        assert family_count_tables(mixed_dataset(0), 2, []) == []
+
+    def test_child_among_parents_rejected(self):
+        with pytest.raises(ValueError):
+            family_count_tables(mixed_dataset(0), 2, [(0,), (1, 2)])
+
+    def test_oversize_family_among_small_ones_rejected_before_counting(self, monkeypatch):
+        variables = [VariableMeta(f"v{i}", ("0", "1")) for i in range(63)]
+        data = GroupedDataset(variables, ["g"], [np.zeros((2, 63), dtype=np.int64)])
+
+        def no_counting(*args):
+            raise AssertionError("counted before every family was checked")
+
+        monkeypatch.setattr(data_mod, "_count_batch", no_counting)
+        with pytest.raises(DataError, match=f"'v62' given 62 parents needs {2 ** 63} cells, "
+                                            f"more than {data_mod.MAX_COUNT_CELLS}"):
+            family_count_tables(data, 62, [(0,), (1, 2), tuple(range(62)), (3,)])
+
+    @pytest.mark.parametrize("cap", [60, 200])
+    def test_batches_stay_under_the_cell_cap(self, monkeypatch, cap):
+        data = mixed_dataset(5, group_sizes=(40, 0, 25))
+        monkeypatch.setattr(data_mod, "MAX_COUNT_CELLS", cap)
+        count_batch, cards = data_mod._count_batch, data.cardinalities()
+        sizes = []
+
+        def spy(data, child, sets, positions, n_configs):
+            # one group's row codes, and the batch's tables
+            rows = max(block.shape[0] for block in data.group_rows)
+            sizes.append((len(sets) * rows, len(sets) * data.n_groups * n_configs * cards[child]))
+            return count_batch(data, child, sets, positions, n_configs)
+
+        monkeypatch.setattr(data_mod, "_count_batch", spy)
+        sets = [s for s in MIXED_SETS if 3 * int(np.prod([cards[p] for p in s])) * 4 <= cap]
+        for position, table in enumerate(self.batch(data, 2, sets)):
+            np.testing.assert_array_equal(table, family_counts_oracle(data, 2, sets[position]))
+        assert len(sizes) > len({int(np.prod([cards[p] for p in s])) for s in sets})
+        assert all(max(size) <= cap for size in sizes)

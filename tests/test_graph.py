@@ -238,6 +238,14 @@ class TestSerialization:
             assert back == dag
             assert names_back == names
 
+    @pytest.mark.parametrize("text", ["[]", '"g"', '{"arcs": []}', '{"nodes": "ab", "arcs": []}',
+                                      '{"nodes": ["a", "b"], "arcs": {"a": "b"}}',
+                                      '{"nodes": ["a", "b"], "arcs": [["a"]]}',
+                                      '{"nodes": ["a", "b"], "arcs": ["ab"]}'])
+    def test_json_of_the_wrong_shape_is_value_error(self, text):
+        with pytest.raises(ValueError):
+            dag_from_json(text)
+
     def test_dot_round_trip(self):
         dag = Dag(3, frozenset({(0, 1), (0, 2)}))
         back, names = dag_from_dot(dag_to_dot(dag, ["a", "b", "c"]))

@@ -5,15 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from hierbn.data import family_counts, load_csv
+from hierbn.data import FamilyCounts, family_counts, load_csv
 from hierbn.graph import Dag
+from hierbn.hier import HierPrior, fit_variational
 from hierbn.scores import (LocalScoreCache, ScoreConfig, bd_local_log_score,
-                           bdeu_local_log_score, bic_local_log_score,
+                           bd_local_log_scores, bdeu_local_log_score, bic_local_log_score,
                            classic_posterior_mean, fold_total, local_log_score,
-                           total_log_score)
+                           local_log_scores, total_log_score)
 from hierbn.simgen import GenConfig, generate
 
-from oracles import all_dags, bd_local_oracle, bdeu_local_oracle, class_signature
+from oracles import (all_dags, bd_local_float_oracle, bd_local_oracle, bdeu_local_oracle,
+                     class_signature, family_counts_oracle)
+from test_data import MIXED_SETS, mixed_dataset
 
 
 def random_csv(tmp_path, rng, n_vars=3, n_groups=2, rows_per_group=20, card=2,
@@ -300,3 +303,92 @@ class TestScoreConfig:
         direct = bdeu_local_log_score(counts.pooled, 1.0)
         assert bdeu_local_log_score(counts, 1.0) == direct
         assert bic_local_log_score(counts) == bic_local_log_score(counts.pooled)
+
+
+def local_oracle(data, child, parents, config):
+    """One family's local score from row-by-row counts and the one-table
+    float kernel; bic and bhd keep the package's penalty and fit."""
+    table = family_counts_oracle(data, child, parents)
+    n_groups, n_configs, child_card = table.shape
+    if config.kind == "bdeu":
+        alpha = np.full((n_configs, child_card), config.iss / (n_configs * child_card))
+        return bd_local_float_oracle(table.sum(axis=0), alpha)
+    cards = data.cardinalities()
+    counts = FamilyCounts(child_card, tuple(cards[p] for p in parents), table)
+    if config.kind == "bic":
+        return bic_local_log_score(counts)
+    prior = HierPrior.uniform((n_configs, child_card), s=config.iss, s0=config.s0)
+    fit = fit_variational(counts, prior, tol=config.vb_tol, max_iters=config.vb_max_iters)
+    total = 0.0
+    for f in range(n_groups):
+        total += bd_local_float_oracle(table[f], config.iss * fit.kappa)
+    return total
+
+
+BATCH_CONFIGS = [ScoreConfig("bdeu"), ScoreConfig("bdeu", iss=7.5), ScoreConfig("bic"),
+                 ScoreConfig("bhd"), ScoreConfig("bhd", iss=7.5)]
+
+
+class TestBatchedScores:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stacked_kernel_matches_one_table_formula(self, seed):
+        rng = np.random.default_rng(seed)
+        tables = rng.integers(0, 9, size=(6, 5, 3))
+        tables[2] = 0
+        shared = rng.uniform(0.05, 3.0, size=(5, 3))
+        each = rng.uniform(0.05, 3.0, size=(6, 5, 3))
+        for alpha, alphas in ((shared, [shared] * 6), (each, each)):
+            got = bd_local_log_scores(tables, alpha).tolist()
+            assert got == [bd_local_float_oracle(t, a) for t, a in zip(tables, alphas)]
+            assert got == [bd_local_log_score(t, a) for t, a in zip(tables, alphas)]
+
+    def test_stacked_kernel_rejects_bad_alpha(self):
+        tables = np.ones((2, 3, 2), dtype=np.int64)
+        with pytest.raises(ValueError):
+            bd_local_log_scores(tables, np.ones((3, 3)))
+        with pytest.raises(ValueError):
+            bd_local_log_scores(tables, np.zeros((3, 2)))
+        with pytest.raises(ValueError):
+            bd_local_log_scores(tables[0], np.ones((3, 2)))
+
+    @pytest.mark.parametrize("config", BATCH_CONFIGS, ids=lambda c: f"{c.kind}-{c.iss}")
+    @pytest.mark.parametrize("seed", range(2))
+    def test_batch_equals_cold_per_family_bitwise(self, config, seed):
+        data = mixed_dataset(seed)
+        batched = local_log_scores(data, 2, MIXED_SETS, config)
+        assert batched == [local_log_score(data, 2, parents, config) for parents in MIXED_SETS]
+        assert batched == [local_oracle(data, 2, parents, config) for parents in MIXED_SETS]
+        assert all(type(value) is float for value in batched)
+
+    @pytest.mark.parametrize("config", BATCH_CONFIGS[:3], ids=lambda c: f"{c.kind}-{c.iss}")
+    def test_every_child_and_group_layout(self, config):
+        for seed, sizes in enumerate([(40, 0, 25), (0, 30), (17,)]):
+            data = mixed_dataset(seed, group_sizes=sizes)
+            for child in range(data.n_variables):
+                others = [v for v in range(data.n_variables) if v != child]
+                sets = [()] + [(u,) for u in others] + [tuple(others[:2]), tuple(others[::-1])]
+                assert (local_log_scores(data, child, sets, config)
+                        == [local_oracle(data, child, parents, config) for parents in sets])
+
+    def test_cache_counts_as_the_per_family_path(self):
+        data = mixed_dataset(1)
+        config = ScoreConfig("bdeu", iss=7.5)
+        # the two orders of {1, 4} score different bits; the first one asked
+        # for must be the one cached
+        assert local_log_score(data, 2, (1, 4), config) != local_log_score(data, 2, (4, 1), config)
+        requests = [MIXED_SETS + [(1, 4), (4, 1)], MIXED_SETS[::-1] + [(0, 3)], [(3, 0), (4,)]]
+        batched, single = LocalScoreCache(), LocalScoreCache()
+        for sets in requests:
+            got = local_log_scores(data, 2, sets, config, batched)
+            want = [local_log_score(data, 2, parents, config, single) for parents in sets]
+            assert got == want
+            assert (batched.hits, batched.misses) == (single.hits, single.misses)
+        assert len(batched) == len(single)
+        assert batched.hits > 0
+
+    def test_cache_bound_to_another_dataset_rejected(self):
+        first, second = mixed_dataset(1), mixed_dataset(2)
+        cache = LocalScoreCache()
+        local_log_scores(first, 2, MIXED_SETS, ScoreConfig("bdeu"), cache)
+        with pytest.raises(ValueError, match="another dataset"):
+            local_log_scores(second, 2, MIXED_SETS, ScoreConfig("bdeu"), cache)

@@ -255,8 +255,12 @@ class TestGreedyReplay:
                 value += weight.get((p, child), -0.25)
             return value
 
-        monkeypatch.setattr(search, "local_log_score", stub)
-        monkeypatch.setattr(scores, "local_log_score", stub)
+        def stub_batch(data, child, parent_sets, config, cache=None):
+            return [stub(data, child, parents, config) for parents in parent_sets]
+
+        # every local, one family or a batch, goes through local_log_scores
+        monkeypatch.setattr(search, "local_log_scores", stub_batch)
+        monkeypatch.setattr(scores, "local_log_scores", stub_batch)
         data, config = SimpleNamespace(n_variables=4), ScoreConfig("bdeu")
         empty = Dag(4)
         total = total_log_score(empty, data, config)
