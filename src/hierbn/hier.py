@@ -18,12 +18,13 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma, gammaln, softmax, zeta
+from scipy.special import digamma, gammaln, zeta
 
 KAPPA_FLOOR = 1e-12
 _LOG_TAU_MIN = np.log(1e-8)
 _LOG_TAU_MAX = np.log(1e10)
 _LBFGS_PAIRS = 10
+_EPS = np.finfo(float).eps
 
 
 class VariationalConvergenceWarning(RuntimeWarning):
@@ -47,7 +48,7 @@ class HierPrior:
         if not self.s > 0:
             raise ValueError("s must be positive")
         alpha0 = np.ascontiguousarray(np.asarray(self.alpha0, dtype=float))
-        if alpha0.ndim != 2 or np.any(alpha0 <= 0):
+        if alpha0.ndim != 2 or not np.all(alpha0 > 0):
             raise ValueError("alpha0 must be a positive (configs, levels) array")
         alpha0.flags.writeable = False
         object.__setattr__(self, "alpha0", alpha0)
@@ -87,64 +88,54 @@ class VariationalFit:
             object.__setattr__(self, name, arr)
 
 
-def _dirichlet_entropy(params):
-    """Entropy of Dirichlet rows; params has shape (..., M)."""
-    m = params.shape[-1]
-    tot = params.sum(axis=-1)
-    return (gammaln(params).sum(axis=-1) - gammaln(tot)
-            + (tot - m) * digamma(tot)
-            - ((params - 1.0) * digamma(params)).sum(axis=-1))
+def _bound_and_grad(n, a0, s, kappa, tau, nu):
+    """The bound at (kappa, tau, nu) and its analytic gradient.
 
-
-def _expected_lgamma_alpha(s, kappa, tau):
-    """Second-order expansion of E[lnGamma(s * centre_m)] about the mean.
-
-    The exact expectation has no closed form; the quadratic term uses the
-    Dirichlet(tau * kappa) variance of each coordinate.
-    """
-    var = s * s * kappa * (1.0 - kappa) / (tau + 1.0)
-    return gammaln(s * kappa) + 0.5 * zeta(2, s * kappa) * var
-
-
-def _elbo_flat(n, a0, s, kappa, tau, nu):
-    n_groups, m = n.shape
-    s0 = a0.sum()
-    e_log_theta = digamma(nu) - digamma(nu.sum(axis=1, keepdims=True))
-    tk = tau * kappa
-    value = float(((n + s * kappa - 1.0) * e_log_theta).sum())
-    value += n_groups * float(gammaln(s)) - n_groups * float(_expected_lgamma_alpha(s, kappa, tau).sum())
-    value += float(gammaln(s0)) - float(gammaln(a0).sum())
-    value += float(((a0 - 1.0) * (digamma(tk) - digamma(tau))).sum())
-    value += float(_dirichlet_entropy(nu).sum())
-    value += float(_dirichlet_entropy(tk[None, :])[0])
-    return value
-
-
-def _elbo_grad_flat(n, a0, s, kappa, tau, nu):
-    """Analytic gradient in the unconstrained parameterization.
-
-    Returns (g_rho, g_tau): g_rho is the gradient with respect to the
-    softmax logits of kappa, g_tau the plain tau derivative.
+    Returns (bound, g_rho, g_tau): g_rho is the gradient with respect to the
+    softmax logits of kappa, g_tau the plain tau derivative. Every array the
+    bound and the gradient share is computed once.
     """
     n_groups, m = n.shape
-    e_log_theta_sum = (digamma(nu) - digamma(nu.sum(axis=1, keepdims=True))).sum(axis=0)
     sk = s * kappa
     tk = tau * kappa
+    one_minus_kappa = 1.0 - kappa
+    a0_minus_1 = a0 - 1.0
+    dg_nu = digamma(nu)
+    nu_tot = nu.sum(axis=1)
+    dg_nu_tot = digamma(nu_tot)
+    e_log_theta = dg_nu - dg_nu_tot[:, None]
     # polygamma(1, x) = zeta(2, x) and polygamma(2, x) = -2 zeta(3, x), the
     # same values from a cheaper call
     pg1_sk = zeta(2, sk)
     pg1_tk = zeta(2, tk)
-    pg2_sk = -2.0 * zeta(3, sk)
-    var = s * s * kappa * (1.0 - kappa) / (tau + 1.0)
+    pg1_tau = zeta(2, tau)
+    dg_tk = digamma(tk)
+    tk_tot = tk.sum()
+    # E[lnGamma(s * centre_m)] has no closed form: a second-order expansion
+    # about the mean, with the Dirichlet(tau * kappa) variance of each coordinate
+    var = s * s * kappa * one_minus_kappa / (tau + 1.0)
+    expected_lgamma = gammaln(sk) + 0.5 * pg1_sk * var
+
+    value = float(((n + sk - 1.0) * e_log_theta).sum())
+    value += n_groups * float(gammaln(s)) - n_groups * float(expected_lgamma.sum())
+    value += float(gammaln(a0.sum())) - float(gammaln(a0).sum())
+    value += float((a0_minus_1 * (dg_tk - digamma(tau))).sum())
+    # entropies of the group Dirichlets and of the centre's
+    value += float((gammaln(nu).sum(axis=1) - gammaln(nu_tot) + (nu_tot - m) * dg_nu_tot
+                    - ((nu - 1.0) * dg_nu).sum(axis=1)).sum())
+    value += float(gammaln(tk).sum() - gammaln(tk_tot) + (tk_tot - m) * digamma(tk_tot)
+                   - ((tk - 1.0) * dg_tk).sum())
+
     d_eg = (s * digamma(sk)
-            + 0.5 * (s * pg2_sk * var + pg1_sk * s * s * (1.0 - 2.0 * kappa) / (tau + 1.0)))
-    g_kappa = s * e_log_theta_sum - n_groups * d_eg + (a0 - tk) * tau * pg1_tk
+            + 0.5 * (s * (-2.0 * zeta(3, sk)) * var
+                     + pg1_sk * s * s * (1.0 - 2.0 * kappa) / (tau + 1.0)))
+    g_kappa = s * e_log_theta.sum(axis=0) - n_groups * d_eg + (a0 - tk) * tau * pg1_tk
     g_rho = kappa * (g_kappa - float((g_kappa * kappa).sum()))
-    g_tau = (n_groups * 0.5 * float((pg1_sk * s * s * kappa * (1.0 - kappa)).sum()) / (tau + 1.0) ** 2
-             + float(((a0 - 1.0) * (kappa * pg1_tk - zeta(2, tau))).sum())
-             + (tau - m) * float(zeta(2, tau))
+    g_tau = (n_groups * 0.5 * float((pg1_sk * s * s * kappa * one_minus_kappa).sum()) / (tau + 1.0) ** 2
+             + float((a0_minus_1 * (kappa * pg1_tk - pg1_tau)).sum())
+             + (tau - m) * float(pg1_tau)
              - float(((tk - 1.0) * kappa * pg1_tk).sum()))
-    return g_rho, float(g_tau)
+    return value, g_rho, float(g_tau)
 
 
 def elbo(counts, prior, kappa, tau, nu):
@@ -152,9 +143,9 @@ def elbo(counts, prior, kappa, tau, nu):
     n_groups = counts.n_groups
     m = counts.n_configs * counts.child_card
     n = counts.per_group.reshape(n_groups, m).astype(float)
-    return _elbo_flat(n, prior.alpha0.reshape(m), prior.s,
-                      np.asarray(kappa, float).reshape(m), float(tau),
-                      np.asarray(nu, float).reshape(n_groups, m))
+    return _bound_and_grad(n, prior.alpha0.reshape(m), prior.s,
+                           np.asarray(kappa, float).reshape(m), float(tau),
+                           np.asarray(nu, float).reshape(n_groups, m))[0]
 
 
 def _clamp_simplex(kappa):
@@ -162,23 +153,28 @@ def _clamp_simplex(kappa):
     return kappa / kappa.sum()
 
 
+def _softmax(logits):
+    """scipy.special.softmax's arithmetic without its array-API dispatch:
+    shift by the max, exponentiate, divide by the sum."""
+    shifted = np.exp(logits - logits.max())
+    return shifted / shifted.sum()
+
+
 def _centre(x):
     """(kappa, tau) from x = (softmax logits of kappa, log tau)."""
-    return _clamp_simplex(softmax(x[:-1])), float(np.exp(x[-1]))
+    return _clamp_simplex(_softmax(x[:-1])), float(np.exp(x[-1]))
 
 
-def _profiled_elbo(n, a0, s, x):
-    """The bound with every nu_f at its conditional maximiser s * kappa + n_f."""
+def _profiled(n, a0, s, x):
+    """(bound, gradient in x) with every nu_f at its conditional maximiser
+    s * kappa + n_f, where x = (softmax logits of kappa, log tau).
+
+    By the envelope theorem the bound is stationary in nu there, so its
+    partial gradient in (kappa, tau) is the profiled gradient.
+    """
     kappa, tau = _centre(x)
-    return _elbo_flat(n, a0, s, kappa, tau, s * kappa + n)
-
-
-def _profiled_grad(n, a0, s, x):
-    # envelope theorem: the bound is stationary in nu at s * kappa + n, so its
-    # partial gradient in (kappa, tau) there is the profiled gradient
-    kappa, tau = _centre(x)
-    g_rho, g_tau = _elbo_grad_flat(n, a0, s, kappa, tau, s * kappa + n)
-    return np.append(g_rho, g_tau * tau)
+    value, g_rho, g_tau = _bound_and_grad(n, a0, s, kappa, tau, s * kappa + n)
+    return value, np.append(g_rho, g_tau * tau)
 
 
 def _lbfgs_direction(grad, pairs):
@@ -204,18 +200,20 @@ def _lbfgs_direction(grad, pairs):
 def _armijo_step(n, a0, s, x, value, grad, direction):
     """Backtrack along direction until the bound rises by the Armijo margin.
 
-    Returns (x, bound) of the accepted point, or None once the first-order
-    gain of the remaining steps is below the float resolution of the bound.
+    Returns (x, bound, gradient) of the accepted point, or None once the
+    first-order gain of the remaining steps is below the float resolution of
+    the bound. Each trial point is evaluated once, bound and gradient
+    together.
     """
     slope = float(grad @ direction)
-    resolution = 4.0 * np.finfo(float).eps * max(1.0, abs(value))
+    resolution = 4.0 * _EPS * max(1.0, abs(value))
     t = 1.0
     while t * slope > resolution:
         trial_x = x + t * direction
-        trial_x[-1] = np.clip(trial_x[-1], _LOG_TAU_MIN, _LOG_TAU_MAX)
-        trial = _profiled_elbo(n, a0, s, trial_x)
+        trial_x[-1] = min(max(trial_x[-1], _LOG_TAU_MIN), _LOG_TAU_MAX)
+        trial, trial_grad = _profiled(n, a0, s, trial_x)
         if trial > value and trial >= value + 1e-4 * t * slope:
-            return trial_x, trial
+            return trial_x, trial, trial_grad
         t *= 0.5
     return None
 
@@ -233,7 +231,7 @@ def fit_variational(counts, prior, tol=1e-6, max_iters=500):
     ``max_iters`` steps without either it returns the last iterate with a
     warning.
     """
-    if tol <= 0 or max_iters < 1:
+    if not tol > 0 or not max_iters >= 1:
         raise ValueError("tol must be positive and max_iters at least 1")
     n_groups = counts.n_groups
     shape = (counts.n_configs, counts.child_card)
@@ -249,13 +247,12 @@ def fit_variational(counts, prior, tol=1e-6, max_iters=500):
         # no evidence in any group: posterior centre equals the prior centre
         kappa = _clamp_simplex(a0 / s0)
         nu = s * kappa + n
-        trace = (_elbo_flat(n, a0, s, kappa, s0, nu),)
+        trace = (_bound_and_grad(n, a0, s, kappa, s0, nu)[0],)
         return VariationalFit(kappa.reshape(shape), s0, nu.reshape((n_groups,) + shape),
                               trace, True)
 
     x = np.append(np.log(_clamp_simplex(n.sum(axis=0) + a0)), np.log(s0))
-    value = _profiled_elbo(n, a0, s, x)
-    grad = _profiled_grad(n, a0, s, x)
+    value, grad = _profiled(n, a0, s, x)
     gtol = tol * max(1.0, abs(value))
     trace = [value]
     pairs = deque(maxlen=_LBFGS_PAIRS)
@@ -271,8 +268,7 @@ def fit_variational(counts, prior, tol=1e-6, max_iters=500):
         if accepted is None:
             converged = True
             break
-        x_new, value = accepted
-        grad_new = _profiled_grad(n, a0, s, x_new)
+        x_new, value, grad_new = accepted
         step, dgrad = x_new - x, grad - grad_new
         curvature = float(step @ dgrad)
         if curvature > 1e-10 * float(dgrad @ dgrad):

@@ -42,7 +42,7 @@ def bd_local_log_scores(tables, alpha):
         raise ValueError("expected a (families, configs, levels) stack of count tables")
     if alpha.shape not in (tables.shape, tables.shape[1:]):
         raise ValueError("alpha shape must match the count table")
-    if np.any(alpha <= 0):
+    if not np.all(alpha > 0):
         raise ValueError("alpha must be strictly positive")
     alpha_j = alpha.sum(axis=-1)
     n_j = tables.sum(axis=-1)
@@ -99,7 +99,7 @@ def classic_posterior_mean(counts, alpha):
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != table.shape:
         raise ValueError("alpha shape must match the count table")
-    if np.any(alpha <= 0):
+    if not np.all(alpha > 0):
         raise ValueError("alpha must be strictly positive")
     denom = (alpha.sum(axis=1) + table.sum(axis=1))[:, None]
     return (alpha + table) / denom
@@ -203,11 +203,13 @@ def local_log_scores(data, child, parent_sets, config, cache=None):
     """Scores of one child given each of several parent sets under
     ``config``, as a list in ``parent_sets`` order.
 
-    With a ``cache``, each set is looked up in turn (so hits and misses
-    count as if the sets were scored one by one) and only the distinct
-    missing families are counted and scored, in one batch.
+    Each family is scored with its parents in sorted order, the order of
+    its cache key, so its score does not depend on the order the parents
+    are given in. With a ``cache``, each set is looked up in turn (so hits
+    and misses count as if the sets were scored one by one) and only the
+    distinct missing families are counted and scored, in one batch.
     """
-    parent_sets = [tuple(parents) for parents in parent_sets]
+    parent_sets = [tuple(sorted(parents)) for parents in parent_sets]
     if cache is None:
         return _compute_locals(data, child, parent_sets, config)
     if cache.data is None:
@@ -215,12 +217,9 @@ def local_log_scores(data, child, parent_sets, config, cache=None):
     elif cache.data is not data:
         raise ValueError("the cache holds scores of another dataset")
     identity = config.cache_key()
-    keys = [(child, tuple(sorted(parents))) + identity for parents in parent_sets]
-    missing = {}
-    for key, parents in zip(keys, parent_sets):
-        if key not in cache:
-            missing.setdefault(key, parents)
-    computed = dict(zip(missing, _compute_locals(data, child, list(missing.values()), config)))
+    keys = [(child, parents) + identity for parents in parent_sets]
+    missing = list(dict.fromkeys(key for key in keys if key not in cache))
+    computed = dict(zip(missing, _compute_locals(data, child, [key[1] for key in missing], config)))
     return [cache.get_or_compute(key, lambda key=key: computed[key]) for key in keys]
 
 

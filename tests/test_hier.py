@@ -1,15 +1,18 @@
 """Variational fit of the shared centre and the per-group family score."""
 
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.special import softmax
 
+import oracles
+from hierbn import hier
 from hierbn.data import FamilyCounts, family_counts, load_csv
 from hierbn.graph import Dag
 from hierbn.hier import (HierPrior, VariationalConvergenceWarning,
-                         VariationalFit, _elbo_flat, _elbo_grad_flat,
+                         VariationalFit, _bound_and_grad, _softmax,
                          bhd_local_log_score, elbo, fit_variational,
                          hier_posterior_means)
 from hierbn.scores import (ScoreConfig, bd_local_log_score,
@@ -49,6 +52,12 @@ class TestHierPrior:
             HierPrior(0.0, np.ones((1, 2)))
         with pytest.raises(ValueError):
             HierPrior(1.0, np.zeros((1, 2)))
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="alpha0"):
+            HierPrior(1.0, np.array([[1.0, np.nan]]))
+        with pytest.raises(ValueError, match="s must"):
+            HierPrior(np.nan, np.ones((1, 2)))
 
 
 class TestFitVariational:
@@ -122,6 +131,14 @@ class TestFitVariational:
             fit = fit_variational(counts, prior, max_iters=1)
         assert not fit.converged
 
+    def test_nan_settings_rejected(self):
+        counts = make_counts([[[3, 1], [0, 2]], [[1, 1], [4, 0]]])
+        prior = HierPrior.uniform((2, 2), s=1.0)
+        with pytest.raises(ValueError, match="tol"):
+            fit_variational(counts, prior, tol=np.nan)
+        with pytest.raises(ValueError, match="max_iters"):
+            fit_variational(counts, prior, max_iters=np.nan)
+
     def test_deterministic(self):
         counts = make_counts([[[7, 2], [1, 5]], [[3, 3], [2, 8]]])
         prior = HierPrior.uniform((2, 2), s=1.0)
@@ -159,8 +176,8 @@ def reference_fit(counts, prior):
     def negative(x):
         kappa, tau = decode(x)
         nu = s * kappa + n
-        g_rho, g_tau = _elbo_grad_flat(n, a0, s, kappa, tau, nu)
-        return -_elbo_flat(n, a0, s, kappa, tau, nu), -np.append(g_rho, g_tau * tau)
+        value, g_rho, g_tau = _bound_and_grad(n, a0, s, kappa, tau, nu)
+        return -value, -np.append(g_rho, g_tau * tau)
 
     start = n.sum(axis=0) + a0
     x = np.append(np.log(start / start.sum()), np.log(a0.sum()))
@@ -177,6 +194,13 @@ def reference_fit(counts, prior):
                           (s * kappa + n).reshape((n_groups,) + shape), (-best,), True)
 
 
+def k5_f10_family():
+    """A K5 family with two parents (125 cells) in 10 groups of 1000 rows."""
+    _, data = generate(GenConfig(n_nodes=3, card=5, arc_ratio=1.0, n_groups=10,
+                                 rows_per_group=1000, seed=1))
+    return family_counts(data, 0, (1, 2))
+
+
 @pytest.fixture(scope="module")
 def oracle_cases():
     """(counts, prior, reference fit): 30 random families and one K5 F10
@@ -184,14 +208,19 @@ def oracle_cases():
     rng = np.random.default_rng(41)
     families = [(random_counts(rng, top=int(rng.choice([5, 25, 200]))),
                  float(rng.choice([0.5, 1.0, 2.0]))) for _ in range(30)]
-    _, data = generate(GenConfig(n_nodes=3, card=5, arc_ratio=1.0, n_groups=10,
-                                 rows_per_group=1000, seed=1))
-    families.append((family_counts(data, 0, (1, 2)), 1.0))
+    families.append((k5_f10_family(), 1.0))
     cases = []
     for counts, s in families:
         prior = HierPrior.uniform((counts.n_configs, counts.child_card), s=s)
         cases.append((counts, prior, reference_fit(counts, prior)))
     return cases
+
+
+def stall_counts():
+    """Four groups of 1e5 rows over 12 cells."""
+    rng = np.random.default_rng(43)
+    return make_counts(rng.multinomial(100000, rng.dirichlet(np.ones(12)),
+                                       size=4).reshape(4, 3, 4))
 
 
 class TestFitAgainstReference:
@@ -217,14 +246,127 @@ class TestFitAgainstReference:
     def test_large_counts_stall_at_float_precision_without_warning(self):
         # 1e5 rows per group: no gradient can reach 1e-15 |bound| in floats,
         # so the fit ends when no step raises the bound, and that is converged
-        rng = np.random.default_rng(43)
-        counts = make_counts(rng.multinomial(100000, rng.dirichlet(np.ones(12)),
-                                             size=4).reshape(4, 3, 4))
+        counts = stall_counts()
         prior = HierPrior.uniform((3, 4), s=1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", VariationalConvergenceWarning)
             fit = fit_variational(counts, prior, tol=1e-15)
         assert fit.converged
+
+
+def oracle_families():
+    """(counts, prior, fit options) of 154 families for the bit-for-bit
+    comparison with ``oracles.fit_variational_oracle``."""
+    rng = np.random.default_rng(47)
+    families = []
+    for i in range(140):
+        f, j, k = int(rng.integers(1, 11)), int(rng.integers(1, 26)), int(rng.integers(2, 6))
+        arr = rng.integers(0, int(rng.choice([3, 25, 300])), size=(f, j, k))
+        if i % 7 == 0:
+            # some groups without a row; with one group, a family without any
+            arr[rng.random(f) < 0.5] = 0
+        s = float(rng.choice([0.5, 1.0, 7.5]))
+        s0 = float(rng.uniform(0.5, 20.0)) if i % 10 == 3 else None
+        families.append((make_counts(arr), HierPrior.uniform((j, k), s=s, s0=s0), {}))
+    families.append((make_counts(np.zeros((4, 3, 2), dtype=int)),
+                     HierPrior.uniform((3, 2), s=1.0), {}))
+    families.append((make_counts([[[30, 3], [4, 20]], [[0, 0], [0, 0]], [[2, 25], [18, 6]]]),
+                     HierPrior.uniform((2, 2), s=1.0, s0=3.0), {}))
+    families.append((make_counts([[[30, 3], [4, 20]], [[2, 25], [18, 6]]]),
+                     HierPrior.uniform((2, 2), s=1.0), {"max_iters": 3}))
+    families.append((stall_counts(), HierPrior.uniform((3, 4), s=1.0), {"tol": 1e-15}))
+    for arr in CLIP_FAMILIES:
+        arr = np.asarray(arr)
+        families.append((make_counts(arr), HierPrior.uniform(arr.shape[1:], s=1e4, s0=1e-3), {}))
+    for i in range(8):
+        counts = random_counts(rng, max_groups=10, max_configs=25, max_levels=5, top=50)
+        prior = HierPrior.uniform((counts.n_configs, counts.child_card), s=1.0)
+        families.append((counts, prior, {"tol": 1e-12}))
+    return families
+
+
+# families whose trial points reach the largest and the smallest tau
+CLIP_FAMILIES = ([[[0, 2]]], [[[1, 3], [0, 1]]])
+
+
+def fit_recording(fit, counts, prior, options):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fit(counts, prior, **options)
+    return result, [w.category for w in caught]
+
+
+class TestFitMatchesOracle:
+    def test_same_bits_on_every_family(self):
+        families = oracle_families()
+        assert len(families) >= 150
+        capped = 0
+        for counts, prior, options in families:
+            fit, warned = fit_recording(fit_variational, counts, prior, options)
+            ref, ref_warned = fit_recording(oracles.fit_variational_oracle, counts, prior,
+                                            options)
+            assert fit.kappa.tobytes() == ref.kappa.tobytes()
+            assert fit.tau == ref.tau
+            assert fit.elbo_trace == ref.elbo_trace
+            assert fit.converged == ref.converged
+            assert fit.nu.tobytes() == ref.nu.tobytes()
+            assert warned == ref_warned
+            capped += warned == [VariationalConvergenceWarning]
+        assert capped == 1
+
+    def test_clip_families_reach_both_tau_bounds(self, monkeypatch):
+        # the bit-for-bit comparison covers the clip of log tau only if some
+        # trial point lands on it
+        taus = []
+
+        def recording(n, a0, s, kappa, tau, nu):
+            taus.append(tau)
+            return _bound_and_grad(n, a0, s, kappa, tau, nu)
+
+        monkeypatch.setattr(hier, "_bound_and_grad", recording)
+        reached = set()
+        for arr in CLIP_FAMILIES:
+            arr = np.asarray(arr)
+            taus.clear()
+            fit_variational(make_counts(arr), HierPrior.uniform(arr.shape[1:], s=1e4, s0=1e-3))
+            reached |= {tau for tau in taus
+                        if tau in (float(np.exp(hier._LOG_TAU_MIN)),
+                                   float(np.exp(hier._LOG_TAU_MAX)))}
+        assert len(reached) == 2
+
+    def test_softmax_matches_scipy_bitwise(self):
+        rng = np.random.default_rng(53)
+        for _ in range(10000):
+            logits = rng.normal(size=int(rng.integers(1, 130))) * float(rng.choice([0.1, 3.0, 40.0]))
+            logits += float(rng.normal()) * 100.0
+            assert _softmax(logits).tobytes() == softmax(logits).tobytes()
+
+    def test_one_evaluation_per_trial_point(self, monkeypatch):
+        # the oracle evaluates the bound at every trial point and the gradient
+        # again at every accepted one; the package's fit must evaluate each
+        # trial point once, bound and gradient together
+        calls = Counter()
+
+        def counting(name, function):
+            def counted(*args):
+                calls[name] += 1
+                return function(*args)
+            return counted
+
+        monkeypatch.setattr(hier, "_bound_and_grad", counting("fit", _bound_and_grad))
+        monkeypatch.setattr(oracles, "_profiled_elbo",
+                            counting("oracle bound", oracles._profiled_elbo))
+        monkeypatch.setattr(oracles, "_profiled_grad",
+                            counting("oracle gradient", oracles._profiled_grad))
+        counts = k5_f10_family()
+        prior = HierPrior.uniform((counts.n_configs, counts.child_card), s=1.0)
+        fit = fit_variational(counts, prior)
+        oracles.fit_variational_oracle(counts, prior)
+        accepted = len(fit.elbo_trace) - 1
+        rejected = calls["oracle bound"] - calls["oracle gradient"]
+        assert accepted > 0 and rejected >= 0
+        assert calls["oracle gradient"] == 1 + accepted
+        assert calls["fit"] == 1 + accepted + rejected
 
 
 class TestElboGradient:
@@ -241,17 +383,17 @@ class TestElboGradient:
             kappa = softmax(rho)
             tau = float(rng.uniform(0.5, 20.0))
             nu = s * kappa + n + rng.uniform(0, 1, size=(f, m))
-            g_rho, g_tau = _elbo_grad_flat(n, a0, s, kappa, tau, nu)
+            _, g_rho, g_tau = _bound_and_grad(n, a0, s, kappa, tau, nu)
             h = 1e-6
             fd_rho = np.zeros(m)
             for a in range(m):
                 up, down = rho.copy(), rho.copy()
                 up[a] += h
                 down[a] -= h
-                fd_rho[a] = (_elbo_flat(n, a0, s, softmax(up), tau, nu)
-                             - _elbo_flat(n, a0, s, softmax(down), tau, nu)) / (2 * h)
-            fd_tau = (_elbo_flat(n, a0, s, kappa, tau + h, nu)
-                      - _elbo_flat(n, a0, s, kappa, tau - h, nu)) / (2 * h)
+                fd_rho[a] = (_bound_and_grad(n, a0, s, softmax(up), tau, nu)[0]
+                             - _bound_and_grad(n, a0, s, softmax(down), tau, nu)[0]) / (2 * h)
+            fd_tau = (_bound_and_grad(n, a0, s, kappa, tau + h, nu)[0]
+                      - _bound_and_grad(n, a0, s, kappa, tau - h, nu)[0]) / (2 * h)
             scale = max(1.0, float(np.abs(fd_rho).max()), abs(fd_tau))
             err = max(float(np.abs(fd_rho - g_rho).max()), abs(fd_tau - g_tau)) / scale
             worst = max(worst, err)

@@ -57,6 +57,13 @@ class TestBdLocal:
         with pytest.raises(ValueError):
             bd_local_log_score(np.ones((1, 2)), np.array([[0.5, -1.0]]))
 
+    def test_nan_alpha_rejected(self):
+        alpha = np.array([[0.5, np.nan]])
+        with pytest.raises(ValueError, match="strictly positive"):
+            bd_local_log_scores(np.ones((3, 1, 2)), alpha)
+        with pytest.raises(ValueError, match="strictly positive"):
+            classic_posterior_mean(np.ones((1, 2)), alpha)
+
     def test_alpha_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             bd_local_log_score(np.ones((2, 2)), np.ones((1, 2)))
@@ -307,7 +314,9 @@ class TestScoreConfig:
 
 def local_oracle(data, child, parents, config):
     """One family's local score from row-by-row counts and the one-table
-    float kernel; bic and bhd keep the package's penalty and fit."""
+    float kernel; bic and bhd keep the package's penalty and fit. The
+    parents are taken in sorted order, the order the package scores in."""
+    parents = tuple(sorted(parents))
     table = family_counts_oracle(data, child, parents)
     n_groups, n_configs, child_card = table.shape
     if config.kind == "bdeu":
@@ -373,9 +382,8 @@ class TestBatchedScores:
     def test_cache_counts_as_the_per_family_path(self):
         data = mixed_dataset(1)
         config = ScoreConfig("bdeu", iss=7.5)
-        # the two orders of {1, 4} score different bits; the first one asked
-        # for must be the one cached
-        assert local_log_score(data, 2, (1, 4), config) != local_log_score(data, 2, (4, 1), config)
+        # both orders of {1, 4} are scored as (1, 4), so either may be cached
+        assert local_log_score(data, 2, (1, 4), config) == local_log_score(data, 2, (4, 1), config)
         requests = [MIXED_SETS + [(1, 4), (4, 1)], MIXED_SETS[::-1] + [(0, 3)], [(3, 0), (4,)]]
         batched, single = LocalScoreCache(), LocalScoreCache()
         for sets in requests:
@@ -385,6 +393,19 @@ class TestBatchedScores:
             assert (batched.hits, batched.misses) == (single.hits, single.misses)
         assert len(batched) == len(single)
         assert batched.hits > 0
+
+    @pytest.mark.parametrize("config", BATCH_CONFIGS[1:], ids=lambda c: f"{c.kind}-{c.iss}")
+    def test_warm_score_is_the_cold_sorted_score_in_either_order(self, config):
+        data = mixed_dataset(1)
+        for parents in [(1, 4), (0, 3, 4)]:
+            cold = local_log_score(data, 2, parents, config)
+            assert cold == local_oracle(data, 2, parents, config)
+            for first in (parents, parents[::-1]):
+                cache = LocalScoreCache()
+                warm = [local_log_score(data, 2, asked, config, cache)
+                        for asked in (first, parents[::-1], parents)]
+                assert warm == [cold] * 3
+                assert (cache.hits, cache.misses) == (2, 1)
 
     def test_cache_bound_to_another_dataset_rejected(self):
         first, second = mixed_dataset(1), mixed_dataset(2)
