@@ -19,8 +19,8 @@ class DataError(ValueError):
     """Raised when an input dataset violates the complete-data contract."""
 
 
-# largest array one family_count_tables batch allocates, count table or row codes
-# (2**26 int64 cells, 512 MiB)
+# largest array one family_count_tables batch allocates: count table, row codes
+# or row weights (2**26 cells of 8 bytes, 512 MiB)
 MAX_COUNT_CELLS = 2 ** 26
 
 
@@ -81,30 +81,68 @@ class FamilyCounts:
 class GroupedDataset:
     """Complete categorical data split by group label.
 
-    Rows are stored per group as read-only int arrays of level indices,
-    shape (n_f, N). Variable order and level order are fixed at construction,
-    so counting is invariant to row order within a group.
+    Each group is held as one block: a read-only int64 array of level
+    indices, shape (m_f, N), and the multiplicity of each of its rows as a
+    read-only int64 array, or None when every row counts once. Counts run
+    over a group's block rows, each weighted by its multiplicity. The
+    constructor takes every row of each group, so its multiplicities are
+    None; ``load_csv`` holds a group as its distinct records, each with the
+    number of data rows it stands for, when they are at most half its rows,
+    and as its rows otherwise.
+
+    ``group_rows`` holds every row of each group in input order, shape
+    (n_f, N), read-only; a loaded dataset builds it on first access.
+    Variable order and level order are fixed at construction, so counting is
+    invariant to row order within a group.
     """
 
     def __init__(self, variables, groups, group_rows):
         if len(groups) != len(group_rows):
             raise ValueError("one row block required per group")
-        self.variables = tuple(variables)
-        self.groups = tuple(groups)
+        variables = tuple(variables)
         blocks = []
-        n_vars = len(self.variables)
         for block in group_rows:
             arr = np.ascontiguousarray(np.asarray(block, dtype=np.int64))
-            if arr.ndim != 2 or arr.shape[1] != n_vars:
+            if arr.ndim != 2 or arr.shape[1] != len(variables):
                 raise ValueError("row block shape must be (n_f, n_variables)")
-            for i, var in enumerate(self.variables):
+            for i, var in enumerate(variables):
                 col = arr[:, i]
                 if col.size and (col.min() < 0 or col.max() >= var.card):
                     raise ValueError(f"level index out of range for variable {var.name!r}")
             arr.flags.writeable = False
             blocks.append(arr)
-        self.group_rows = tuple(blocks)
+        self._setup(variables, groups, [(arr, None) for arr in blocks])
+        self._group_rows = tuple(blocks)
+
+    @classmethod
+    def _from_blocks(cls, variables, groups, blocks, file_rows):
+        """A dataset of checked (rows, multiplicities) blocks. ``file_rows``
+        is (table, group of each table row, table row of each data row in
+        file order), from which ``group_rows`` is built when first read."""
+        data = object.__new__(cls)
+        data._setup(variables, groups, blocks)
+        data._group_rows, data._file_rows = None, file_rows
+        return data
+
+    def _setup(self, variables, groups, blocks):
+        self.variables = tuple(variables)
+        self.groups = tuple(groups)
+        self.blocks = tuple(blocks)
         self._cards = tuple(v.card for v in self.variables)
+
+    @property
+    def group_rows(self):
+        if self._group_rows is None:
+            self._group_rows = self._expand_rows()
+        return self._group_rows
+
+    def _expand_rows(self):
+        table, table_groups, row_ids = self._file_rows
+        rows, row_groups = table[row_ids], table_groups[row_ids]
+        blocks = tuple(rows[row_groups == g] for g in range(self.n_groups))
+        for block in blocks:
+            block.flags.writeable = False
+        return blocks
 
     @property
     def n_variables(self):
@@ -116,7 +154,8 @@ class GroupedDataset:
 
     @property
     def n_rows(self):
-        return sum(block.shape[0] for block in self.group_rows)
+        return sum(rows.shape[0] if weights is None else int(weights.sum())
+                   for rows, weights in self.blocks)
 
     def cardinalities(self):
         return self._cards
@@ -130,8 +169,10 @@ def load_csv(path, group_column):
     distinct labels of ``group_column``, also sorted. Passing
     ``group_column=None`` places all rows in a single unnamed group.
 
-    Each distinct line is parsed, checked and encoded once; a row is kept
-    only as the id of its line, so memory grows with the distinct rows.
+    Each distinct line is parsed, checked and encoded once, and a group
+    whose distinct records are at most half its rows keeps them with the
+    number of rows of each, so memory and counting time grow with the
+    distinct rows.
     """
     if not os.path.exists(path):
         raise FileNotFoundError(path)
@@ -190,27 +231,49 @@ def load_csv(path, group_column):
             raise DataError(f"row {r + 2}: expected {len(header)} cells, got {width}")
         raise DataError(f"row {r + 2}: incomplete data (empty cell)")
 
-    # encode the distinct records the data rows use; ids then index that table
-    kept, ids = np.unique(ids, return_inverse=True)
-    columns = list(zip(*(records[k] for k in kept.tolist())))
+    # each distinct record the data rows use is encoded once, and carries the
+    # number of rows that use it; the group label is one of its cells, so
+    # with the table sorted by group a group's records are one slice of it
+    counts = np.bincount(ids)
+    kept = np.flatnonzero(counts)
 
-    def encode(i):
-        levels = sorted(set(columns[i]))
+    def encode(values):
+        levels = sorted(set(values))
         index = dict(zip(levels, range(len(levels))))
-        return levels, np.fromiter(map(index.__getitem__, columns[i]), np.int64, len(kept))
+        return levels, np.fromiter(map(index.__getitem__, values), np.int64, len(values))
 
+    columns = list(zip(*(records[k] for k in kept.tolist())))
     variables, table = [], np.empty((len(kept), len(var_cols)), dtype=np.int64)
     for c, i in enumerate(var_cols):
-        levels, table[:, c] = encode(i)
+        levels, table[:, c] = encode(columns[i])
         if len(levels) < 2:
             raise DataError(f"degenerate variable {header[i]!r}: fewer than 2 observed levels")
         variables.append(VariableMeta(header[i], tuple(levels)))
     if group_idx is None:
-        return GroupedDataset(variables, [""], [table[ids]])
-    group_labels, group_codes = encode(group_idx)
-    row_groups = group_codes[ids]
-    return GroupedDataset(variables, group_labels,
-                          [table[ids[row_groups == g]] for g in range(len(group_labels))])
+        group_labels, group_codes = [""], np.zeros(len(kept), dtype=np.int64)
+    else:
+        group_labels, group_codes = encode(columns[group_idx])
+        order = np.argsort(group_codes, kind="stable")
+        table, kept, group_codes = table[order], kept[order], group_codes[order]
+    weights = counts[kept]
+    table.flags.writeable = weights.flags.writeable = False
+    bounds = np.cumsum(np.bincount(group_codes, minlength=len(group_labels)))[:-1]
+    blocks = []
+    for rows, w in zip(np.split(table, bounds), np.split(weights, bounds)):
+        # a weighted bincount costs about half as much again per row as a
+        # plain one, so a group's distinct records stand in for its rows
+        # only when they are at most half as many; a slice of distinct rows
+        # already is its group's rows
+        if (w == 1).all():
+            w = None
+        elif 2 * len(w) > w.sum():
+            rows, w = np.repeat(rows, w, axis=0), None
+            rows.flags.writeable = False
+        blocks.append((rows, w))
+    table_row = np.empty(len(counts), dtype=np.int64)
+    table_row[kept] = np.arange(len(kept))
+    return GroupedDataset._from_blocks(variables, group_labels, blocks,
+                                       (table, group_codes, table_row[ids]))
 
 
 def family_count_tables(data, child, parent_sets):
@@ -221,7 +284,7 @@ def family_count_tables(data, child, parent_sets):
     checked before anything is allocated. Sets with the same number of
     parent configurations are counted together, in batches that hold no
     array of more than ``MAX_COUNT_CELLS`` elements (unless the row codes of
-    one set in one group alone need more).
+    one set in one group's block alone need more).
 
     Returns ``(positions, tables)`` pairs covering every set once:
     ``tables[i]`` is the (F, J, K) count table of ``parent_sets[positions[i]]``.
@@ -240,10 +303,11 @@ def family_count_tables(data, child, parent_sets):
                             f"{len(parents)} parents needs {cells} cells, more than "
                             f"{MAX_COUNT_CELLS}")
         by_configs.setdefault(n_configs, []).append(position)
-    rows = max((block.shape[0] for block in data.group_rows), default=0)
+    rows = max((block.shape[0] for block, _ in data.blocks), default=0)
     out = []
     for n_configs, positions in sorted(by_configs.items()):
-        # a batch's row codes (one group at a time) and its tables fit under the cap
+        # a batch's row codes and weights (one group's block at a time) and its
+        # tables fit under the cap
         size = max(1, MAX_COUNT_CELLS // max(rows, n_groups * n_configs * child_card, 1))
         for start in range(0, len(positions), size):
             batch = positions[start:start + size]
@@ -254,7 +318,9 @@ def family_count_tables(data, child, parent_sets):
 def _count_batch(data, child, sets, positions, n_configs):
     # A row's cell in a set's table is the sum of each variable's level times
     # its row-major stride (the child's is 1). Set i owns cells
-    # [i, i + 1) * J * K of each group's bincount.
+    # [i, i + 1) * J * K of each group's bincount, which weighs every block
+    # row by its multiplicity: float sums of integers below 2**53 are exact,
+    # and they are stored back as int64.
     cards = data.cardinalities()
     child_card, n_groups = cards[child], data.n_groups
     width = max(map(len, sets))
@@ -271,7 +337,7 @@ def _count_batch(data, child, sets, positions, n_configs):
     table_cells = n_configs * child_card
     offsets = np.arange(len(sets))[:, None] * table_cells
     counted = np.empty((len(sets), n_groups, n_configs, child_card), dtype=np.int64)
-    for f, block in enumerate(data.group_rows):
+    for f, (block, weights) in enumerate(data.blocks):
         codes = np.empty((len(sets), block.shape[0]), dtype=np.int64)
         np.add(offsets, block[:, child], out=codes)
         for cols, stride in zip(columns, strides):
@@ -279,7 +345,10 @@ def _count_batch(data, child, sets, positions, n_configs):
             levels = block[:, cols].T
             levels *= stride
             codes += levels
-        counted[:, f] = np.bincount(codes.ravel(), minlength=len(sets) * table_cells).reshape(
+        if weights is not None:
+            weights = np.tile(weights, len(sets))
+        counted[:, f] = np.bincount(codes.ravel(), weights,
+                                    minlength=len(sets) * table_cells).reshape(
             len(sets), n_configs, child_card)
     return positions, counted
 

@@ -45,11 +45,11 @@ class HierPrior:
     alpha0: np.ndarray
 
     def __post_init__(self):
-        if not self.s > 0:
-            raise ValueError("s must be positive")
+        if not (self.s > 0 and np.isfinite(self.s)):
+            raise ValueError("s must be positive and finite")
         alpha0 = np.ascontiguousarray(np.asarray(self.alpha0, dtype=float))
-        if alpha0.ndim != 2 or not np.all(alpha0 > 0):
-            raise ValueError("alpha0 must be a positive (configs, levels) array")
+        if alpha0.ndim != 2 or not np.all((alpha0 > 0) & np.isfinite(alpha0)):
+            raise ValueError("alpha0 must be a positive, finite (configs, levels) array")
         alpha0.flags.writeable = False
         object.__setattr__(self, "alpha0", alpha0)
 

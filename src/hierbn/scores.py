@@ -6,6 +6,7 @@ separate and is dispatched from here but implemented alongside the
 variational fit.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,14 +128,14 @@ class ScoreConfig:
     def __post_init__(self):
         if self.kind not in SCORE_KINDS:
             raise ValueError(f"unknown score kind {self.kind!r}")
-        if not self.iss > 0:
-            raise ValueError("imaginary sample size must be positive")
+        if not (self.iss > 0 and math.isfinite(self.iss)):
+            raise ValueError("imaginary sample size must be positive and finite")
         if not self.vb_tol > 0:
             raise ValueError("vb_tol must be positive")
         if not self.vb_max_iters >= 1:
             raise ValueError("vb_max_iters must be at least 1")
-        if self.s0 is not None and not self.s0 > 0:
-            raise ValueError("s0 must be positive when given")
+        if self.s0 is not None and not (self.s0 > 0 and math.isfinite(self.s0)):
+            raise ValueError("s0 must be positive and finite when given")
 
     def cache_key(self):
         if self.kind == "bhd":

@@ -205,6 +205,7 @@ class TestPlanJson:
         ({"iss": [1.0, -1]}, "imaginary sample size"),
         ({"vb_tol": 0}, "vb_tol"),
         ({"vb_max_iters": 0}, "vb_max_iters"),
+        ({"iss": [float("inf")]}, "imaginary sample size"),
     ])
     def test_bad_score_settings_rejected(self, settings, message):
         doc = {"cells": [{"n_nodes": 3}], "scores": ["bdeu"], **settings}

@@ -11,7 +11,7 @@ import pytest
 
 import hierbn.cli as cli
 from hierbn.cli import main
-from hierbn.data import load_csv
+from hierbn.data import GroupedDataset, load_csv
 from hierbn.metrics import read_records
 from hierbn.scores import fold_total
 from hierbn.simgen import GenConfig, generate
@@ -119,7 +119,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["learn", "score"])
     @pytest.mark.parametrize("score", ["bdeu", "bhd"])
     @pytest.mark.parametrize("flag, value", [("--iss", "0"), ("--s0", "0"),
-                                             ("--vb-tol", "0"), ("--vb-max-iters", "0")])
+                                             ("--vb-tol", "0"), ("--vb-max-iters", "0"),
+                                             ("--iss", "inf"), ("--s0", "inf")])
     def test_bad_score_setting_is_usage_error(self, tmp_path, capsys, command, score,
                                               flag, value):
         # the data file does not exist: a usage error shows the setting was
@@ -132,7 +133,7 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("hierbn: error:")
 
     @pytest.mark.parametrize("settings", [{"scores": ["bdx"]}, {"iss": [-1]},
-                                          {"vb_tol": 0}])
+                                          {"vb_tol": 0}, {"iss": [float("inf")]}])
     def test_bad_plan_score_setting_is_data_error(self, tmp_path, capsys, settings):
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps({
@@ -205,6 +206,30 @@ class TestLearnAndScore:
         assert main(["learn", "--data", data_csv, "--group", "site",
                      "--score", "bdeu"]) == 0
         assert json.loads(capsys.readouterr().out)["score"] == "bdeu"
+
+    @pytest.mark.parametrize("kind", ["bdeu", "bhd"])
+    def test_loaded_csv_counted_without_its_rows(self, data_csv, tmp_path, monkeypatch, capsys,
+                                                 kind):
+        # the file repeats its lines, so a loaded dataset holds each group's
+        # distinct lines once; counting over the expanded rows would build
+        # group_rows, which raises here
+        lines = open(data_csv).read().splitlines()[1:]
+        blocks = load_csv(data_csv, "site").blocks
+        assert sum(rows.shape[0] for rows, _ in blocks) <= len(set(lines)) < len(lines)
+
+        def expand(self):
+            raise AssertionError("group_rows built")
+
+        monkeypatch.setattr(GroupedDataset, "_expand_rows", expand)
+        graph = str(tmp_path / "g.json")
+        assert main(["learn", "--data", data_csv, "--group", "site", "--score", kind,
+                     "--out", graph]) == 0
+        assert main(["score", "--data", data_csv, "--group", "site", "--score", kind,
+                     "--graph", graph]) == 0
+        assert json.loads(capsys.readouterr().out)["logscore"] == \
+            json.loads(open(graph).read())["logscore"]
+        with pytest.raises(AssertionError, match="group_rows built"):
+            load_csv(data_csv, "site").group_rows
 
     def test_plain_csv_without_group(self, tmp_path, capsys):
         rng = np.random.default_rng(5)

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -134,6 +135,12 @@ ORACLE_CASES = {
     "repeated_name": 'g,a,a\n1,x,p\n2,y,q\n',
     "degenerate": 'g,a,b\n1,x,p\n2,x,q\n1,x,q\n',
     "group_only": 'g\n1\n2\n1\n',
+    # two different lines that parse to one record
+    "quoted_same_record": 'g,a,b\n1,x,p\n1,"x",p\n2,y,q\n1,x,p\n2,"y",q\n1,y,p\n',
+    # every line of group 1 distinct, group 2 repeating its lines, group 3
+    # repeating one of three
+    "distinct_next_to_repeats": ('g,a,b\n1,x,p\n1,y,q\n1,x,q\n2,x,p\n2,x,p\n2,y,q\n2,x,p\n'
+                                 '3,y,p\n3,x,q\n3,y,p\n'),
 }
 
 
@@ -285,20 +292,23 @@ MIXED_SETS = [(), (0,), (1, 3), (3, 1), (0, 1), (4, 0, 1), (1,), (0, 3, 4, 1), (
               (1, 0)]
 
 
-class TestFamilyCountTables:
-    def batch(self, data, child, sets):
-        tables = [None] * len(sets)
-        for positions, stacked in family_count_tables(data, child, sets):
-            assert stacked.shape[0] == len(positions)
-            for position, table in zip(positions, stacked):
-                assert tables[position] is None
-                tables[position] = table
-        return tables
+def count_tables(data, child, sets):
+    """``family_count_tables`` of ``sets``, in the order of ``sets``; each
+    set is counted exactly once."""
+    tables = [None] * len(sets)
+    for positions, stacked in family_count_tables(data, child, sets):
+        assert stacked.shape[0] == len(positions)
+        for position, table in zip(positions, stacked):
+            assert tables[position] is None
+            tables[position] = table
+    return tables
 
+
+class TestFamilyCountTables:
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_row_by_row_oracle(self, seed):
         data = mixed_dataset(seed)
-        for position, table in enumerate(self.batch(data, 2, MIXED_SETS)):
+        for position, table in enumerate(count_tables(data, 2, MIXED_SETS)):
             want = family_counts_oracle(data, 2, MIXED_SETS[position])
             assert table.dtype == np.int64 and table.shape == want.shape
             np.testing.assert_array_equal(table, want)
@@ -307,7 +317,7 @@ class TestFamilyCountTables:
 
     def test_every_group_empty(self):
         data = mixed_dataset(3, group_sizes=(0, 0))
-        for table in self.batch(data, 2, MIXED_SETS):
+        for table in count_tables(data, 2, MIXED_SETS):
             assert table.shape[0] == 2 and not table.any()
 
     def test_no_sets(self):
@@ -344,7 +354,121 @@ class TestFamilyCountTables:
 
         monkeypatch.setattr(data_mod, "_count_batch", spy)
         sets = [s for s in MIXED_SETS if 3 * int(np.prod([cards[p] for p in s])) * 4 <= cap]
-        for position, table in enumerate(self.batch(data, 2, sets)):
+        for position, table in enumerate(count_tables(data, 2, sets)):
             np.testing.assert_array_equal(table, family_counts_oracle(data, 2, sets[position]))
         assert len(sizes) > len({int(np.prod([cards[p] for p in s])) for s in sets})
         assert all(max(size) <= cap for size in sizes)
+
+
+def assert_counts_match_rows(path, group_column):
+    """Every family of up to two parents counted on the loaded dataset
+    equals the row-by-row tally of the file's rows; returns the dataset."""
+    rows = load_csv_oracle(path, group_column)
+    data = load_csv(path, group_column)
+    assert data.n_rows == rows.n_rows
+    for child in range(data.n_variables):
+        others = [p for p in range(data.n_variables) if p != child]
+        sets = [s for k in range(3) for s in itertools.permutations(others, k)]
+        for parents, table in zip(sets, count_tables(data, child, sets)):
+            assert table.dtype == np.int64
+            np.testing.assert_array_equal(table, family_counts_oracle(rows, child, parents))
+            np.testing.assert_array_equal(table, family_counts_oracle(data, child, parents))
+            assert table.sum() == data.n_rows
+    return data
+
+
+class TestLoadedCountsMatchRowOracle:
+    """A loaded dataset counts each group's distinct records weighted by
+    their multiplicities; the counts must equal a row-by-row tally of every
+    row the file holds."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+    def test_case(self, tmp_path, name):
+        path = tmp_path / "data.csv"
+        path.write_bytes(ORACLE_CASES[name].encode())
+        for group_column in ("g", None):
+            try:
+                load_csv_oracle(str(path), group_column)
+            except DataError:  # a case that does not load counts nothing
+                continue
+            assert_counts_match_rows(str(path), group_column)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_repetitive_file(self, tmp_path, seed):
+        path = repetitive_csv(tmp_path, n_rows=int(np.random.default_rng(seed).integers(40, 400)),
+                              seed=seed)
+        for group_column in ("g", None):
+            data = assert_counts_match_rows(path, group_column)
+            assert all(weights is not None for _, weights in data.blocks)
+
+    def test_lines_parsing_to_one_record(self, tmp_path):
+        data = load_csv(write(tmp_path, ORACLE_CASES["quoted_same_record"]), "g")
+        assert data.variables[0].levels == ("x", "y")
+        # group 1: a = x, x, x, y; group 2: a = y, y
+        assert family_counts(data, 0, ()).per_group.tolist() == [[[3, 1]], [[0, 2]]]
+        assert data.n_rows == 6
+
+    def test_distinct_group_next_to_repeating_group(self, tmp_path):
+        data = load_csv(write(tmp_path, ORACLE_CASES["distinct_next_to_repeats"]), "g")
+        (rows1, weights1), (rows2, weights2), (rows3, weights3) = data.blocks
+        # group 2's two distinct lines stand in for its four rows; groups 1
+        # and 3 have more distinct lines than half their rows, so they are
+        # held as their rows, unweighted
+        assert rows2.shape == (2, 2) and weights2.dtype == np.int64
+        assert sorted(weights2.tolist()) == [1, 3]
+        assert rows1.shape == (3, 2) and weights1 is None
+        assert rows3.shape == (3, 2) and weights3 is None
+        assert not any(rows.flags.writeable for rows, _ in data.blocks)
+        assert not weights2.flags.writeable
+        assert family_counts(data, 1, (0,)).per_group.tolist() == [
+            [[1, 1], [0, 1]], [[3, 0], [0, 1]], [[0, 1], [2, 0]]]
+
+    def test_constructed_dataset_counts_every_row_once(self):
+        data = mixed_dataset(0)
+        assert all(weights is None for _, weights in data.blocks)
+        assert all(rows is block for (rows, _), block in zip(data.blocks, data.group_rows))
+
+
+def repetitive_csv(tmp_path, n_rows=300, seed=3):
+    """A CSV of ``n_rows`` rows drawn from a few distinct lines in two groups."""
+    rng = np.random.default_rng(seed)
+    lines = [f"s{rng.integers(0, 2)},{rng.integers(0, 2)},{rng.integers(0, 3)},"
+             f"{rng.integers(0, 2)}" for _ in range(n_rows)]
+    return write(tmp_path, "g,a,b,c\n" + "\n".join(lines) + "\n")
+
+
+class TestLoadedMemoryGuard:
+    def test_oversize_message_unchanged(self, tmp_path, monkeypatch):
+        path = repetitive_csv(tmp_path)
+        monkeypatch.setattr(data_mod, "MAX_COUNT_CELLS", 20)
+        errors = []
+        for data in (load_csv(path, "g"), load_csv_oracle(path, "g")):
+            with pytest.raises(DataError) as caught:
+                family_count_tables(data, 0, [(1,), (1, 2)])
+            errors.append(str(caught.value))
+        assert errors[0] == errors[1] == "count table of 'a' given 2 parents needs 24 cells, " \
+                                         "more than 20"
+
+    def test_batches_sized_from_block_rows(self, tmp_path, monkeypatch):
+        path = repetitive_csv(tmp_path)
+        data, rows = load_csv(path, "g"), load_csv_oracle(path, "g")
+        block_rows = max(block.shape[0] for block, _ in data.blocks)
+        cap = 60
+        assert block_rows * 2 <= cap < max(len(b) for b in rows.group_rows)
+        monkeypatch.setattr(data_mod, "MAX_COUNT_CELLS", cap)
+        count_batch, cards = data_mod._count_batch, data.cardinalities()
+        batches = []
+
+        def spy(data, child, sets, positions, n_configs):
+            # one group's row codes and weights, and the batch's tables
+            batches.append((len(sets) * block_rows,
+                            len(sets) * data.n_groups * n_configs * cards[child]))
+            return count_batch(data, child, sets, positions, n_configs)
+
+        monkeypatch.setattr(data_mod, "_count_batch", spy)
+        sets = [(1,), (2,), (1, 2), (2, 1), (), (1,)]
+        for parents, table in zip(sets, count_tables(data, 0, sets)):
+            np.testing.assert_array_equal(table, family_counts_oracle(rows, 0, parents))
+        assert all(max(sizes) <= cap for sizes in batches)
+        # sized from the expanded rows, every batch would hold one set
+        assert max(codes for codes, _ in batches) > block_rows

@@ -59,6 +59,14 @@ class TestHierPrior:
         with pytest.raises(ValueError, match="s must"):
             HierPrior(np.nan, np.ones((1, 2)))
 
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="s must be positive and finite"):
+            HierPrior(np.inf, np.ones((1, 2)))
+        with pytest.raises(ValueError, match="alpha0 must be a positive, finite"):
+            HierPrior(1.0, np.array([[1.0, np.inf]]))
+        with pytest.raises(ValueError, match="alpha0"):
+            HierPrior.uniform((1, 2), s=1.0, s0=np.inf)
+
 
 class TestFitVariational:
     def test_all_zero_counts_returns_prior(self):

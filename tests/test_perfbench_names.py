@@ -9,15 +9,19 @@ never called. The search_wide reference learn is checked here too, so that
 a climb that slips by one bit fails the suite and not only the benchmark.
 """
 
+import hashlib
 import importlib.util
 import inspect
 import json
 import os
 import sys
+from dataclasses import replace
+
+import numpy as np
 
 from hierbn import bench, cli
 from hierbn.scores import ScoreConfig
-from hierbn.simgen import GenConfig
+from hierbn.simgen import GenConfig, generate
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 TRACING = os.path.join(PERFBENCH, "tracing.py")
@@ -93,3 +97,31 @@ def test_search_wide_reference_learn(monkeypatch, tmp_path):
     doc = json.loads(out.read_text())
     assert doc["arcs"] == reference["arcs"]
     assert doc["logscore"] == reference["logscore"]
+
+
+def test_generated_rows_feed_the_setup_writers(monkeypatch):
+    # workloads._first_complete concatenates a generated dataset's group_rows
+    # and cli._write_replicate_csv writes them: a tuple of (rows, N) arrays
+    monkeypatch.setattr(sys, "path", list(sys.path))  # workloads.py prepends src/
+    workloads = load_as(monkeypatch, "workloads")
+    cell = GenConfig(n_nodes=4, card=3, n_groups=3, rows_per_group=30)
+    _, dataset = workloads._first_complete(
+        lambda attempt: generate(replace(cell, seed=attempt)))
+    assert isinstance(dataset.group_rows, tuple) and len(dataset.group_rows) == 3
+    for rows in dataset.group_rows:
+        assert isinstance(rows, np.ndarray) and rows.dtype == np.int64 and rows.shape == (30, 4)
+    assert np.concatenate(dataset.group_rows).shape == (90, 4)
+
+
+# the replicate CSV that ``hierbn simulate`` writes for this configuration
+SIMULATE_CONFIG = {"n_nodes": 5, "card": 3, "arc_ratio": 1.2, "n_groups": 3,
+                   "rows_per_group": 40, "seed": 11}
+SIMULATE_CSV_SHA256 = "3e1e1557c5b15963eb104e369d19f70e2063b808f74be7a60a56c179b6935643"
+
+
+def test_simulate_writes_pinned_bytes(tmp_path):
+    config = tmp_path / "gen.json"
+    config.write_text(json.dumps(SIMULATE_CONFIG))
+    assert cli.main(["simulate", "--config", str(config), "--out-dir", str(tmp_path)]) == 0
+    data = (tmp_path / "rep_s0p0d0.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == SIMULATE_CSV_SHA256

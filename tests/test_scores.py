@@ -287,6 +287,14 @@ class TestScoreConfig:
         with pytest.raises(ValueError):
             ScoreConfig("bdeu", iss=-1.0)
 
+    @pytest.mark.parametrize("kind", ["bdeu", "bic", "bhd"])
+    def test_non_finite_iss_and_s0_rejected(self, kind):
+        # an infinite iss or s0 would make every Dirichlet score NaN
+        with pytest.raises(ValueError, match="imaginary sample size must be positive and finite"):
+            ScoreConfig(kind, iss=float("inf"))
+        with pytest.raises(ValueError, match="s0 must be positive and finite"):
+            ScoreConfig(kind, s0=float("inf"))
+
     @pytest.mark.parametrize("kind", ["bdeu", "bhd"])
     @pytest.mark.parametrize("settings", [{"vb_tol": 0.0}, {"vb_tol": -1e-6},
                                           {"vb_tol": float("nan")}, {"vb_max_iters": 0}])
