@@ -231,8 +231,8 @@ def fit_variational(counts, prior, tol=1e-6, max_iters=500):
     ``max_iters`` steps without either it returns the last iterate with a
     warning.
     """
-    if not tol > 0 or not max_iters >= 1:
-        raise ValueError("tol must be positive and max_iters at least 1")
+    if not (tol > 0 and np.isfinite(tol)) or not max_iters >= 1:
+        raise ValueError("tol must be positive and finite, and max_iters at least 1")
     n_groups = counts.n_groups
     shape = (counts.n_configs, counts.child_card)
     if prior.alpha0.shape != shape:

@@ -65,8 +65,8 @@ def bd_local_log_score(counts, alpha):
 
 
 def _uniform_alpha(shape, s):
-    if not s > 0:
-        raise ValueError("imaginary sample size must be positive")
+    if not (s > 0 and math.isfinite(s)):
+        raise ValueError("imaginary sample size must be positive and finite")
     return np.full(shape, s / (shape[0] * shape[1]))
 
 
@@ -130,8 +130,8 @@ class ScoreConfig:
             raise ValueError(f"unknown score kind {self.kind!r}")
         if not (self.iss > 0 and math.isfinite(self.iss)):
             raise ValueError("imaginary sample size must be positive and finite")
-        if not self.vb_tol > 0:
-            raise ValueError("vb_tol must be positive")
+        if not (self.vb_tol > 0 and math.isfinite(self.vb_tol)):
+            raise ValueError("vb_tol must be positive and finite")
         if not self.vb_max_iters >= 1:
             raise ValueError("vb_max_iters must be at least 1")
         if self.s0 is not None and not (self.s0 > 0 and math.isfinite(self.s0)):
@@ -233,7 +233,9 @@ def fold_total(local_scores):
     """Network total: local scores added left to right from 0.0.
 
     Every total the package reports (search, cold rescore, ``hierbn score``)
-    goes through this fold, so equal locals give bit-equal totals.
+    goes through this fold, so equal locals give bit-equal totals. Given an
+    (N, M) array it folds the M columns at once, each with the additions it
+    would get folded alone.
     """
     total = 0.0
     for value in local_scores:

@@ -79,12 +79,13 @@ def run_hill_climb(data, score_config, search_config=None, start=None, cache=Non
 
     Each node's locals with one parent added or dropped are kept in N x N
     tables, rescored only when that node's parents change, in one batched
-    call per node. Every legal move's score change is screened from the
-    tables; the moves that can still win are compared on their folded
-    totals, the arithmetic of a cold evaluation, and ties fall to the
-    lexicographically first move. Returns
-    the climbed DAG, its total score (so it matches a cold evaluation of the
-    final graph, and no neighbour folds higher), and the score trace.
+    call per node. Each step lays out, for every legal move, the locals the
+    move leaves as one column of an N x M array and folds all columns at
+    once: the additions of a cold evaluation, bit for bit. The highest total
+    strictly above the current one wins, ties falling to the
+    lexicographically first move. Returns the climbed DAG, its total score
+    (so it matches a cold evaluation of the final graph, and no neighbour
+    folds higher), and the score trace.
     """
     cfg = search_config or SearchConfig()
     n = data.n_variables
@@ -113,41 +114,27 @@ def run_hill_climb(data, score_config, search_config=None, start=None, cache=Non
                     + [[p for p in pa if p != u] for u in down.tolist()])
             values = local_log_scores(data, v, sets, score_config, cache)
             grown[up, v], shrunk[down, v] = values[:len(up)], values[len(up):]
-        gain, loss = grown - locals_, shrunk - locals_  # column v minus the local of v
-        deltas = [np.where(add, gain, -np.inf), np.where(arcs, loss, -np.inf),
-                  np.where(reverse, loss + gain.T, -np.inf)]
-        # Screen. fold_total is recursive summation: |fold(x) - sum(x)| <=
-        # g(n-1) * sum|x|, g(k) = k*u / (1 - k*u), u = eps / 2 (Higham 2002,
-        # ch. 4), and a delta's (at most three) roundings add g(2) times its
-        # locals' magnitudes, so |fold(new) - (total + delta)| <= g(n+1) *
-        # (sum|old| + sum|new|) <= 2 * g(n+1) * (sum|old| + big), big the
-        # largest |local| in the tables. slack exceeds that with room for its
-        # own rounding and that of top - 2 * slack. The exact winner w folds
-        # at least as high as the top-delta move t: total + delta_w + slack >=
-        # fold(w) >= fold(t) >= total + top - slack, so w and every move tied
-        # with it have delta >= top - 2 * slack. Non-finite values fold all.
-        top = max(delta.max() for delta in deltas)
-        big = max(np.max(np.abs(t), where=~np.isnan(t), initial=0.0) for t in (grown, shrunk))
-        slack = 2 * (n + 3) * np.finfo(float).eps * (np.abs(locals_).sum() + big)
-        screened = np.isfinite(top + slack)
-        best_total, best = total, None
-        for kind, mask, delta in zip(MOVE_KINDS, masks, deltas):
-            window = mask & (delta >= top - 2 * slack) if screened else mask
-            for u, v in np.argwhere(window).tolist():
-                new_locals = list(locals_)
-                new_locals[v] = float((grown if kind == "add" else shrunk)[u, v])
-                if kind == "reverse":
-                    new_locals[u] = float(grown[v, u])
-                new_total = fold_total(new_locals)
-                if new_total > best_total:
-                    best_total, best = new_total, ((kind, u, v), new_locals)
-        if best is None:
+        # every legal move: kinds in MOVE_KINDS order, each mask row-major,
+        # which is neighbourhood's order
+        kind, u, v = np.nonzero(np.stack(masks))
+        rev = kind == 2
+        # column k: the locals that move k leaves, folded as a cold rescore folds them
+        cols = np.empty((n, len(kind)))
+        cols[:] = np.array(locals_)[:, None]
+        cols[v, np.arange(len(kind))] = np.concatenate([grown[add], shrunk[arcs], shrunk[reverse]])
+        cols[u[rev], np.flatnonzero(rev)] = grown.T[reverse]
+        with np.errstate(over="ignore", invalid="ignore"):  # silent, as float addition is
+            totals = fold_total(cols)
+        better = np.flatnonzero(totals > total)  # NaN never compares greater
+        if not better.size:
             break
-        (kind, u, v), locals_ = best
-        dag = apply_move(dag, (kind, u, v))
-        total = best_total
+        best = better[np.argmax(totals[better])]  # the first of the maximal totals
+        move = (MOVE_KINDS[kind[best]], int(u[best]), int(v[best]))
+        dag = apply_move(dag, move)
+        locals_ = cols[:, best].tolist()
+        total = float(totals[best])
         trace.append(total)
-        changed = [u, v] if kind == "reverse" else [v]  # nodes whose parents changed
+        changed = [u[best], v[best]] if rev[best] else [v[best]]  # nodes whose parents changed
         grown[:, changed] = shrunk[:, changed] = np.nan
 
     return SearchResult(dag, total, tuple(trace))

@@ -206,6 +206,7 @@ class TestPlanJson:
         ({"vb_tol": 0}, "vb_tol"),
         ({"vb_max_iters": 0}, "vb_max_iters"),
         ({"iss": [float("inf")]}, "imaginary sample size"),
+        ({"vb_tol": float("inf")}, "vb_tol must be positive and finite"),
     ])
     def test_bad_score_settings_rejected(self, settings, message):
         doc = {"cells": [{"n_nodes": 3}], "scores": ["bdeu"], **settings}

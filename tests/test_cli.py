@@ -120,7 +120,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("score", ["bdeu", "bhd"])
     @pytest.mark.parametrize("flag, value", [("--iss", "0"), ("--s0", "0"),
                                              ("--vb-tol", "0"), ("--vb-max-iters", "0"),
-                                             ("--iss", "inf"), ("--s0", "inf")])
+                                             ("--iss", "inf"), ("--s0", "inf"),
+                                             ("--vb-tol", "inf")])
     def test_bad_score_setting_is_usage_error(self, tmp_path, capsys, command, score,
                                               flag, value):
         # the data file does not exist: a usage error shows the setting was
@@ -133,7 +134,8 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("hierbn: error:")
 
     @pytest.mark.parametrize("settings", [{"scores": ["bdx"]}, {"iss": [-1]},
-                                          {"vb_tol": 0}, {"iss": [float("inf")]}])
+                                          {"vb_tol": 0}, {"iss": [float("inf")]},
+                                          {"vb_tol": float("inf")}])
     def test_bad_plan_score_setting_is_data_error(self, tmp_path, capsys, settings):
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps({

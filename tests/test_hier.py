@@ -147,6 +147,14 @@ class TestFitVariational:
         with pytest.raises(ValueError, match="max_iters"):
             fit_variational(counts, prior, max_iters=np.nan)
 
+    def test_infinite_tol_rejected(self):
+        # every gradient is within an infinite tolerance, so the start point
+        # would come back flagged as converged
+        counts = make_counts([[[3, 1], [0, 2]], [[1, 1], [4, 0]]])
+        prior = HierPrior.uniform((2, 2), s=1.0)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            fit_variational(counts, prior, tol=np.inf)
+
     def test_deterministic(self):
         counts = make_counts([[[7, 2], [1, 5]], [[3, 3], [2, 8]]])
         prior = HierPrior.uniform((2, 2), s=1.0)

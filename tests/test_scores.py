@@ -106,6 +106,9 @@ class TestBdeu:
     def test_invalid_iss(self):
         with pytest.raises(ValueError):
             bdeu_local_log_score(np.ones((1, 2)), 0.0)
+        # an infinite s gives every cell an infinite pseudo-count: a NaN score
+        with pytest.raises(ValueError, match="positive and finite"):
+            bdeu_local_log_score(np.ones((1, 2)), float("inf"))
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(8)
@@ -212,6 +215,13 @@ class TestTotalScore:
         assert fold_total([1e16, 1.0, -1e16]) == 0.0
         assert fold_total([]) == 0.0
         assert fold_total(iter([0.1, 0.2, 0.3])) == (0.0 + 0.1 + 0.2) + 0.3
+        # an (N, M) array folds each column as if that column were folded alone
+        rng = np.random.default_rng(23)
+        cols = rng.normal(size=(40, 50)) * 10.0 ** rng.integers(-3, 17, size=(40, 50))
+        cols[:3, 0], cols[3:, 0] = [1e16, 1.0, -1e16], 0.0
+        folded = fold_total(cols)
+        alone = np.array([fold_total(col.tolist()) for col in cols.T])
+        assert folded[0] == 0.0 and folded.tobytes() == alone.tobytes()
 
     def test_decomposability(self, tmp_path):
         rng = np.random.default_rng(21)
@@ -297,7 +307,8 @@ class TestScoreConfig:
 
     @pytest.mark.parametrize("kind", ["bdeu", "bhd"])
     @pytest.mark.parametrize("settings", [{"vb_tol": 0.0}, {"vb_tol": -1e-6},
-                                          {"vb_tol": float("nan")}, {"vb_max_iters": 0}])
+                                          {"vb_tol": float("nan")}, {"vb_max_iters": 0},
+                                          {"vb_tol": float("inf")}])
     def test_bad_vb_settings(self, kind, settings):
         # checked for every kind, so a setting no fit could use never passes silently
         with pytest.raises(ValueError, match="vb_"):

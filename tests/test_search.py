@@ -1,6 +1,7 @@
 """Greedy structure search: move enumeration and the ascent contract."""
 
 import itertools
+import warnings
 from types import SimpleNamespace
 
 import networkx as nx
@@ -280,6 +281,47 @@ class TestGreedyReplay:
         result = run_hill_climb(data, config)
         dag, totals = replay_climb(data, config)
         assert len(totals) > 2
+        assert list(result.trace) == totals
+        assert result.dag == dag
+        assert result.score == totals[-1]
+
+    def test_non_finite_locals_fold_exactly(self, monkeypatch):
+        """Families scoring +inf, -inf or NaN: node 2 with parent 1 alone
+        scores NaN, any family with an arc against the order 0, 1, 2 scores
+        -inf, and node 2 with parents {0, 1} scores +inf. Once the total is
+        +inf, reversing 0->1 leaves node 0 at -inf and folds to NaN. No NaN
+        or -inf total is chosen, and no move beats +inf."""
+        base = (-10.0, -12.0, -20.0)
+        weight = {(0, 1): 3.0, (0, 2): 1.0, (1, 2): np.nan,
+                  (1, 0): -np.inf, (2, 0): -np.inf, (2, 1): -np.inf}
+
+        def stub(data, child, parents, config, cache=None):
+            parents = tuple(sorted(parents))
+            if (child, parents) == (2, (0, 1)):
+                return np.inf
+            value = base[child]
+            for p in parents:
+                value += weight[p, child]
+            return value
+
+        def stub_batch(data, child, parent_sets, config, cache=None):
+            return [stub(data, child, parents, config) for parents in parent_sets]
+
+        monkeypatch.setattr(search, "local_log_scores", stub_batch)
+        monkeypatch.setattr(scores, "local_log_scores", stub_batch)
+        data, config = SimpleNamespace(n_variables=3), ScoreConfig("bdeu")
+        dag, totals = replay_climb(data, config)
+        assert totals == [-42.0, -39.0, -38.0, np.inf]
+        assert dag.arcs == {(0, 1), (0, 2), (1, 2)}
+        # the start has a NaN local among its neighbours, the end an inf + -inf
+        for step in (Dag(3), dag):
+            folded = [total_log_score(apply_move(step, move), data, config)
+                      for move in neighbourhood(step)]
+            assert np.isnan(folded).any() and -np.inf in folded
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # float addition warns of nothing
+            result = run_hill_climb(data, config)
         assert list(result.trace) == totals
         assert result.dag == dag
         assert result.score == totals[-1]
