@@ -20,7 +20,7 @@ import numpy as np
 from .metrics import RunRecord, evaluate, read_records, record_sort_key, write_records
 from .scores import ScoreConfig
 from .search import run_hill_climb
-from .simgen import GenConfig, generate
+from .simgen import GenConfig, generate, is_integer
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,10 @@ class ExperimentPlan:
             raise ValueError("plan needs at least one cell")
         if not self.scores or not self.iss:
             raise ValueError("plan needs at least one score and one iss value")
+        for name, values in (("score", self.scores), ("iss", self.iss)):
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ValueError(f"plan repeats {name} {repeated[0]!r}")
         if min(self.n_structures, self.n_param_sets, self.n_data_sets) < 1:
             raise ValueError("replication counts must be at least 1")
         # one config per (score, iss) pair, scores outer; a setting no job
@@ -196,17 +200,24 @@ def _json_list(value):
     return tuple(value)
 
 
+def json_int(value):
+    """A JSON integer as is; a fraction, a bool or a string is refused."""
+    if not is_integer(value):
+        raise ValueError(f"expected a JSON integer, got {json.dumps(value)}")
+    return value
+
+
 # plan JSON key -> (ExperimentPlan field, parser); a key left out of a plan
 # file takes the field's default
 _PLAN_FIELDS = {
-    "root_seed": ("root_seed", int),
+    "root_seed": ("root_seed", json_int),
     "scores": ("scores", _json_list),
     "iss": ("iss", _json_list),
-    "structures": ("n_structures", int),
-    "param_sets": ("n_param_sets", int),
-    "data_sets": ("n_data_sets", int),
+    "structures": ("n_structures", json_int),
+    "param_sets": ("n_param_sets", json_int),
+    "data_sets": ("n_data_sets", json_int),
     "vb_tol": ("vb_tol", float),
-    "vb_max_iters": ("vb_max_iters", int),
+    "vb_max_iters": ("vb_max_iters", json_int),
 }
 
 

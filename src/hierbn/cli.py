@@ -17,7 +17,7 @@ import numpy as np
 from . import bench as bench_mod
 from .data import DataError, load_csv
 from .graph import dag_from_dot, dag_from_json, dag_to_dot, dag_to_json
-from .scores import ScoreConfig, fold_total, local_log_score
+from .scores import ScoreConfig, fold_total, local_log_scores
 from .search import SearchConfig, run_hill_climb
 from .simgen import GenConfig, derive_rng, generate
 
@@ -149,8 +149,8 @@ def _cmd_score(args):
     config = _score_config(args)
     data = _load_dataset(args)
     dag = _read_graph(args.graph, data)
-    locals_ = [local_log_score(data, node, dag.parents(node), config)
-               for node in range(data.n_variables)]
+    locals_ = local_log_scores(data, [(node, dag.parents(node))
+                                      for node in range(data.n_variables)], config)
     per_node = dict(zip((v.name for v in data.variables), locals_))
     print(json.dumps({"schema": 1, "score": args.score, "iss": args.iss,
                       "logscore": fold_total(locals_), "per_node": per_node}, indent=2))
@@ -176,8 +176,9 @@ def _cmd_simulate(args):
     if not isinstance(doc, dict):
         raise DataError(f"{args.config}: a generator configuration must be a JSON object")
     try:
-        reps = {key: int(doc.pop(key, 1)) for key in ("structures", "param_sets", "data_sets")}
-    except (TypeError, ValueError) as exc:
+        reps = {key: bench_mod.json_int(doc.pop(key, 1))
+                for key in ("structures", "param_sets", "data_sets")}
+    except ValueError as exc:
         raise DataError(f"bad replication count: {exc}") from exc
     if min(reps.values()) < 1:
         raise DataError("replication counts must be at least 1")

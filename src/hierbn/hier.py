@@ -14,7 +14,6 @@ marginal-likelihood score.
 """
 
 import warnings
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,54 +87,71 @@ class VariationalFit:
             object.__setattr__(self, name, arr)
 
 
-def _bound_and_grad(n, a0, s, kappa, tau, nu):
-    """The bound at (kappa, tau, nu) and its analytic gradient.
+def _cell_sum(a):
+    """Sum over each family's (F, M) cells, (..., F, M) -> (...), one
+    pairwise sum along the contiguous cells as a lone family's ``.sum()``."""
+    return a.reshape(a.shape[:-2] + (a.shape[-2] * a.shape[-1],)).sum(axis=-1)
 
-    Returns (bound, g_rho, g_tau): g_rho is the gradient with respect to the
-    softmax logits of kappa, g_tau the plain tau derivative. Every array the
-    bound and the gradient share is computed once.
+
+def _bound_and_grad(n, a0, s, kappa, tau, nu):
+    """The bound at (kappa, tau, nu) and its analytic gradient, for one
+    family or a stack of families that share ``a0`` and ``s``.
+
+    ``n`` and ``nu`` are (..., F, M), ``kappa`` is (..., M) and ``tau`` is
+    (...). Returns (bound, g_rho, g_tau) per family: g_rho is the gradient
+    with respect to the softmax logits of kappa, g_tau the plain tau
+    derivative. Every array the bound and the gradient share is computed
+    once. A family's sums run along its own cells in the order a lone
+    family's do, and tau + 1 is squared by ``pow`` as a Python float is, so
+    each family gets the same bits alone or in any stack.
     """
-    n_groups, m = n.shape
+    n_groups, m = n.shape[-2:]
+    tau = np.asarray(tau, dtype=float)
+    tau_col, tau1 = tau[..., None], tau + 1.0
     sk = s * kappa
-    tk = tau * kappa
+    tk = tau_col * kappa
     one_minus_kappa = 1.0 - kappa
     a0_minus_1 = a0 - 1.0
     dg_nu = digamma(nu)
-    nu_tot = nu.sum(axis=1)
+    nu_tot = nu.sum(axis=-1)
     dg_nu_tot = digamma(nu_tot)
-    e_log_theta = dg_nu - dg_nu_tot[:, None]
+    e_log_theta = dg_nu - dg_nu_tot[..., None]
     # polygamma(1, x) = zeta(2, x) and polygamma(2, x) = -2 zeta(3, x), the
     # same values from a cheaper call
     pg1_sk = zeta(2, sk)
     pg1_tk = zeta(2, tk)
     pg1_tau = zeta(2, tau)
     dg_tk = digamma(tk)
-    tk_tot = tk.sum()
+    tk_tot = tk.sum(axis=-1)
     # E[lnGamma(s * centre_m)] has no closed form: a second-order expansion
     # about the mean, with the Dirichlet(tau * kappa) variance of each coordinate
-    var = s * s * kappa * one_minus_kappa / (tau + 1.0)
+    var = s * s * kappa * one_minus_kappa / tau1[..., None]
     expected_lgamma = gammaln(sk) + 0.5 * pg1_sk * var
+    pg1_ss = pg1_sk * s * s
+    tk_minus_1 = tk - 1.0
 
-    value = float(((n + sk - 1.0) * e_log_theta).sum())
-    value += n_groups * float(gammaln(s)) - n_groups * float(expected_lgamma.sum())
+    value = _cell_sum((n + sk[..., None, :] - 1.0) * e_log_theta)
+    value += n_groups * float(gammaln(s)) - n_groups * expected_lgamma.sum(axis=-1)
     value += float(gammaln(a0.sum())) - float(gammaln(a0).sum())
-    value += float((a0_minus_1 * (dg_tk - digamma(tau))).sum())
+    value += (a0_minus_1 * (dg_tk - digamma(tau)[..., None])).sum(axis=-1)
     # entropies of the group Dirichlets and of the centre's
-    value += float((gammaln(nu).sum(axis=1) - gammaln(nu_tot) + (nu_tot - m) * dg_nu_tot
-                    - ((nu - 1.0) * dg_nu).sum(axis=1)).sum())
-    value += float(gammaln(tk).sum() - gammaln(tk_tot) + (tk_tot - m) * digamma(tk_tot)
-                   - ((tk - 1.0) * dg_tk).sum())
+    value += (gammaln(nu).sum(axis=-1) - gammaln(nu_tot) + (nu_tot - m) * dg_nu_tot
+              - ((nu - 1.0) * dg_nu).sum(axis=-1)).sum(axis=-1)
+    value += (gammaln(tk).sum(axis=-1) - gammaln(tk_tot) + (tk_tot - m) * digamma(tk_tot)
+              - (tk_minus_1 * dg_tk).sum(axis=-1))
 
     d_eg = (s * digamma(sk)
             + 0.5 * (s * (-2.0 * zeta(3, sk)) * var
-                     + pg1_sk * s * s * (1.0 - 2.0 * kappa) / (tau + 1.0)))
-    g_kappa = s * e_log_theta.sum(axis=0) - n_groups * d_eg + (a0 - tk) * tau * pg1_tk
-    g_rho = kappa * (g_kappa - float((g_kappa * kappa).sum()))
-    g_tau = (n_groups * 0.5 * float((pg1_sk * s * s * kappa * one_minus_kappa).sum()) / (tau + 1.0) ** 2
-             + float((a0_minus_1 * (kappa * pg1_tk - pg1_tau)).sum())
-             + (tau - m) * float(pg1_tau)
-             - float(((tk - 1.0) * kappa * pg1_tk).sum()))
-    return value, g_rho, float(g_tau)
+                     + pg1_ss * (1.0 - 2.0 * kappa) / tau1[..., None]))
+    g_kappa = s * e_log_theta.sum(axis=-2) - n_groups * d_eg + (a0 - tk) * tau_col * pg1_tk
+    g_rho = kappa * (g_kappa - (g_kappa * kappa).sum(axis=-1, keepdims=True))
+    # float_power squares by pow; an array's ** 2 multiplies, which can differ
+    g_tau = (n_groups * 0.5 * (pg1_ss * kappa * one_minus_kappa).sum(axis=-1)
+             / np.float_power(tau1, 2.0)
+             + (a0_minus_1 * (kappa * pg1_tk - pg1_tau[..., None])).sum(axis=-1)
+             + (tau - m) * pg1_tau
+             - (tk_minus_1 * kappa * pg1_tk).sum(axis=-1))
+    return value, g_rho, g_tau
 
 
 def elbo(counts, prior, kappa, tau, nu):
@@ -143,145 +159,219 @@ def elbo(counts, prior, kappa, tau, nu):
     n_groups = counts.n_groups
     m = counts.n_configs * counts.child_card
     n = counts.per_group.reshape(n_groups, m).astype(float)
-    return _bound_and_grad(n, prior.alpha0.reshape(m), prior.s,
-                           np.asarray(kappa, float).reshape(m), float(tau),
-                           np.asarray(nu, float).reshape(n_groups, m))[0]
+    return float(_bound_and_grad(n, prior.alpha0.reshape(m), prior.s,
+                                 np.asarray(kappa, float).reshape(m), float(tau),
+                                 np.asarray(nu, float).reshape(n_groups, m))[0])
 
 
 def _clamp_simplex(kappa):
     kappa = np.maximum(kappa, KAPPA_FLOOR)
-    return kappa / kappa.sum()
+    return kappa / kappa.sum(axis=-1, keepdims=True)
 
 
 def _softmax(logits):
-    """scipy.special.softmax's arithmetic without its array-API dispatch:
-    shift by the max, exponentiate, divide by the sum."""
-    shifted = np.exp(logits - logits.max())
-    return shifted / shifted.sum()
+    """scipy.special.softmax's arithmetic along the last axis without its
+    array-API dispatch: shift by the max, exponentiate, divide by the sum."""
+    shifted = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return shifted / shifted.sum(axis=-1, keepdims=True)
 
 
 def _centre(x):
-    """(kappa, tau) from x = (softmax logits of kappa, log tau)."""
-    return _clamp_simplex(_softmax(x[:-1])), float(np.exp(x[-1]))
+    """(kappa, tau) from x = (softmax logits of kappa, log tau), per row."""
+    return _clamp_simplex(_softmax(x[..., :-1])), np.exp(x[..., -1])
 
 
 def _profiled(n, a0, s, x):
-    """(bound, gradient in x) with every nu_f at its conditional maximiser
-    s * kappa + n_f, where x = (softmax logits of kappa, log tau).
+    """(bound, gradient in x) of each row of x with every nu_f at its
+    conditional maximiser s * kappa + n_f, where x = (softmax logits of
+    kappa, log tau).
 
     By the envelope theorem the bound is stationary in nu there, so its
     partial gradient in (kappa, tau) is the profiled gradient.
     """
     kappa, tau = _centre(x)
-    value, g_rho, g_tau = _bound_and_grad(n, a0, s, kappa, tau, s * kappa + n)
-    return value, np.append(g_rho, g_tau * tau)
+    value, g_rho, g_tau = _bound_and_grad(n, a0, s, kappa, tau, s * kappa[:, None, :] + n)
+    return value, np.concatenate([g_rho, (g_tau * tau)[:, None]], axis=1)
 
 
-def _lbfgs_direction(grad, pairs):
-    """Two-loop recursion: the inverse-Hessian estimate applied to grad.
+def _lbfgs_directions(grad, steps, dgrads, rhos, counts):
+    """Two-loop recursion, row by row: each family's inverse-Hessian
+    estimate applied to its gradient.
 
-    ``pairs`` holds (step, gradient decrease, 1 / curvature), oldest first;
-    with none stored the direction is grad scaled to unit length.
+    ``steps`` and ``dgrads`` (pairs, rows, D) and ``rhos`` (pairs, rows, 1)
+    hold each row's (step, gradient decrease, 1 / curvature), newest first;
+    row b uses its first ``counts[b]`` and holds zeros after them. A row
+    with none gets its gradient scaled to unit length. A pass that a row
+    has no pair for leaves its q as it is: it subtracts +0.0 or adds -0.0.
     """
-    if not pairs:
-        return grad / np.linalg.norm(grad)
     q = grad.copy()
+    counts = counts[:, None]
+    fewest, most = int(counts.min()), int(counts.max())
     alphas = []
-    for step, dgrad, rho in reversed(pairs):
-        alphas.append(rho * float(step @ q))
-        q -= alphas[-1] * dgrad
-    step, dgrad, _ = pairs[-1]
-    q *= float(step @ dgrad) / float(dgrad @ dgrad)
-    for (step, dgrad, rho), alpha in zip(pairs, reversed(alphas)):
-        q += (alpha - rho * float(dgrad @ q)) * step
+    for j in range(most):  # newest pair first
+        alpha = rhos[j] * np.vecdot(steps[j], q, keepdims=True)
+        if j >= fewest:
+            alpha = np.where(counts > j, alpha, 0.0)
+        alphas.append(alpha)
+        q -= alpha * dgrads[j]
+    if most:
+        curvature = np.vecdot(steps[0], dgrads[0], keepdims=True)
+        scale = np.vecdot(dgrads[0], dgrads[0], keepdims=True)
+        q *= (curvature / scale if fewest else
+              np.divide(curvature, scale, out=np.ones_like(scale), where=counts > 0))
+    for j in reversed(range(most)):  # oldest pair first
+        coef = alphas[j] - rhos[j] * np.vecdot(dgrads[j], q, keepdims=True)
+        if j >= fewest:
+            coef = np.where(counts > j, coef, -0.0)
+        q += coef * steps[j]
+    if not fewest:
+        bare = counts[:, 0] == 0
+        q[bare] = grad[bare] / np.sqrt(np.vecdot(grad[bare], grad[bare], keepdims=True))
     return q
 
 
-def _armijo_step(n, a0, s, x, value, grad, direction):
-    """Backtrack along direction until the bound rises by the Armijo margin.
-
-    Returns (x, bound, gradient) of the accepted point, or None once the
-    first-order gain of the remaining steps is below the float resolution of
-    the bound. Each trial point is evaluated once, bound and gradient
-    together.
-    """
-    slope = float(grad @ direction)
-    resolution = 4.0 * _EPS * max(1.0, abs(value))
-    t = 1.0
-    while t * slope > resolution:
-        trial_x = x + t * direction
-        trial_x[-1] = min(max(trial_x[-1], _LOG_TAU_MIN), _LOG_TAU_MAX)
-        trial, trial_grad = _profiled(n, a0, s, trial_x)
-        if trial > value and trial >= value + 1e-4 * t * slope:
-            return trial_x, trial, trial_grad
-        t *= 0.5
-    return None
+def _max1(values):
+    """max(1.0, v) of each value as Python's max takes it: v only if v > 1."""
+    return np.where(values > 1.0, values, 1.0)
 
 
-def fit_variational(counts, prior, tol=1e-6, max_iters=500):
-    """Maximise the bound over the shared centre of one family's groups.
+def fit_variational_stack(per_group, prior, tol=1e-6, max_iters=500):
+    """Maximise the bound over the shared centre of each family in a stack.
 
-    Each nu_f is held at its closed-form conditional maximiser
-    s * kappa + n_f, which leaves the bound a function of (kappa, tau) alone;
-    L-BFGS ascends it in the softmax logits of kappa and log tau. A step is
-    accepted only if it raises the bound, so ``elbo_trace`` (the start value,
-    then each accepted iterate) never decreases. The fit has converged when
-    the largest gradient component is at most ``tol * max(1, |initial
-    bound|)``, or when no step raises the bound at float precision; after
-    ``max_iters`` steps without either it returns the last iterate with a
-    warning.
+    ``per_group`` is a (B, F, J, K) stack of count tables, all under the one
+    (J, K) ``prior``; returns the B fits in stack order. Each nu_f is held at
+    its closed-form conditional maximiser s * kappa + n_f, which leaves the
+    bound a function of (kappa, tau) alone; L-BFGS (Nocedal 1980) ascends it
+    in the softmax logits of kappa and log tau. A step is accepted only if
+    it raises the bound, so ``elbo_trace`` (the start value, then each
+    accepted iterate) never decreases. A fit has converged when the largest
+    gradient component is at most ``tol * max(1, |initial bound|)``, or when
+    no step raises the bound at float precision; after ``max_iters`` steps
+    without either it returns the last iterate with a warning.
+
+    The families run in lockstep: each keeps its own L-BFGS pairs, Armijo
+    step and stop rule, and each round evaluates one trial point of every
+    family still searching, in one call. A family leaves the lockstep when
+    it stops, and gets the same bits as it would fitted alone.
     """
     if not (tol > 0 and np.isfinite(tol)) or not max_iters >= 1:
         raise ValueError("tol must be positive and finite, and max_iters at least 1")
-    n_groups = counts.n_groups
-    shape = (counts.n_configs, counts.child_card)
+    per_group = np.asarray(per_group)
+    if per_group.ndim != 4:
+        raise ValueError("expected a (families, groups, configs, levels) stack of count tables")
+    n_fam, n_groups = per_group.shape[:2]
+    shape = per_group.shape[2:]
     if prior.alpha0.shape != shape:
         raise ValueError("prior shape does not match the family's cell grid")
     m = shape[0] * shape[1]
-    n = counts.per_group.reshape(n_groups, m).astype(float)
+    counts = per_group.reshape(n_fam, n_groups, m).astype(float)
     a0 = prior.alpha0.reshape(m)
     s = prior.s
     s0 = float(a0.sum())
 
-    if counts.total == 0:
-        # no evidence in any group: posterior centre equals the prior centre
-        kappa = _clamp_simplex(a0 / s0)
-        nu = s * kappa + n
-        trace = (_bound_and_grad(n, a0, s, kappa, s0, nu)[0],)
-        return VariationalFit(kappa.reshape(shape), s0, nu.reshape((n_groups,) + shape),
-                              trace, True)
+    x_out = np.empty((n_fam, m + 1))
+    x_out[:, :-1] = np.log(_clamp_simplex(counts.sum(axis=1) + a0))
+    x_out[:, -1] = np.log(s0)
+    empty = per_group.sum(axis=(1, 2, 3)) == 0
+    converged = empty.copy()
+    traces = [None] * n_fam
 
-    x = np.append(np.log(_clamp_simplex(n.sum(axis=0) + a0)), np.log(s0))
-    value, grad = _profiled(n, a0, s, x)
-    gtol = tol * max(1.0, abs(value))
-    trace = [value]
-    pairs = deque(maxlen=_LBFGS_PAIRS)
-    converged = False
-    while True:
-        if np.abs(grad).max() <= gtol:
-            converged = True
-            break
-        if len(trace) > max_iters:
-            break
-        accepted = _armijo_step(n, a0, s, x, value, grad,
-                                _lbfgs_direction(grad, pairs))
-        if accepted is None:
-            converged = True
-            break
-        x_new, value, grad_new = accepted
-        step, dgrad = x_new - x, grad - grad_new
-        curvature = float(step @ dgrad)
-        if curvature > 1e-10 * float(dgrad @ dgrad):
-            pairs.append((step, dgrad, 1.0 / curvature))
-        x, grad = x_new, grad_new
-        trace.append(value)
-    if not converged:
-        warnings.warn("variational fit stopped at max_iters without meeting tol",
-                      VariationalConvergenceWarning, stacklevel=2)
-    kappa, tau = _centre(x)
-    return VariationalFit(kappa.reshape(shape), tau,
-                          (s * kappa + n).reshape((n_groups,) + shape), tuple(trace),
-                          converged)
+    # the lockstep's state, one row per family still searching
+    ids = np.flatnonzero(~empty)
+    n, x = counts[ids], x_out[ids]
+    value, grad = _profiled(n, a0, s, x) if ids.size else (np.zeros(0), x)
+    for b, v in zip(ids.tolist(), value.tolist()):
+        traces[b] = [v]
+    gtol = tol * _max1(np.abs(value))
+    # each row's last _LBFGS_PAIRS pairs, newest first, zeros after them
+    steps, dgrads = np.zeros((2, _LBFGS_PAIRS, len(ids), m + 1))
+    rhos = np.zeros((_LBFGS_PAIRS, len(ids), 1))
+    count = np.zeros(len(ids), dtype=np.intp)
+    taken = np.zeros(len(ids), dtype=np.intp)  # accepted steps
+    direction = np.zeros_like(x)
+    slope, resolution, t = np.zeros((3, len(ids)))
+    turn = np.ones(len(ids), dtype=bool)  # at a new iterate: test it, then pick a direction
+
+    while ids.size:
+        # families at a new iterate: test the stop rules, then pick directions
+        met = turn & (np.abs(grad).max(axis=1) <= gtol)
+        converged[ids[met]] = True
+        leave = met | (turn & (taken + 1 > max_iters))
+        turn &= ~leave
+        if turn.any():
+            pick = slice(None) if turn.all() else turn
+            g = grad[pick]
+            direction[pick] = d = _lbfgs_directions(g, steps[:, pick], dgrads[:, pick],
+                                                    rhos[:, pick], count[pick])
+            slope[pick] = np.vecdot(g, d)
+            resolution[pick] = 4.0 * _EPS * _max1(np.abs(value[pick]))
+            t[pick] = 1.0
+        # a family whose remaining first-order gain is below the float
+        # resolution of its bound has converged
+        flat = ~leave & ~(t * slope > resolution)
+        leave |= flat
+        if leave.any():
+            converged[ids[flat]] = True
+            x_out[ids[leave]] = x[leave]
+            stay = ~leave
+            ids, n, x, value, grad, gtol = ids[stay], n[stay], x[stay], value[stay], grad[stay], gtol[stay]
+            steps, dgrads, rhos = steps[:, stay], dgrads[:, stay], rhos[:, stay]
+            count, taken = count[stay], taken[stay]
+            direction, slope, resolution, t = direction[stay], slope[stay], resolution[stay], t[stay]
+            if not ids.size:
+                break
+
+        trial_x = x + t[:, None] * direction
+        trial_x[:, -1] = np.minimum(np.maximum(trial_x[:, -1], _LOG_TAU_MIN), _LOG_TAU_MAX)
+        trial, trial_grad = _profiled(n, a0, s, trial_x)
+        turn = (trial > value) & (trial >= value + 1e-4 * t * slope)
+        if turn.all():
+            up = slice(None)
+        else:
+            t[~turn] *= 0.5
+            up = np.flatnonzero(turn)
+        step, dgrad = trial_x[up] - x[up], grad[up] - trial_grad[up]
+        curvature = np.vecdot(step, dgrad)
+        keep = curvature > 1e-10 * np.vecdot(dgrad, dgrad)
+        if keep.all():
+            kept = up
+        else:
+            kept = np.arange(len(ids))[up][keep]
+            step, dgrad, curvature = step[keep], dgrad[keep], curvature[keep]
+        steps[1:, kept], dgrads[1:, kept], rhos[1:, kept] = (
+            steps[:-1, kept], dgrads[:-1, kept], rhos[:-1, kept])
+        steps[0, kept], dgrads[0, kept], rhos[0, kept, 0] = step, dgrad, 1.0 / curvature
+        count[kept] = np.minimum(count[kept] + 1, _LBFGS_PAIRS)
+        x[up], value[up], grad[up] = trial_x[up], trial[up], trial_grad[up]
+        taken[up] += 1
+        for b, v in zip(ids[up].tolist(), trial[up].tolist()):
+            traces[b].append(v)
+
+    kappa, tau = _centre(x_out)
+    if empty.any():
+        # no evidence in any group: posterior centre equals the prior centre
+        kappa[empty] = _clamp_simplex(a0 / s0)
+        tau[empty] = s0
+        bound = _bound_and_grad(counts[empty], a0, s, kappa[empty], tau[empty],
+                                s * kappa[empty][:, None, :] + counts[empty])[0]
+        for b, v in zip(np.flatnonzero(empty).tolist(), bound.tolist()):
+            traces[b] = [v]
+    nu = s * kappa[:, None, :] + counts
+    fits = []
+    for b in range(n_fam):
+        if not converged[b]:
+            warnings.warn("variational fit stopped at max_iters without meeting tol",
+                          VariationalConvergenceWarning, stacklevel=2)
+        fits.append(VariationalFit(kappa[b].reshape(shape), float(tau[b]),
+                                   nu[b].reshape((n_groups,) + shape), tuple(traces[b]),
+                                   bool(converged[b])))
+    return fits
+
+
+def fit_variational(counts, prior, tol=1e-6, max_iters=500):
+    """Maximise the bound over the shared centre of one family's groups:
+    the one-family case of ``fit_variational_stack``."""
+    return fit_variational_stack(counts.per_group[None], prior, tol, max_iters)[0]
 
 
 def bhd_local_log_score(counts, fit, s=1.0):

@@ -171,62 +171,77 @@ class LocalScoreCache:
         return value
 
 
-def _compute_locals(data, child, parent_sets, config):
-    # bdeu scores each run of equal-shape tables in one stacked kernel call;
-    # bic and bhd score table by table
+# a bhd stack holds at most this many count cells (one family at least):
+# stacking saves per-call overhead on small tables, and large ones have none
+# to save
+_STACK_CELLS = 2 ** 16
+
+
+def _compute_locals(data, families, config):
+    # bdeu scores each run of one child's equal-shape tables in one stacked
+    # kernel call and bic scores table by table; bhd fits the equal-shape
+    # tables of every child together, in stacks
     cards = data.cardinalities()
-    out = np.empty(len(parent_sets))
-    for positions, tables in family_count_tables(data, child, parent_sets):
-        if config.kind == "bdeu":
-            pooled = tables.sum(axis=1)
-            out[positions] = bd_local_log_scores(pooled, _uniform_alpha(pooled.shape[1:],
+    out = np.empty(len(families))
+    by_child = {}
+    for position, (child, _) in enumerate(families):
+        by_child.setdefault(child, []).append(position)
+    by_shape = {}
+    for child, positions in by_child.items():
+        for batch, tables in family_count_tables(data, child,
+                                                 [families[i][1] for i in positions]):
+            where = [positions[i] for i in batch]
+            if config.kind == "bdeu":
+                pooled = tables.sum(axis=1)
+                out[where] = bd_local_log_scores(pooled, _uniform_alpha(pooled.shape[1:],
                                                                         config.iss))
-        else:
-            for position, table in zip(positions, tables):
-                parent_cards = tuple(cards[p] for p in parent_sets[position])
-                counts = FamilyCounts(cards[child], parent_cards, table)
-                out[position] = _score_family(counts, config)
+            elif config.kind == "bic":
+                out[where] = [bic_local_log_score(table.sum(axis=0)) for table in tables]
+            else:
+                by_shape.setdefault(tables.shape[2:], []).append((where, tables))
+    from . import hier  # deferred: hier shares this module's kernel
+    for shape, parts in by_shape.items():
+        where = [position for part, _ in parts for position in part]
+        tables = np.concatenate([part for _, part in parts])
+        prior = hier.HierPrior.uniform(shape, s=config.iss, s0=config.s0)
+        size = max(1, _STACK_CELLS // tables[0].size)
+        for start in range(0, len(tables), size):
+            stack = tables[start:start + size]
+            fits = hier.fit_variational_stack(stack, prior, config.vb_tol, config.vb_max_iters)
+            for position, table, fit in zip(where[start:start + size], stack, fits):
+                child, parents = families[position]
+                counts = FamilyCounts(cards[child], tuple(cards[p] for p in parents), table)
+                out[position] = hier.bhd_local_log_score(counts, fit, config.iss)
     return out.tolist()
 
 
-def _score_family(counts, config):
-    if config.kind == "bic":
-        return bic_local_log_score(counts)
-    from . import hier  # deferred: hier shares this module's kernel
-    prior = hier.HierPrior.uniform((counts.n_configs, counts.child_card),
-                                   s=config.iss, s0=config.s0)
-    fit = hier.fit_variational(counts, prior, tol=config.vb_tol,
-                               max_iters=config.vb_max_iters)
-    return hier.bhd_local_log_score(counts, fit, config.iss)
-
-
-def local_log_scores(data, child, parent_sets, config, cache=None):
-    """Scores of one child given each of several parent sets under
-    ``config``, as a list in ``parent_sets`` order.
+def local_log_scores(data, families, config, cache=None):
+    """Scores of several families under ``config``, as a list in order;
+    each family is a (child, parents) pair, and the children may differ.
 
     Each family is scored with its parents in sorted order, the order of
     its cache key, so its score does not depend on the order the parents
-    are given in. With a ``cache``, each set is looked up in turn (so hits
-    and misses count as if the sets were scored one by one) and only the
-    distinct missing families are counted and scored, in one batch.
+    are given in. With a ``cache``, each family is looked up in turn (so
+    hits and misses count as if the families were scored one by one) and
+    only the distinct missing families are counted and scored, in one batch.
     """
-    parent_sets = [tuple(sorted(parents)) for parents in parent_sets]
+    families = [(child, tuple(sorted(parents))) for child, parents in families]
     if cache is None:
-        return _compute_locals(data, child, parent_sets, config)
+        return _compute_locals(data, families, config)
     if cache.data is None:
         cache.data = data
     elif cache.data is not data:
         raise ValueError("the cache holds scores of another dataset")
     identity = config.cache_key()
-    keys = [(child, parents) + identity for parents in parent_sets]
+    keys = [family + identity for family in families]
     missing = list(dict.fromkeys(key for key in keys if key not in cache))
-    computed = dict(zip(missing, _compute_locals(data, child, [key[1] for key in missing], config)))
+    computed = dict(zip(missing, _compute_locals(data, [key[:2] for key in missing], config)))
     return [cache.get_or_compute(key, lambda key=key: computed[key]) for key in keys]
 
 
 def local_log_score(data, child, parents, config, cache=None):
     """Score one family under ``config``, consulting ``cache`` if given."""
-    return local_log_scores(data, child, [parents], config, cache)[0]
+    return local_log_scores(data, [(child, parents)], config, cache)[0]
 
 
 def fold_total(local_scores):
@@ -247,5 +262,6 @@ def total_log_score(dag, data, config, cache=None):
     """Network score: the local scores folded in node order."""
     if dag.node_count != data.n_variables:
         raise ValueError("graph size does not match the dataset")
-    return fold_total(local_log_score(data, node, dag.parents(node), config, cache)
-                      for node in range(dag.node_count))
+    return fold_total(local_log_scores(data, [(node, dag.parents(node))
+                                              for node in range(dag.node_count)],
+                                       config, cache))

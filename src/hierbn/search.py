@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Dag
-from .scores import LocalScoreCache, fold_total, local_log_score, local_log_scores
+from .scores import LocalScoreCache, fold_total, local_log_scores
 
 MOVE_KINDS = ("add", "delete", "reverse")  # sorted, so moves read off kind by kind are too
 
@@ -95,8 +95,8 @@ def run_hill_climb(data, score_config, search_config=None, start=None, cache=Non
     if cache is None:
         cache = LocalScoreCache()
 
-    locals_ = [local_log_score(data, i, dag.parents(i), score_config, cache)
-               for i in range(n)]
+    locals_ = local_log_scores(data, [(i, dag.parents(i)) for i in range(n)], score_config,
+                               cache)
     total = fold_total(locals_)
     trace = [total]
     # grown[u, v]: local of v with parent u added; shrunk[u, v]: with u dropped
@@ -104,16 +104,17 @@ def run_hill_climb(data, score_config, search_config=None, start=None, cache=Non
 
     for _ in range(cfg.max_iterations):
         masks = add, arcs, reverse = _legal_masks(dag, cfg.max_parents)
-        # refill each column that lacks a needed local with one batched call
-        to_grow = (add | reverse.T) & np.isnan(grown)
-        to_shrink = arcs & np.isnan(shrunk)
-        for v in np.flatnonzero(to_grow.any(axis=0) | to_shrink.any(axis=0)).tolist():
-            pa = dag.parents(v)
-            up, down = np.flatnonzero(to_grow[:, v]), np.flatnonzero(to_shrink[:, v])
-            sets = ([sorted(pa + (u,)) for u in up.tolist()]
-                    + [[p for p in pa if p != u] for u in down.tolist()])
-            values = local_log_scores(data, v, sets, score_config, cache)
-            grown[up, v], shrunk[down, v] = values[:len(up)], values[len(up):]
+        # refill every entry a legal move needs, all columns in one batched call
+        grow_v, grow_u = np.nonzero(((add | reverse.T) & np.isnan(grown)).T)
+        shrink_v, shrink_u = np.nonzero((arcs & np.isnan(shrunk)).T)
+        families = ([(v, dag.parents(v) + (u,))
+                     for v, u in zip(grow_v.tolist(), grow_u.tolist())]
+                    + [(v, tuple(p for p in dag.parents(v) if p != u))
+                       for v, u in zip(shrink_v.tolist(), shrink_u.tolist())])
+        if families:
+            values = local_log_scores(data, families, score_config, cache)
+            grown[grow_u, grow_v] = values[:len(grow_v)]
+            shrunk[shrink_u, shrink_v] = values[len(grow_v):]
         # every legal move: kinds in MOVE_KINDS order, each mask row-major,
         # which is neighbourhood's order
         kind, u, v = np.nonzero(np.stack(masks))

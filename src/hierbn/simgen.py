@@ -39,6 +39,15 @@ def derive_rng(root_seed, *path):
     return np.random.default_rng(np.random.SeedSequence(int(root_seed), spawn_key=tuple(path)))
 
 
+def is_integer(value):
+    """True for a Python or numpy integer; bools and floats are not counts."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+_INTEGER_FIELDS = ("n_nodes", "card", "n_groups", "rows_per_group", "n_perturbed",
+                   "n_removed", "seed")
+
+
 @dataclass(frozen=True)
 class GenConfig:
     """One simulation cell plus the seed of a single replicate."""
@@ -55,6 +64,9 @@ class GenConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in _INTEGER_FIELDS:
+            if not is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n_nodes < 2:
             raise ValueError("need at least two nodes")
         if self.card < 2:

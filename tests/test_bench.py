@@ -212,3 +212,28 @@ class TestPlanJson:
         doc = {"cells": [{"n_nodes": 3}], "scores": ["bdeu"], **settings}
         with pytest.raises(ValueError, match=message):
             plan_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("key", ["root_seed", "structures", "param_sets", "data_sets",
+                                     "vb_max_iters"])
+    @pytest.mark.parametrize("value", [1.9, 2.0, True, "3"])
+    def test_counts_must_be_json_integers(self, key, value):
+        doc = {"cells": [{"n_nodes": 3}], "scores": ["bdeu"], key: value}
+        with pytest.raises(ValueError, match="expected a JSON integer"):
+            plan_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("field", ["n_nodes", "card", "n_groups", "rows_per_group"])
+    def test_fractional_cell_size_rejected(self, field):
+        doc = {"cells": [{"n_nodes": 3, field: 10.5}], "scores": ["bdeu"]}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            plan_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("settings, message", [
+        ({"scores": ["bdeu", "bhd", "bdeu"]}, "repeats score 'bdeu'"),
+        ({"iss": [1.0, 4.0, 1]}, "repeats iss 1.0"),
+    ])
+    def test_repeated_settings_rejected(self, settings, message):
+        doc = {"cells": [{"n_nodes": 3}], **settings}
+        with pytest.raises(ValueError, match=message):
+            plan_from_json(json.dumps(doc))
+        with pytest.raises(ValueError, match=message):
+            ExperimentPlan(cells=(GenConfig(n_nodes=3),), **settings)

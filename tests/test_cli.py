@@ -93,6 +93,20 @@ class TestExitCodes:
         assert main(["bench", "--plan", str(plan), "--out",
                      str(tmp_path / "out.csv")]) == 2
 
+    @pytest.mark.parametrize("settings", [
+        {"cells": [{"n_nodes": 3, "rows_per_group": 10.5}]},
+        {"structures": 1.9}, {"data_sets": True}, {"root_seed": "3"},
+        {"vb_max_iters": 20.5}, {"scores": ["bdeu", "bdeu"]}, {"iss": [2, 2.0]}])
+    def test_fractional_count_or_repeated_setting_in_plan_is_data_error(
+            self, tmp_path, capsys, settings):
+        doc = {"cells": [{"n_nodes": 3, "rows_per_group": 10}], "scores": ["bdeu"],
+               "structures": 1, "param_sets": 1, "data_sets": 1, **settings}
+        plan, out = tmp_path / "plan.json", tmp_path / "out.csv"
+        plan.write_text(json.dumps(doc))
+        assert main(["bench", "--plan", str(plan), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("hierbn: data error:")
+        assert not out.exists()
+
     def test_repeated_column_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "dup.csv"
         path.write_text("g,a,a\ns1,v0,v1\ns1,v1,v0\ns2,v0,v0\n")
@@ -309,6 +323,20 @@ class TestSimulate:
     def test_bad_config_document_is_data_error(self, tmp_path, capsys, text):
         path = tmp_path / "gen.json"
         path.write_text(text)
+        out_dir = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--out-dir", str(out_dir)]) == 2
+        assert capsys.readouterr().err.startswith("hierbn: data error:")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("doc", [{"n_nodes": 3, "rows_per_group": 10.5},
+                                     {"n_nodes": 5.5}, {"n_nodes": 3, "n_groups": True},
+                                     {"n_nodes": 3, "seed": 1.5},
+                                     {"n_nodes": 3, "structures": 1.9},
+                                     {"n_nodes": 3, "structures": "3"},
+                                     {"n_nodes": 3, "param_sets": True}])
+    def test_fractional_or_boolean_count_is_data_error(self, tmp_path, capsys, doc):
+        path = tmp_path / "gen.json"
+        path.write_text(json.dumps(doc))
         out_dir = tmp_path / "out"
         assert main(["simulate", "--config", str(path), "--out-dir", str(out_dir)]) == 2
         assert capsys.readouterr().err.startswith("hierbn: data error:")

@@ -14,7 +14,7 @@ from hierbn.graph import Dag
 from hierbn.hier import (HierPrior, VariationalConvergenceWarning,
                          VariationalFit, _bound_and_grad, _softmax,
                          bhd_local_log_score, elbo, fit_variational,
-                         hier_posterior_means)
+                         fit_variational_stack, hier_posterior_means)
 from hierbn.scores import (ScoreConfig, bd_local_log_score,
                            bdeu_local_log_score, local_log_score,
                            total_log_score)
@@ -336,7 +336,7 @@ class TestFitMatchesOracle:
         taus = []
 
         def recording(n, a0, s, kappa, tau, nu):
-            taus.append(tau)
+            taus.extend(np.ravel(tau).tolist())  # one tau per family of the stack
             return _bound_and_grad(n, a0, s, kappa, tau, nu)
 
         monkeypatch.setattr(hier, "_bound_and_grad", recording)
@@ -383,6 +383,122 @@ class TestFitMatchesOracle:
         assert accepted > 0 and rejected >= 0
         assert calls["oracle gradient"] == 1 + accepted
         assert calls["fit"] == 1 + accepted + rejected
+
+
+# a family one of whose trial points has a tau where (tau + 1) ** 2 by pow
+# and (tau + 1) * (tau + 1) differ in the last bit
+POW_FAMILY = [[[13, 5]]]
+
+
+def stack_cases():
+    """(stack, prior, fit options) of stacks of equal-shape families for
+    the comparison with lone fits: random stacks with sparse and all-zero
+    members, capped stacks, the clip and pow families among others of their
+    shape, and stacks fitted to 1e-12."""
+    rng = np.random.default_rng(59)
+    cases = []
+    for i in range(60):
+        b, f = int(rng.integers(1, 9)), int(rng.integers(1, 11))
+        j, k = int(rng.integers(1, 26)), int(rng.integers(2, 6))
+        stack = rng.integers(0, int(rng.choice([3, 25, 300])), size=(b, f, j, k))
+        if i % 3 == 0:
+            stack *= rng.random(stack.shape) < 0.2
+        if i % 5 == 0:
+            stack[rng.random(b) < 0.4] = 0
+        s = float(rng.choice([0.5, 1.0, 7.5]))
+        s0 = float(rng.uniform(0.5, 20.0)) if i % 4 == 1 else None
+        options = {"tol": 1e-12} if i % 6 == 5 else {}
+        cases.append((stack, HierPrior.uniform((j, k), s=s, s0=s0), options))
+    pair = [[[30, 3], [4, 20]], [[2, 25], [18, 6]]]
+    cases.append((np.array([pair, np.zeros((2, 2, 2), int), pair[::-1]]),
+                  HierPrior.uniform((2, 2), s=1.0), {"max_iters": 3}))
+    for arr in CLIP_FAMILIES + (POW_FAMILY,):
+        arr = np.asarray(arr)
+        others = rng.integers(0, 6, size=(3,) + arr.shape)
+        cases.append((np.concatenate([others[:1], arr[None], others[1:]]),
+                      HierPrior.uniform(arr.shape[1:], s=1e4, s0=1e-3)
+                      if arr is not POW_FAMILY else HierPrior.uniform(arr.shape[1:], s=1.0), {}))
+    cases.append((np.array([POW_FAMILY, [[[2, 9]]], [[[13, 5]]]]),
+                  HierPrior.uniform((1, 2), s=1.0), {"tol": 1e-12}))
+    return cases
+
+
+def same_fit(a, b):
+    return (a.kappa.tobytes() == b.kappa.tobytes() and a.tau == b.tau
+            and a.elbo_trace == b.elbo_trace and a.converged == b.converged
+            and a.nu.tobytes() == b.nu.tobytes())
+
+
+class TestFitStack:
+    def test_each_family_gets_its_lone_and_oracle_bits(self):
+        cases = stack_cases()
+        zero_members = capped_stacks = 0
+        for stack, prior, options in cases:
+            fits, warned = fit_recording(fit_variational_stack, stack, prior, options)
+            assert len(fits) == len(stack)
+            lone_warned = []
+            for table, fit in zip(stack, fits):
+                counts = make_counts(table)
+                lone, lone_warning = fit_recording(fit_variational, counts, prior, options)
+                ref, ref_warning = fit_recording(oracles.fit_variational_oracle, counts, prior,
+                                                 options)
+                assert same_fit(fit, lone)
+                assert same_fit(fit, ref)
+                assert lone_warning == ref_warning
+                lone_warned += lone_warning
+                zero_members += counts.total == 0 and len(stack) > 1
+            # each capped family warns once, in stack order
+            assert warned == lone_warned
+            capped_stacks += len(warned) == 2
+        assert zero_members >= 3 and capped_stacks >= 1
+
+    def test_pow_family_squares_tau_plus_one_where_pow_and_product_differ(self, monkeypatch):
+        # the comparison above catches squaring by ** on an array only if a
+        # trial point lands on such a tau
+        taus = []
+
+        def recording(n, a0, s, kappa, tau, nu):
+            taus.extend(np.ravel(tau).tolist())
+            return _bound_and_grad(n, a0, s, kappa, tau, nu)
+
+        monkeypatch.setattr(hier, "_bound_and_grad", recording)
+        arr = np.asarray(POW_FAMILY)
+        fit_variational_stack(arr[None], HierPrior.uniform(arr.shape[1:], s=1.0))
+        assert any((t + 1.0) ** 2 != (t + 1.0) * (t + 1.0) for t in taus)
+
+    def test_each_round_evaluates_every_searching_family_once(self, monkeypatch):
+        # one bound call per round, with one row per family still searching:
+        # as many calls as the longest lone fit makes, as many rows as all make
+        calls = []
+
+        def counting(n, a0, s, kappa, tau, nu):
+            calls.append(np.size(tau))
+            return _bound_and_grad(n, a0, s, kappa, tau, nu)
+
+        monkeypatch.setattr(hier, "_bound_and_grad", counting)
+        rng = np.random.default_rng(61)
+        stack = rng.integers(0, 40, size=(6, 4, 5, 3)) * np.array([1, 2, 3, 30, 1, 300])[:, None, None, None]
+        stack[4] *= rng.random(stack[4].shape) < 0.3
+        prior = HierPrior.uniform((5, 3), s=1.0)
+        lone = []
+        for table in stack:
+            calls.clear()
+            fit_variational(make_counts(table), prior)
+            lone.append(len(calls))
+        calls.clear()
+        fit_variational_stack(stack, prior)
+        assert len(calls) == max(lone) and sum(calls) == sum(lone)
+        assert len(set(lone)) > 1
+
+    def test_bad_stacks_rejected(self):
+        prior = HierPrior.uniform((2, 2), s=1.0)
+        with pytest.raises(ValueError, match="stack of count tables"):
+            fit_variational_stack(np.ones((2, 2, 2), int), prior)
+        with pytest.raises(ValueError, match="prior shape"):
+            fit_variational_stack(np.ones((2, 1, 2, 3), int), prior)
+        with pytest.raises(ValueError, match="tol"):
+            fit_variational_stack(np.ones((2, 1, 2, 2), int), prior, tol=0.0)
+        assert fit_variational_stack(np.ones((0, 1, 2, 2), int), prior) == []
 
 
 class TestElboGradient:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hierbn import hier
 from hierbn.data import FamilyCounts, family_counts, load_csv
 from hierbn.graph import Dag
 from hierbn.hier import HierPrior, fit_variational
@@ -357,6 +358,18 @@ BATCH_CONFIGS = [ScoreConfig("bdeu"), ScoreConfig("bdeu", iss=7.5), ScoreConfig(
                  ScoreConfig("bhd"), ScoreConfig("bhd", iss=7.5)]
 
 
+def cross_child_families():
+    """Families of every child of ``mixed_dataset``, shuffled, then four
+    repeated: children of equal cardinality give tables of equal shape."""
+    families = []
+    for child in range(5):
+        others = [v for v in range(5) if v != child]
+        families += ([(child, ())] + [(child, (u,)) for u in others]
+                     + [(child, tuple(others[:2])), (child, tuple(others[:1:-1]))])
+    order = np.random.default_rng(3).permutation(len(families))
+    return [families[i] for i in order] + families[:4]
+
+
 class TestBatchedScores:
     @pytest.mark.parametrize("seed", range(3))
     def test_stacked_kernel_matches_one_table_formula(self, seed):
@@ -383,7 +396,7 @@ class TestBatchedScores:
     @pytest.mark.parametrize("seed", range(2))
     def test_batch_equals_cold_per_family_bitwise(self, config, seed):
         data = mixed_dataset(seed)
-        batched = local_log_scores(data, 2, MIXED_SETS, config)
+        batched = local_log_scores(data, [(2, parents) for parents in MIXED_SETS], config)
         assert batched == [local_log_score(data, 2, parents, config) for parents in MIXED_SETS]
         assert batched == [local_oracle(data, 2, parents, config) for parents in MIXED_SETS]
         assert all(type(value) is float for value in batched)
@@ -395,7 +408,7 @@ class TestBatchedScores:
             for child in range(data.n_variables):
                 others = [v for v in range(data.n_variables) if v != child]
                 sets = [()] + [(u,) for u in others] + [tuple(others[:2]), tuple(others[::-1])]
-                assert (local_log_scores(data, child, sets, config)
+                assert (local_log_scores(data, [(child, parents) for parents in sets], config)
                         == [local_oracle(data, child, parents, config) for parents in sets])
 
     def test_cache_counts_as_the_per_family_path(self):
@@ -406,12 +419,51 @@ class TestBatchedScores:
         requests = [MIXED_SETS + [(1, 4), (4, 1)], MIXED_SETS[::-1] + [(0, 3)], [(3, 0), (4,)]]
         batched, single = LocalScoreCache(), LocalScoreCache()
         for sets in requests:
-            got = local_log_scores(data, 2, sets, config, batched)
+            got = local_log_scores(data, [(2, parents) for parents in sets], config, batched)
             want = [local_log_score(data, 2, parents, config, single) for parents in sets]
             assert got == want
             assert (batched.hits, batched.misses) == (single.hits, single.misses)
         assert len(batched) == len(single)
         assert batched.hits > 0
+
+    @pytest.mark.parametrize("config", BATCH_CONFIGS, ids=lambda c: f"{c.kind}-{c.iss}")
+    def test_families_of_several_children_equal_cold_per_family(self, config):
+        data = mixed_dataset(2)
+        families = cross_child_families()
+        got = local_log_scores(data, families, config)
+        assert got == [local_log_score(data, child, parents, config)
+                       for child, parents in families]
+        assert got == [local_oracle(data, child, parents, config) for child, parents in families]
+        assert all(type(value) is float for value in got)
+
+    @pytest.mark.parametrize("config", BATCH_CONFIGS[1::2], ids=lambda c: f"{c.kind}-{c.iss}")
+    def test_cache_counts_across_children_as_the_per_family_path(self, config):
+        data = mixed_dataset(1)
+        families = cross_child_families()
+        requests = [families[:20], families[10:] + [(2, (4, 1))], families[::3]]
+        batched, single = LocalScoreCache(), LocalScoreCache()
+        for request in requests:
+            got = local_log_scores(data, request, config, batched)
+            want = [local_log_score(data, child, parents, config, single)
+                    for child, parents in request]
+            assert got == want
+            assert (batched.hits, batched.misses) == (single.hits, single.misses)
+        assert len(batched) == len(single)
+        assert batched.hits > 0
+
+    def test_bhd_fits_equal_shapes_of_every_child_as_one_stack(self, monkeypatch):
+        stacks = []
+        fit_stack = hier.fit_variational_stack
+
+        def recording(per_group, prior, tol, max_iters):
+            stacks.append(per_group.shape)
+            return fit_stack(per_group, prior, tol, max_iters)
+
+        monkeypatch.setattr(hier, "fit_variational_stack", recording)
+        # v0 and v3 have 2 levels, v1 and v4 have 3: four (3, 2) tables
+        families = [(0, (1,)), (3, (4,)), (2, ()), (0, (4,)), (3, (1,))]
+        local_log_scores(mixed_dataset(2), families, ScoreConfig("bhd"))
+        assert sorted(stacks) == [(1, 3, 1, 4), (4, 3, 3, 2)]
 
     @pytest.mark.parametrize("config", BATCH_CONFIGS[1:], ids=lambda c: f"{c.kind}-{c.iss}")
     def test_warm_score_is_the_cold_sorted_score_in_either_order(self, config):
@@ -429,6 +481,8 @@ class TestBatchedScores:
     def test_cache_bound_to_another_dataset_rejected(self):
         first, second = mixed_dataset(1), mixed_dataset(2)
         cache = LocalScoreCache()
-        local_log_scores(first, 2, MIXED_SETS, ScoreConfig("bdeu"), cache)
+        local_log_scores(first, [(2, parents) for parents in MIXED_SETS], ScoreConfig("bdeu"),
+                         cache)
         with pytest.raises(ValueError, match="another dataset"):
-            local_log_scores(second, 2, MIXED_SETS, ScoreConfig("bdeu"), cache)
+            local_log_scores(second, [(2, parents) for parents in MIXED_SETS],
+                             ScoreConfig("bdeu"), cache)

@@ -256,8 +256,8 @@ class TestGreedyReplay:
                 value += weight.get((p, child), -0.25)
             return value
 
-        def stub_batch(data, child, parent_sets, config, cache=None):
-            return [stub(data, child, parents, config) for parents in parent_sets]
+        def stub_batch(data, families, config, cache=None):
+            return [stub(data, child, parents, config) for child, parents in families]
 
         # every local, one family or a batch, goes through local_log_scores
         monkeypatch.setattr(search, "local_log_scores", stub_batch)
@@ -304,8 +304,8 @@ class TestGreedyReplay:
                 value += weight[p, child]
             return value
 
-        def stub_batch(data, child, parent_sets, config, cache=None):
-            return [stub(data, child, parents, config) for parents in parent_sets]
+        def stub_batch(data, families, config, cache=None):
+            return [stub(data, child, parents, config) for child, parents in families]
 
         monkeypatch.setattr(search, "local_log_scores", stub_batch)
         monkeypatch.setattr(scores, "local_log_scores", stub_batch)

@@ -20,6 +20,20 @@ class TestGenConfig:
             GenConfig(n_nodes=5, scenario="b", n_perturbed=3, n_removed=1,
                       n_groups=2)
 
+    @pytest.mark.parametrize("field", ["n_nodes", "card", "n_groups", "rows_per_group",
+                                       "n_perturbed", "n_removed", "seed"])
+    @pytest.mark.parametrize("value", [5.0, 5.5, True, "5"])
+    def test_counts_and_seed_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            GenConfig(**{"n_nodes": 5, field: value})
+
+    def test_numpy_integers_accepted_numpy_floats_refused(self):
+        config = GenConfig(n_nodes=np.int64(5), card=np.int32(3), n_groups=np.uint8(2),
+                           rows_per_group=np.int64(20), seed=np.uint64(2 ** 63))
+        assert generate(config)[1].n_rows == 40
+        with pytest.raises(ValueError, match="rows_per_group must be an integer"):
+            GenConfig(n_nodes=5, rows_per_group=np.float64(20))
+
     def test_unknown_regime_or_scenario(self):
         with pytest.raises(ValueError):
             GenConfig(n_nodes=5, regime="mixed")
