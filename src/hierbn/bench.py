@@ -50,6 +50,10 @@ class ExperimentPlan:
             raise ValueError("plan needs at least one cell")
         if not self.scores or not self.iss:
             raise ValueError("plan needs at least one score and one iss value")
+        for name in ("n_structures", "n_param_sets", "n_data_sets", "root_seed",
+                     "vb_max_iters"):
+            if not is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         for name, values in (("score", self.scores), ("iss", self.iss)):
             repeated = [v for i, v in enumerate(values) if v in values[:i]]
             if repeated:
@@ -200,24 +204,18 @@ def _json_list(value):
     return tuple(value)
 
 
-def json_int(value):
-    """A JSON integer as is; a fraction, a bool or a string is refused."""
-    if not is_integer(value):
-        raise ValueError(f"expected a JSON integer, got {json.dumps(value)}")
-    return value
-
-
 # plan JSON key -> (ExperimentPlan field, parser); a key left out of a plan
-# file takes the field's default
+# file takes the field's default, and a value without a parser is checked by
+# ExperimentPlan itself
 _PLAN_FIELDS = {
-    "root_seed": ("root_seed", json_int),
+    "root_seed": ("root_seed", None),
     "scores": ("scores", _json_list),
     "iss": ("iss", _json_list),
-    "structures": ("n_structures", json_int),
-    "param_sets": ("n_param_sets", json_int),
-    "data_sets": ("n_data_sets", json_int),
+    "structures": ("n_structures", None),
+    "param_sets": ("n_param_sets", None),
+    "data_sets": ("n_data_sets", None),
     "vb_tol": ("vb_tol", float),
-    "vb_max_iters": ("vb_max_iters", json_int),
+    "vb_max_iters": ("vb_max_iters", None),
 }
 
 
@@ -241,8 +239,8 @@ def plan_from_json(text):
         raise ValueError('a plan needs a "cells" list')
     try:
         cells = tuple(GenConfig(**cell) for cell in _json_list(doc["cells"]))
-        settings = {name: parse(doc[key]) for key, (name, parse) in _PLAN_FIELDS.items()
-                    if key in doc}
+        settings = {name: parse(doc[key]) if parse else doc[key]
+                    for key, (name, parse) in _PLAN_FIELDS.items() if key in doc}
     except TypeError as exc:
         raise ValueError(f"bad plan: {exc}") from exc
     return ExperimentPlan(cells=cells, **settings)

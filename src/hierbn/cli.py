@@ -19,7 +19,7 @@ from .data import DataError, load_csv
 from .graph import dag_from_dot, dag_from_json, dag_to_dot, dag_to_json
 from .scores import ScoreConfig, fold_total, local_log_scores
 from .search import SearchConfig, run_hill_climb
-from .simgen import GenConfig, derive_rng, generate
+from .simgen import GenConfig, derive_rng, generate, is_integer
 
 
 class _UsageError(Exception):
@@ -175,11 +175,11 @@ def _cmd_simulate(args):
             raise DataError(f"cannot parse {args.config}: {exc}") from exc
     if not isinstance(doc, dict):
         raise DataError(f"{args.config}: a generator configuration must be a JSON object")
-    try:
-        reps = {key: bench_mod.json_int(doc.pop(key, 1))
-                for key in ("structures", "param_sets", "data_sets")}
-    except ValueError as exc:
-        raise DataError(f"bad replication count: {exc}") from exc
+    reps = {key: doc.pop(key, 1) for key in ("structures", "param_sets", "data_sets")}
+    for key, value in reps.items():
+        if not is_integer(value):
+            raise DataError(f"bad replication count: {key} must be an integer, "
+                            f"got {json.dumps(value)}")
     if min(reps.values()) < 1:
         raise DataError("replication counts must be at least 1")
     if args.seed is not None:

@@ -87,12 +87,6 @@ class VariationalFit:
             object.__setattr__(self, name, arr)
 
 
-def _cell_sum(a):
-    """Sum over each family's (F, M) cells, (..., F, M) -> (...), one
-    pairwise sum along the contiguous cells as a lone family's ``.sum()``."""
-    return a.reshape(a.shape[:-2] + (a.shape[-2] * a.shape[-1],)).sum(axis=-1)
-
-
 def _bound_and_grad(n, a0, s, kappa, tau, nu):
     """The bound at (kappa, tau, nu) and its analytic gradient, for one
     family or a stack of families that share ``a0`` and ``s``.
@@ -130,7 +124,9 @@ def _bound_and_grad(n, a0, s, kappa, tau, nu):
     pg1_ss = pg1_sk * s * s
     tk_minus_1 = tk - 1.0
 
-    value = _cell_sum((n + sk[..., None, :] - 1.0) * e_log_theta)
+    # one pairwise sum over each family's F * M cells, as a lone family's .sum()
+    cells = (n + sk[..., None, :] - 1.0) * e_log_theta
+    value = cells.reshape(cells.shape[:-2] + (n_groups * m,)).sum(axis=-1)
     value += n_groups * float(gammaln(s)) - n_groups * expected_lgamma.sum(axis=-1)
     value += float(gammaln(a0.sum())) - float(gammaln(a0).sum())
     value += (a0_minus_1 * (dg_tk - digamma(tau)[..., None])).sum(axis=-1)

@@ -213,13 +213,17 @@ class TestPlanJson:
         with pytest.raises(ValueError, match=message):
             plan_from_json(json.dumps(doc))
 
-    @pytest.mark.parametrize("key", ["root_seed", "structures", "param_sets", "data_sets",
-                                     "vb_max_iters"])
+    @pytest.mark.parametrize("key, field", [
+        ("root_seed", "root_seed"), ("structures", "n_structures"),
+        ("param_sets", "n_param_sets"), ("data_sets", "n_data_sets"),
+        ("vb_max_iters", "vb_max_iters")])
     @pytest.mark.parametrize("value", [1.9, 2.0, True, "3"])
-    def test_counts_must_be_json_integers(self, key, value):
+    def test_counts_and_seed_must_be_integers(self, key, field, value):
         doc = {"cells": [{"n_nodes": 3}], "scores": ["bdeu"], key: value}
-        with pytest.raises(ValueError, match="expected a JSON integer"):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
             plan_from_json(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ExperimentPlan(cells=(GenConfig(n_nodes=3),), scores=("bdeu",), **{field: value})
 
     @pytest.mark.parametrize("field", ["n_nodes", "card", "n_groups", "rows_per_group"])
     def test_fractional_cell_size_rejected(self, field):
