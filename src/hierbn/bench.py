@@ -17,10 +17,11 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from .data import is_integer
 from .metrics import RunRecord, evaluate, read_records, record_sort_key, write_records
 from .scores import ScoreConfig
 from .search import run_hill_climb
-from .simgen import GenConfig, generate, is_integer
+from .simgen import GenConfig, generate
 
 
 @dataclass(frozen=True)

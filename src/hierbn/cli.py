@@ -15,11 +15,11 @@ from dataclasses import replace
 import numpy as np
 
 from . import bench as bench_mod
-from .data import DataError, load_csv
+from .data import DataError, is_integer, load_csv
 from .graph import dag_from_dot, dag_from_json, dag_to_dot, dag_to_json
 from .scores import ScoreConfig, fold_total, local_log_scores
 from .search import SearchConfig, run_hill_climb
-from .simgen import GenConfig, derive_rng, generate, is_integer
+from .simgen import GenConfig, derive_rng, generate
 
 
 class _UsageError(Exception):

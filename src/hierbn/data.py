@@ -8,6 +8,7 @@ never treated as a candidate variable itself.
 import csv
 import itertools
 import math
+import operator
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -276,81 +277,184 @@ def load_csv(path, group_column):
                                        (table, group_codes, table_row[ids]))
 
 
+def is_integer(value):
+    """True for a Python or numpy integer; bools and floats are not counts."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_indices(child, sets, n_variables):
+    """Raise a ValueError naming the first index that is not a Python or
+    numpy integer (bools are not) in [0, n_variables), or that repeats
+    within its set or is the child."""
+    for index in itertools.chain((child,), *sets):
+        if not is_integer(index) or not 0 <= index < n_variables:
+            raise ValueError(f"variable index {index!r} is not an integer in "
+                             f"[0, {n_variables})")
+    for parents in sets:
+        if len(set(parents)) < len(parents):
+            repeated = next(p for i, p in enumerate(parents) if p in parents[:i])
+            raise ValueError(f"parent set {parents} repeats variable index {repeated}")
+        if child in parents:
+            raise ValueError("child cannot be its own parent")
+
+
+def _count_groups(child, sets, cards):
+    """The sets in groups that are counted together, each (configurations
+    J, base, levels C of the extra parents, members), a member being
+    (configurations of the parents before its extra, position, extra
+    parent), sorted. Sets of one length that each hold a shared base, in
+    one order, plus one parent outside it form a group for each C; the
+    other sets form a group for each J, with no base (None): each is
+    counted whole, as its own base with no extra parent (C = 1). Raises for
+    an index repeated within a set."""
+    groups, whole, distinct = [], {}, []  # distinct: what must not repeat an index
+    by_length = {}
+    for position, parents in enumerate(sets):
+        by_length.setdefault(len(parents), []).append(position)
+    for positions in by_length.values():
+        members = [sets[i] for i in positions]
+        if len(members) > 1:
+            common = set(members[0]).intersection(*members[1:])
+            base = tuple(p for p in members[0] if p in common)
+            extras = [p for parents in members for p in parents if p not in common]
+            if (len(extras) == len(members)
+                    and [p for parents in members for p in parents if p in common]
+                    == list(base) * len(members)):
+                distinct.append(base)
+                heads = list(itertools.accumulate(map(cards.__getitem__, base), operator.mul,
+                                                  initial=1))
+                by_card = {}
+                for position, parents, extra in zip(positions, members, extras):
+                    by_card.setdefault(cards[extra], []).append(
+                        (heads[parents.index(extra)], position, extra))
+                groups += [(heads[-1] * card, base, card, sorted(rows))
+                           for card, rows in by_card.items()]
+                continue
+        distinct += members
+        for position, parents in zip(positions, members):
+            whole.setdefault(math.prod(map(cards.__getitem__, parents)), []).append(
+                (1, position, child))
+    if sum(map(len, map(set, distinct))) < sum(map(len, distinct)):
+        _check_indices(child, sets, len(cards))
+    return groups + [(n_configs, None, 1, rows) for n_configs, rows in whole.items()]
+
+
 def family_count_tables(data, child, parent_sets):
     """Contingency counts of one child given each of several parent sets.
 
     ``parent_sets`` is a sequence of parent index tuples (order within a set
-    fixes its row-major configuration indexing). Every set's cell count is
-    checked before anything is allocated. Sets with the same number of
-    parent configurations are counted together, in batches that hold no
-    array of more than ``MAX_COUNT_CELLS`` elements (unless the row codes of
-    one set in one group's block alone need more).
+    fixes its row-major configuration indexing). Before anything is
+    allocated, every index is checked (a Python or numpy integer, not a
+    bool, in range, not repeated within a set, and not the child: a
+    ValueError names it) and so is every set's cell count. Sets of one
+    length that each add one parent to a shared base (its parents in one
+    order) are counted together from the base's row codes and each extra
+    parent's levels; any other set is counted from its own row codes, with
+    the other such sets of its number of parent configurations. No batch
+    holds an array of more than ``MAX_COUNT_CELLS`` elements (unless the row
+    codes of one set in one group's block alone need more).
 
     Returns ``(positions, tables)`` pairs covering every set once:
     ``tables[i]`` is the (F, J, K) count table of ``parent_sets[positions[i]]``.
     """
     sets = [tuple(parents) for parents in parent_sets]
     cards = data.cardinalities()
+    flat = list(itertools.chain.from_iterable(sets))
+    # the common case in bulk; the index by index check names an offender
+    if not (type(child) is int and set(map(type, flat)) <= {int} and 0 <= child < len(cards)
+            and (not flat or (min(flat) >= 0 and max(flat) < len(cards)))
+            and child not in flat):
+        _check_indices(child, sets, len(cards))
     child_card, n_groups = cards[child], data.n_groups
-    by_configs = {}
-    for position, parents in enumerate(sets):
-        if child in parents:
-            raise ValueError("child cannot be its own parent")
-        n_configs = math.prod(map(cards.__getitem__, parents))
-        cells = n_groups * n_configs * child_card
-        if cells > MAX_COUNT_CELLS:
-            raise DataError(f"count table of {data.variables[child].name!r} given "
-                            f"{len(parents)} parents needs {cells} cells, more than "
-                            f"{MAX_COUNT_CELLS}")
-        by_configs.setdefault(n_configs, []).append(position)
+    groups = _count_groups(child, sets, cards)
+    oversize = [min(position for _, position, _ in members)
+                for n_configs, _, _, members in groups
+                if n_groups * n_configs * child_card > MAX_COUNT_CELLS]
+    if oversize:
+        parents = sets[min(oversize)]
+        cells = n_groups * math.prod(map(cards.__getitem__, parents)) * child_card
+        raise DataError(f"count table of {data.variables[child].name!r} given "
+                        f"{len(parents)} parents needs {cells} cells, more than "
+                        f"{MAX_COUNT_CELLS}")
     rows = max((block.shape[0] for block, _ in data.blocks), default=0)
     out = []
-    for n_configs, positions in sorted(by_configs.items()):
-        # a batch's row codes and weights (one group's block at a time) and its
-        # tables fit under the cap
+    for n_configs, base, card, members in groups:
+        # a batch's row codes and weights (one group's block at a time) and
+        # its tables fit under the cap
         size = max(1, MAX_COUNT_CELLS // max(rows, n_groups * n_configs * child_card, 1))
-        for start in range(0, len(positions), size):
-            batch = positions[start:start + size]
-            out.append(_count_batch(data, child, [sets[i] for i in batch], batch, n_configs))
+        for start in range(0, len(members), size):
+            batch = members[start:start + size]
+            out.append(_count_joint(data, child, [sets[i] for _, i, _ in batch],
+                                    n_configs, base, card, batch))
     return out
 
 
-def _count_batch(data, child, sets, positions, n_configs):
-    # A row's cell in a set's table is the sum of each variable's level times
-    # its row-major stride (the child's is 1). Set i owns cells
-    # [i, i + 1) * J * K of each group's bincount, which weighs every block
-    # row by its multiplicity: float sums of integers below 2**53 are exact,
-    # and they are stored back as int64.
+def _count_joint(data, child, sets, n_configs, base, card, members):
+    # With a base, each set (a member: configurations before its extra,
+    # position, extra parent; sorted) counts a row in cell offset + code *
+    # C + extra level of its table, where the code runs row-major over the
+    # base and then the child and is computed once per group block for all
+    # the sets. Without one, each set's own row code (the child's stride 1)
+    # goes in its cell. One bincount per block counts every set, weighing
+    # each block row by its multiplicity: float sums of integers below 2**53
+    # are exact, and they are stored back as int64. A table so counted has
+    # axes (configurations of the parents before the extra, of those after
+    # it, child, extra); each run of sets with one extra position moves the
+    # extra axis into place in one transpose.
     cards = data.cardinalities()
     child_card, n_groups = cards[child], data.n_groups
-    width = max(map(len, sets))
-    # column and stride of each parent position, padded with stride-0 terms
-    terms = []
-    for parents in sets:
-        stride, tail = child_card, ()
-        for p in reversed(parents):
-            tail = (p, stride) + tail
-            stride *= cards[p]
-        terms.append((child, 0) * (width - len(parents)) + tail)
-    terms = np.array(terms, dtype=np.intp).reshape(len(sets), width, 2)
-    columns, strides = terms[:, :, 0].T.copy(), terms[:, :, 1].T[:, :, None].astype(np.int64)
     table_cells = n_configs * child_card
-    offsets = np.arange(len(sets))[:, None] * table_cells
-    counted = np.empty((len(sets), n_groups, n_configs, child_card), dtype=np.int64)
+    offsets = np.arange(len(sets), dtype=np.int64)[:, None] * table_cells
+    # column and stride of each base position: one base takes its columns
+    # one by one, sets counted whole an array of a column per set at each
+    # position, padded with stride-0 terms
+    terms = []
+    for parents in ([base] if base is not None else sets):
+        stride, tail = card * child_card, []
+        for p in reversed(parents):
+            tail.insert(0, (p, stride))
+            stride *= cards[p]
+        terms.append(tail)
+    if base is not None:
+        columns, strides = zip(*terms[0]) if base else ((), ())
+        extra_cols = [extra for _, _, extra in members]
+    else:
+        width = max(map(len, sets))
+        terms = np.array([[(child, 0)] * (width - len(tail)) + tail for tail in terms],
+                         dtype=np.intp).reshape(len(sets), width, 2)
+        columns, strides = terms[:, :, 0].T.copy(), terms[:, :, 1].T[:, :, None].astype(np.int64)
+    counted = np.empty((n_groups, len(sets) * table_cells), dtype=np.int64)
     for f, (block, weights) in enumerate(data.blocks):
-        codes = np.empty((len(sets), block.shape[0]), dtype=np.int64)
-        np.add(offsets, block[:, child], out=codes)
+        if base is None:
+            codes = offsets + block[:, child]
+        else:
+            codes = card * block[:, child]
         for cols, stride in zip(columns, strides):
             # block[:, cols] comes out column-major, so its transpose is contiguous
-            levels = block[:, cols].T
-            levels *= stride
-            codes += levels
+            codes += block[:, cols].T * stride
+        if base is not None:
+            shared = codes
+            codes = block[:, extra_cols].T
+            codes += offsets
+            codes += shared
         if weights is not None:
             weights = np.tile(weights, len(sets))
-        counted[:, f] = np.bincount(codes.ravel(), weights,
-                                    minlength=len(sets) * table_cells).reshape(
-            len(sets), n_configs, child_card)
-    return positions, counted
+        counted[f] = np.bincount(codes.ravel(), weights, minlength=counted.shape[1])
+    tables = np.empty((len(sets), n_groups, n_configs, child_card), dtype=np.int64)
+    start = 0
+    while start < len(sets):
+        head = members[start][0]
+        stop = start + 1
+        while stop < len(sets) and members[stop][0] == head:
+            stop += 1
+        tail = n_configs // (card * head)
+        source = counted[:, start * table_cells:stop * table_cells].reshape(
+            n_groups, stop - start, head, tail, child_card, card)
+        np.copyto(tables[start:stop].reshape(stop - start, n_groups, head, card, tail,
+                                             child_card),
+                  source.transpose(1, 0, 2, 5, 3, 4))
+        start = stop
+    return [position for _, position, _ in members], tables
 
 
 def family_counts(data, child, parents):

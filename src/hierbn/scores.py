@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .data import FamilyCounts, family_count_tables
+from .data import FamilyCounts, family_count_tables, is_integer
 
 SCORE_KINDS = ("bdeu", "bic", "bhd")
 
@@ -132,7 +132,9 @@ class ScoreConfig:
             raise ValueError("imaginary sample size must be positive and finite")
         if not (self.vb_tol > 0 and math.isfinite(self.vb_tol)):
             raise ValueError("vb_tol must be positive and finite")
-        if not self.vb_max_iters >= 1:
+        if not is_integer(self.vb_max_iters):
+            raise ValueError(f"vb_max_iters must be an integer, got {self.vb_max_iters!r}")
+        if self.vb_max_iters < 1:
             raise ValueError("vb_max_iters must be at least 1")
         if self.s0 is not None and not (self.s0 > 0 and math.isfinite(self.s0)):
             raise ValueError("s0 must be positive and finite when given")
@@ -178,9 +180,8 @@ _STACK_CELLS = 2 ** 16
 
 
 def _compute_locals(data, families, config):
-    # bdeu scores each run of one child's equal-shape tables in one stacked
-    # kernel call and bic scores table by table; bhd fits the equal-shape
-    # tables of every child together, in stacks
+    # bic scores table by table; bdeu scores the equal-shape tables of every
+    # child in one stacked kernel call, and bhd fits them together, in stacks
     cards = data.cardinalities()
     out = np.empty(len(families))
     by_child = {}
@@ -191,14 +192,16 @@ def _compute_locals(data, families, config):
         for batch, tables in family_count_tables(data, child,
                                                  [families[i][1] for i in positions]):
             where = [positions[i] for i in batch]
-            if config.kind == "bdeu":
-                pooled = tables.sum(axis=1)
-                out[where] = bd_local_log_scores(pooled, _uniform_alpha(pooled.shape[1:],
-                                                                        config.iss))
-            elif config.kind == "bic":
+            if config.kind == "bic":
                 out[where] = [bic_local_log_score(table.sum(axis=0)) for table in tables]
             else:
-                by_shape.setdefault(tables.shape[2:], []).append((where, tables))
+                by_shape.setdefault(tables.shape[2:], []).append(
+                    (where, tables.sum(axis=1) if config.kind == "bdeu" else tables))
+    if config.kind == "bdeu":
+        for shape, parts in by_shape.items():
+            out[[position for part, _ in parts for position in part]] = bd_local_log_scores(
+                np.concatenate([pooled for _, pooled in parts]), _uniform_alpha(shape, config.iss))
+        return out.tolist()
     from . import hier  # deferred: hier shares this module's kernel
     for shape, parts in by_shape.items():
         where = [position for part, _ in parts for position in part]

@@ -4,6 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import is_integer
 from .graph import Dag
 from .scores import LocalScoreCache, fold_total, local_log_scores
 
@@ -18,8 +19,12 @@ class SearchConfig:
     max_iterations: int = 1000
 
     def __post_init__(self):
+        if not is_integer(self.max_iterations):
+            raise ValueError(f"max_iterations must be an integer, got {self.max_iterations!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
+        if self.max_parents is not None and not is_integer(self.max_parents):
+            raise ValueError(f"max_parents must be an integer, got {self.max_parents!r}")
         if self.max_parents is not None and self.max_parents < 0:
             raise ValueError("max_parents cannot be negative")
 
@@ -31,25 +36,43 @@ class SearchResult:
     trace: tuple  # total score after the start state and each applied move
 
 
-def _legal_masks(dag, max_parents):
-    """N x N bool masks of the legal add, delete and reverse moves; entry
-    [u, v] is the move on the arc u->v. Only acyclicity-preserving (and
-    parent-limit-respecting) moves are legal."""
-    n = dag.node_count
-    width = (n + 7) // 8
-    packed = b"".join(bits.to_bytes(width, "little") for bits in dag.descendants())
-    # below[v, w]: w is a proper descendant of v
-    below = np.unpackbits(np.frombuffer(packed, np.uint8).reshape(n, width), axis=1,
-                          count=n, bitorder="little").astype(bool)
-    arcs = np.zeros((n, n), dtype=bool)
-    if dag.arcs:
-        arcs[tuple(zip(*dag.arcs))] = True
-    room = np.full(n, True) if max_parents is None else arcs.sum(axis=0) < max_parents
+def _joins(a, b):
+    """Boolean matrix product: [u, w] is whether a[u, v] and b[v, w] for some
+    v. Counted in float32, which is exact for fewer than 2**24 nodes."""
+    return (a.astype(np.float32) @ b.astype(np.float32)) > 0
+
+
+def _reachability(arcs):
+    """N x N bool matrix of a DAG's N x N arc matrix: entry [v, w] is whether
+    w is a proper descendant of v. Squares the path relation until it stops
+    growing, so paths of every length up to N - 1 are in."""
+    below = arcs.copy()
+    while True:
+        grown = below | _joins(below, below)
+        if (grown == below).all():
+            return below
+        below = grown
+
+
+def _legal_masks(arcs, below, max_parents):
+    """N x N bool masks of the legal add, delete and reverse moves of the DAG
+    with arc matrix ``arcs`` and reachability ``below`` (see _reachability);
+    entry [u, v] is the move on the arc u->v, and the delete mask is
+    ``arcs`` itself. Only acyclicity-preserving (and parent-limit-respecting)
+    moves are legal."""
+    room = np.full(len(arcs), True) if max_parents is None else arcs.sum(axis=0) < max_parents
     add = ~arcs & ~below.T & room
     np.fill_diagonal(add, False)
     # reversing u->v cycles iff another child of u reaches v
-    reverse = arcs & ~(arcs @ below) & room[:, None]
+    reverse = arcs & ~_joins(arcs, below) & room[:, None]
     return add, arcs, reverse
+
+
+def _arc_matrix(dag):
+    arcs = np.zeros((dag.node_count, dag.node_count), dtype=bool)
+    if dag.arcs:
+        arcs[tuple(zip(*dag.arcs))] = True
+    return arcs
 
 
 def neighbourhood(dag, max_parents=None):
@@ -59,7 +82,9 @@ def neighbourhood(dag, max_parents=None):
     off each kind's mask, the list is sorted lexicographically, which fixes
     tie-breaking downstream.
     """
-    return [(kind, u, v) for kind, mask in zip(MOVE_KINDS, _legal_masks(dag, max_parents))
+    arcs = _arc_matrix(dag)
+    masks = _legal_masks(arcs, _reachability(arcs), max_parents)
+    return [(kind, u, v) for kind, mask in zip(MOVE_KINDS, masks)
             for u, v in np.argwhere(mask).tolist()]
 
 
@@ -74,10 +99,33 @@ def apply_move(dag, move):
     raise ValueError(f"unknown move kind {kind!r}")
 
 
+def _apply_to_matrices(arcs, below, parents, move):
+    """Apply a legal move in place to the arc matrix, the reachability
+    matrix and the sorted parent tuples of a DAG. An added u->v makes v and
+    its descendants descendants of u and of u's ancestors; a deletion or a
+    reversal recomputes reachability from the arcs."""
+    kind, u, v = move
+    if kind == "add":
+        arcs[u, v] = True
+        gained = below[v].copy()
+        gained[v] = True
+        below[below[:, u]] |= gained
+        below[u] |= gained
+    else:
+        arcs[u, v] = False
+        if kind == "reverse":
+            arcs[v, u] = True
+        below[:] = _reachability(arcs)
+    for w in (u, v):
+        parents[w] = tuple(np.flatnonzero(arcs[:, w]).tolist())
+
+
 def run_hill_climb(data, score_config, search_config=None, start=None, cache=None):
     """Greedy ascent applying the best strictly improving single-arc move.
 
-    Each node's locals with one parent added or dropped are kept in N x N
+    The graph is kept as arc and reachability matrices and sorted parent
+    tuples, updated in place by each applied move; the one ``Dag`` built is
+    the result. Each node's locals with one parent added or dropped are kept in N x N
     tables, rescored only when that node's parents change, in one batched
     call per node. Each step lays out, for every legal move, the locals the
     move leaves as one column of an N x M array and folds all columns at
@@ -89,27 +137,29 @@ def run_hill_climb(data, score_config, search_config=None, start=None, cache=Non
     """
     cfg = search_config or SearchConfig()
     n = data.n_variables
-    dag = start if start is not None else Dag(n)
-    if dag.node_count != n:
+    start = start if start is not None else Dag(n)
+    if start.node_count != n:
         raise ValueError("start graph size does not match the dataset")
     if cache is None:
         cache = LocalScoreCache()
+    arcs = _arc_matrix(start)
+    below = _reachability(arcs)
+    parents = [start.parents(i) for i in range(n)]
 
-    locals_ = local_log_scores(data, [(i, dag.parents(i)) for i in range(n)], score_config,
-                               cache)
+    locals_ = local_log_scores(data, list(enumerate(parents)), score_config, cache)
     total = fold_total(locals_)
     trace = [total]
     # grown[u, v]: local of v with parent u added; shrunk[u, v]: with u dropped
     grown, shrunk = np.full((n, n), np.nan), np.full((n, n), np.nan)
 
     for _ in range(cfg.max_iterations):
-        masks = add, arcs, reverse = _legal_masks(dag, cfg.max_parents)
+        masks = add, delete, reverse = _legal_masks(arcs, below, cfg.max_parents)
         # refill every entry a legal move needs, all columns in one batched call
         grow_v, grow_u = np.nonzero(((add | reverse.T) & np.isnan(grown)).T)
-        shrink_v, shrink_u = np.nonzero((arcs & np.isnan(shrunk)).T)
-        families = ([(v, dag.parents(v) + (u,))
+        shrink_v, shrink_u = np.nonzero((delete & np.isnan(shrunk)).T)
+        families = ([(v, parents[v] + (u,))
                      for v, u in zip(grow_v.tolist(), grow_u.tolist())]
-                    + [(v, tuple(p for p in dag.parents(v) if p != u))
+                    + [(v, tuple(p for p in parents[v] if p != u))
                        for v, u in zip(shrink_v.tolist(), shrink_u.tolist())])
         if families:
             values = local_log_scores(data, families, score_config, cache)
@@ -122,7 +172,8 @@ def run_hill_climb(data, score_config, search_config=None, start=None, cache=Non
         # column k: the locals that move k leaves, folded as a cold rescore folds them
         cols = np.empty((n, len(kind)))
         cols[:] = np.array(locals_)[:, None]
-        cols[v, np.arange(len(kind))] = np.concatenate([grown[add], shrunk[arcs], shrunk[reverse]])
+        cols[v, np.arange(len(kind))] = np.concatenate([grown[add], shrunk[delete],
+                                                        shrunk[reverse]])
         cols[u[rev], np.flatnonzero(rev)] = grown.T[reverse]
         with np.errstate(over="ignore", invalid="ignore"):  # silent, as float addition is
             totals = fold_total(cols)
@@ -131,11 +182,11 @@ def run_hill_climb(data, score_config, search_config=None, start=None, cache=Non
             break
         best = better[np.argmax(totals[better])]  # the first of the maximal totals
         move = (MOVE_KINDS[kind[best]], int(u[best]), int(v[best]))
-        dag = apply_move(dag, move)
+        _apply_to_matrices(arcs, below, parents, move)
         locals_ = cols[:, best].tolist()
         total = float(totals[best])
         trace.append(total)
         changed = [u[best], v[best]] if rev[best] else [v[best]]  # nodes whose parents changed
         grown[:, changed] = shrunk[:, changed] = np.nan
 
-    return SearchResult(dag, total, tuple(trace))
+    return SearchResult(Dag(n, frozenset(zip(*np.nonzero(arcs)))), total, tuple(trace))

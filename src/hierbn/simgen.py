@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import GroupedDataset, VariableMeta
+from .data import GroupedDataset, VariableMeta, is_integer
 from .graph import Dag
 
 REGIMES = ("hier", "iid", "id")
@@ -37,11 +37,6 @@ def derive_rng(root_seed, *path):
     can be regenerated in isolation without replaying the ones before it.
     """
     return np.random.default_rng(np.random.SeedSequence(int(root_seed), spawn_key=tuple(path)))
-
-
-def is_integer(value):
-    """True for a Python or numpy integer; bools and floats are not counts."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 _INTEGER_FIELDS = ("n_nodes", "card", "n_groups", "rows_per_group", "n_perturbed",

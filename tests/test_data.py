@@ -334,7 +334,7 @@ class TestFamilyCountTables:
         def no_counting(*args):
             raise AssertionError("counted before every family was checked")
 
-        monkeypatch.setattr(data_mod, "_count_batch", no_counting)
+        monkeypatch.setattr(data_mod, "_count_joint", no_counting)
         with pytest.raises(DataError, match=f"'v62' given 62 parents needs {2 ** 63} cells, "
                                             f"more than {data_mod.MAX_COUNT_CELLS}"):
             family_count_tables(data, 62, [(0,), (1, 2), tuple(range(62)), (3,)])
@@ -343,16 +343,17 @@ class TestFamilyCountTables:
     def test_batches_stay_under_the_cell_cap(self, monkeypatch, cap):
         data = mixed_dataset(5, group_sizes=(40, 0, 25))
         monkeypatch.setattr(data_mod, "MAX_COUNT_CELLS", cap)
-        count_batch, cards = data_mod._count_batch, data.cardinalities()
+        count_joint, cards = data_mod._count_joint, data.cardinalities()
         sizes = []
 
-        def spy(data, child, sets, positions, n_configs):
+        def spy(data, child, sets, *layout):
             # one group's row codes, and the batch's tables
             rows = max(block.shape[0] for block in data.group_rows)
-            sizes.append((len(sets) * rows, len(sets) * data.n_groups * n_configs * cards[child]))
-            return count_batch(data, child, sets, positions, n_configs)
+            n_configs = sum(int(np.prod([cards[p] for p in s])) for s in sets)
+            sizes.append((len(sets) * rows, data.n_groups * n_configs * cards[child]))
+            return count_joint(data, child, sets, *layout)
 
-        monkeypatch.setattr(data_mod, "_count_batch", spy)
+        monkeypatch.setattr(data_mod, "_count_joint", spy)
         sets = [s for s in MIXED_SETS if 3 * int(np.prod([cards[p] for p in s])) * 4 <= cap]
         for position, table in enumerate(count_tables(data, 2, sets)):
             np.testing.assert_array_equal(table, family_counts_oracle(data, 2, sets[position]))
@@ -456,19 +457,173 @@ class TestLoadedMemoryGuard:
         cap = 60
         assert block_rows * 2 <= cap < max(len(b) for b in rows.group_rows)
         monkeypatch.setattr(data_mod, "MAX_COUNT_CELLS", cap)
-        count_batch, cards = data_mod._count_batch, data.cardinalities()
+        count_joint, cards = data_mod._count_joint, data.cardinalities()
         batches = []
 
-        def spy(data, child, sets, positions, n_configs):
+        def spy(data, child, sets, *layout):
             # one group's row codes and weights, and the batch's tables
-            batches.append((len(sets) * block_rows,
-                            len(sets) * data.n_groups * n_configs * cards[child]))
-            return count_batch(data, child, sets, positions, n_configs)
+            n_configs = sum(int(np.prod([cards[p] for p in s])) for s in sets)
+            batches.append((len(sets) * block_rows, data.n_groups * n_configs * cards[child]))
+            return count_joint(data, child, sets, *layout)
 
-        monkeypatch.setattr(data_mod, "_count_batch", spy)
+        monkeypatch.setattr(data_mod, "_count_joint", spy)
         sets = [(1,), (2,), (1, 2), (2, 1), (), (1,)]
         for parents, table in zip(sets, count_tables(data, 0, sets)):
             np.testing.assert_array_equal(table, family_counts_oracle(rows, 0, parents))
         assert all(max(sizes) <= cap for sizes in batches)
         # sized from the expanded rows, every batch would hold one set
         assert max(codes for codes, _ in batches) > block_rows
+
+
+# child 0 and a base of variables 2 and 5: variable 1 (3 levels) joins it
+# before both, 3 (2 levels) and 4 (3 levels) between them, 6 (3 levels) after
+WIDE_CARDS = (2, 3, 4, 2, 3, 2, 3)
+
+
+def grown_sets(base, extras):
+    """``base`` plus each of ``extras``, sorted, as the climb asks for them."""
+    return [tuple(sorted(base + (u,))) for u in extras]
+
+
+class TestJointCounting:
+    """Sets that add one parent each to a shared base are counted from the
+    base's row codes; every table must equal the row-by-row tally."""
+
+    def assert_oracle(self, data, child, sets):
+        for parents, table in zip(sets, count_tables(data, child, sets)):
+            assert table.dtype == np.int64
+            np.testing.assert_array_equal(table, family_counts_oracle(data, child, parents))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_extras_before_between_and_after_the_base(self, seed):
+        data = mixed_dataset(seed, group_sizes=(30, 17), cards=WIDE_CARDS)
+        sets = grown_sets((2, 5), [1, 3, 4, 6])
+        assert sets == [(1, 2, 5), (2, 3, 5), (2, 4, 5), (2, 5, 6)]
+        self.assert_oracle(data, 0, sets)
+
+    def test_extras_of_different_cardinalities_in_one_call(self):
+        data = mixed_dataset(3, group_sizes=(25, 40), cards=WIDE_CARDS)
+        # 2-, 3- and 4-level extras: three configuration counts
+        sets = grown_sets((1,), [2, 3, 4, 5, 6])
+        assert len({int(np.prod([WIDE_CARDS[p] for p in s])) for s in sets}) == 3
+        self.assert_oracle(data, 0, sets)
+
+    def test_empty_base_a_start_column(self):
+        data = mixed_dataset(4, cards=WIDE_CARDS)
+        self.assert_oracle(data, 3, [(u,) for u in range(7) if u != 3])
+
+    def test_base_in_any_one_order(self, monkeypatch):
+        data = mixed_dataset(5, cards=WIDE_CARDS)
+        count_joint = data_mod._count_joint
+        batches = []
+
+        def spy(data, child, sets, n_configs, base, *members):
+            batches.append((len(sets), base))
+            return count_joint(data, child, sets, n_configs, base, *members)
+
+        monkeypatch.setattr(data_mod, "_count_joint", spy)
+        # unsorted sets whose shared parents keep one order share the base,
+        # in one batch per number of extra levels
+        self.assert_oracle(data, 0, [(5, 2, 1), (5, 3, 2), (4, 5, 2), (5, 2, 6)])
+        assert sorted(batches) == [(1, (5, 2)), (3, (5, 2))]
+        # with the shared parents in two orders, every set is counted whole
+        batches.clear()
+        self.assert_oracle(data, 0, [(5, 2, 1), (5, 3, 2), (4, 5, 2), (2, 5, 6)])
+        assert sorted(batches) == [(1, None), (3, None)]
+
+    def test_empty_groups(self):
+        data = mixed_dataset(6, group_sizes=(0, 33, 0), cards=WIDE_CARDS)
+        self.assert_oracle(data, 0, grown_sets((2, 5), [1, 3, 4, 6]))
+        every_group_empty = mixed_dataset(6, group_sizes=(0, 0), cards=WIDE_CARDS)
+        for table in count_tables(every_group_empty, 0, grown_sets((2,), [1, 3, 5])):
+            assert table.shape[0] == 2 and not table.any()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_weighted_blocks_of_a_loaded_file(self, tmp_path, seed):
+        path = repetitive_csv(tmp_path, n_rows=200, seed=seed)
+        data, rows = load_csv(path, "g"), load_csv_oracle(path, "g")
+        assert any(weights is not None for _, weights in data.blocks)
+        for child in range(3):
+            others = [p for p in range(3) if p != child]
+            for base in ((), (others[0],)):
+                sets = grown_sets(base, [u for u in others if u not in base])
+                sets += [(), tuple(others)]
+                for parents, table in zip(sets, count_tables(data, child, sets)):
+                    np.testing.assert_array_equal(table,
+                                                  family_counts_oracle(rows, child, parents))
+
+    def test_shared_base_among_unrelated_and_repeated_sets(self):
+        data = mixed_dataset(7, group_sizes=(40, 0, 25), cards=WIDE_CARDS)
+        grown = grown_sets((2, 5), [1, 3, 4, 6])
+        sets = [(), (3,), grown[0], (6, 1), grown[1], (4, 3, 1), grown[2], grown[0],
+                (1, 3), grown[3], (2, 5), (5, 2), (3,)]
+        self.assert_oracle(data, 0, sets)
+
+    @pytest.mark.parametrize("cap", [60, 120])
+    def test_cap_splits_a_shared_base_batch(self, monkeypatch, cap):
+        data = mixed_dataset(8, group_sizes=(40, 0, 25), cards=WIDE_CARDS)
+        monkeypatch.setattr(data_mod, "MAX_COUNT_CELLS", cap)
+        count_joint = data_mod._count_joint
+        batches = []
+
+        def spy(data, child, sets, *plans):
+            batches.append(sets)
+            return count_joint(data, child, sets, *plans)
+
+        monkeypatch.setattr(data_mod, "_count_joint", spy)
+        # child 1 (3 levels) on a base of variable 6 (3 levels) plus each
+        # 2-level variable, one of them twice: 54 cells a table
+        sets = grown_sets((6,), [0, 3, 5, 3])
+        self.assert_oracle(data, 1, sets)
+        assert sorted(map(len, batches)) == ([1, 1, 1, 1] if cap == 60 else [2, 2])
+
+
+class TestIndexChecks:
+    """Every child and parent index is a Python or numpy integer (not a
+    bool) in range, and no set repeats one; anything else is refused with a
+    ValueError naming it, before anything is counted."""
+
+    @pytest.fixture
+    def no_counting(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("counted before every index was checked")
+
+        monkeypatch.setattr(data_mod, "_count_joint", refuse, raising=False)
+
+    @pytest.mark.parametrize("child, sets, named", [
+        (0, [(1, 1)], "repeats variable index 1"),
+        (0, [(2,), (1, 3), (3, 1, 3)], "repeats variable index 3"),
+        (0, [(2, 3), (2, 4), (2, 2)], "repeats variable index 2"),
+        (0, [(1, 1, 2), (1, 1, 3)], "repeats variable index 1"),  # in a shared base
+        (0, [(-1,)], "index -1 "),
+        (-1, [(1,)], "index -1 "),
+        (0, [(True,)], "index True "),
+        (True, [(2,)], "index True "),
+        (0, [(5,)], "index 5 "),
+        (5, [()], "index 5 "),
+        (0, [(1,), (2.0,)], r"index 2\.0 "),
+        (0, [(np.int64(1), np.bool_(True))], r"index (np\.)?True_? "),
+    ])
+    def test_refused_before_counting(self, no_counting, child, sets, named):
+        data = mixed_dataset(0)
+        with pytest.raises(ValueError, match=named):
+            family_count_tables(data, child, sets)
+
+    def test_numpy_integers_count_as_their_values(self):
+        data = mixed_dataset(1)
+        sets = [(np.int64(0), np.int32(3)), (np.uint8(4),)]
+        for parents, table in zip(sets, count_tables(data, np.int64(2), sets)):
+            np.testing.assert_array_equal(table, family_counts_oracle(data, 2, tuple(
+                map(int, parents))))
+
+    def test_scores_refuse_what_counting_refuses(self):
+        from hierbn.scores import ScoreConfig, local_log_score
+        from hierbn.simgen import GenConfig, generate
+
+        _, data = generate(GenConfig(n_nodes=5, rows_per_group=100, seed=3))
+        config = ScoreConfig("bdeu")
+        for child, parents in [(0, (1, 1)), (0, (-1,)), (-1, (1,)), (0, (True,)), (0, (7,))]:
+            with pytest.raises(ValueError):
+                local_log_score(data, child, parents, config)
+        # the last variable is named by its index, not by a negative one
+        assert local_log_score(data, 0, (4,), config) != local_log_score(data, 0, (3,), config)

@@ -315,6 +315,16 @@ class TestScoreConfig:
         with pytest.raises(ValueError, match="vb_"):
             ScoreConfig(kind, **settings)
 
+    @pytest.mark.parametrize("kind", ["bdeu", "bhd"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", float("nan")])
+    def test_non_integer_vb_max_iters_rejected(self, kind, value):
+        # a float cap would enter the bhd cache key, and True would allow one step
+        with pytest.raises(ValueError, match="vb_max_iters must be an integer"):
+            ScoreConfig(kind, vb_max_iters=value)
+
+    def test_numpy_integer_vb_max_iters_accepted(self):
+        assert ScoreConfig("bhd", vb_max_iters=np.int64(20)).vb_max_iters == 20
+
     def test_cache_key_includes_vb_settings_only_for_bhd(self):
         a = ScoreConfig("bdeu", vb_tol=1e-6)
         b = ScoreConfig("bdeu", vb_tol=1e-3)

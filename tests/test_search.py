@@ -121,6 +121,58 @@ class TestNeighbourhood:
             assert set(moves) == brute_force_moves(dag, max_parents)
 
 
+class TestClimbMatrices:
+    """The climb keeps its graph as an arc matrix, a reachability matrix and
+    sorted parent tuples, updated move by move; after every move they must
+    describe the same DAG as one built from scratch."""
+
+    @pytest.mark.parametrize("max_parents", [0, 1, None])
+    def test_random_move_sequences(self, max_parents):
+        rng = np.random.default_rng(23 if max_parents is None else max_parents)
+        kinds = {"add": 0, "delete": 0, "reverse": 0}
+        for trial in range(30):
+            n = int(rng.integers(2, 9))
+            start = random_dag_uniform_pairs(n, rng, p=rng.uniform(0.0, 0.6))
+            arcs = search._arc_matrix(start)
+            below = search._reachability(arcs)
+            parents = [start.parents(v) for v in range(n)]
+            dag = start
+            for _ in range(25):
+                masks = search._legal_masks(arcs, below, max_parents)
+                moves = [(kind, u, v) for kind, mask in zip(search.MOVE_KINDS, masks)
+                         for u, v in np.argwhere(mask).tolist()]
+                assert moves == neighbourhood(dag, max_parents)
+                if not moves:
+                    break
+                move = moves[rng.integers(len(moves))]
+                kinds[move[0]] += 1
+                search._apply_to_matrices(arcs, below, parents, move)
+                dag = apply_move(dag, move)
+                graph = nx.DiGraph(sorted(dag.arcs))
+                graph.add_nodes_from(range(n))
+                for v in range(n):
+                    assert set(np.flatnonzero(below[v]).tolist()) == nx.descendants(graph, v)
+                    assert parents[v] == dag.parents(v)
+                assert set(zip(*np.nonzero(arcs))) == dag.arcs
+        # every kind of move the cap allows was exercised: with no parent
+        # allowed, only deletions are legal
+        assert kinds["delete"]
+        assert all(kinds.values()) if max_parents != 0 else kinds["add"] == kinds["reverse"] == 0
+
+    def test_climb_builds_no_dag_per_step(self, tmp_path, monkeypatch):
+        data = deterministic_copy(tmp_path)
+        built = []
+        original = search.Dag
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(search, "Dag", counting)
+        result = run_hill_climb(data, ScoreConfig("bdeu"), start=original(2))
+        assert len(result.trace) == 2 and len(built) == 1
+
+
 class TestHillClimb:
     def test_independent_variables_give_empty_graph(self, tmp_path):
         data = independent_pair(tmp_path)
@@ -183,6 +235,21 @@ class TestHillClimb:
         result = run_hill_climb(data, ScoreConfig("bdeu"),
                                 SearchConfig(max_iterations=1))
         assert len(result.trace) <= 2
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_parents", 0.5), ("max_parents", 1.0), ("max_parents", True),
+        ("max_parents", "2"), ("max_iterations", 2.5), ("max_iterations", True),
+        ("max_iterations", float("inf"))])
+    def test_non_integer_caps_rejected(self, field, value):
+        # a fractional cap would be compared as a number (0.5 allows one
+        # parent) and True would act as 1, so neither may pass for a count
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SearchConfig(**{field: value})
+
+    def test_numpy_integer_caps_accepted(self, tmp_path):
+        config = SearchConfig(max_parents=np.int64(0), max_iterations=np.int32(3))
+        result = run_hill_climb(deterministic_copy(tmp_path), ScoreConfig("bdeu"), config)
+        assert result.dag.arcs == frozenset()
 
     def test_trace_starts_at_empty_graph_score(self, tmp_path):
         data = deterministic_copy(tmp_path)
