@@ -282,61 +282,62 @@ def is_integer(value):
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _check_indices(child, sets, n_variables):
-    """Raise a ValueError naming the first index that is not a Python or
-    numpy integer (bools are not) in [0, n_variables), or that repeats
-    within its set or is the child."""
-    for index in itertools.chain((child,), *sets):
-        if not is_integer(index) or not 0 <= index < n_variables:
-            raise ValueError(f"variable index {index!r} is not an integer in "
-                             f"[0, {n_variables})")
-    for parents in sets:
-        if len(set(parents)) < len(parents):
-            repeated = next(p for i, p in enumerate(parents) if p in parents[:i])
-            raise ValueError(f"parent set {parents} repeats variable index {repeated}")
+def check_indices(families, n_variables):
+    """Raise a ValueError naming the first index of the (child, parents)
+    families that is not a Python or numpy integer (bools are not) in
+    [0, n_variables), or that repeats within its family."""
+    members = [(child, *parents) for child, parents in families]
+    flat = list(itertools.chain.from_iterable(members))
+    # plain ints in range, none repeated within its family: the common case
+    # in bulk, in about 0.6 of the time the loop below takes on a climb's
+    # families
+    if (set(map(type, flat)) <= {int} and (not flat or 0 <= min(flat) and max(flat) < n_variables)
+            and sum(map(len, map(set, members))) == len(flat)):
+        return
+    for child, *parents in members:
+        for index in (child, *parents):
+            if not is_integer(index) or not 0 <= index < n_variables:
+                raise ValueError(f"variable index {index!r} is not an integer in "
+                                 f"[0, {n_variables})")
         if child in parents:
             raise ValueError("child cannot be its own parent")
+        if len(set(parents)) < len(parents):
+            repeated = next(p for i, p in enumerate(parents) if p in parents[:i])
+            raise ValueError(f"parent set {tuple(parents)} repeats variable index {repeated}")
 
 
-def _count_groups(child, sets, cards):
+def _count_groups(sets, cards):
     """The sets in groups that are counted together, each (configurations
     J, base, levels C of the extra parents, members), a member being
     (configurations of the parents before its extra, position, extra
-    parent), sorted. Sets of one length that each hold a shared base, in
-    one order, plus one parent outside it form a group for each C; the
-    other sets form a group for each J, with no base (None): each is
-    counted whole, as its own base with no extra parent (C = 1). Raises for
-    an index repeated within a set."""
-    groups, whole, distinct = [], {}, []  # distinct: what must not repeat an index
-    by_length = {}
+    parent), sorted. Every set is a base plus one extra parent. Sets of one
+    length that each hold a shared base, in one order, plus one parent
+    outside it share that base; any other set's base is all its parents but
+    the last, and a set with no parents is its empty base with no extra
+    (None, C = 1). Sets with one base and one C form a group."""
+    by_length, groups = {}, {}
     for position, parents in enumerate(sets):
         by_length.setdefault(len(parents), []).append(position)
     for positions in by_length.values():
         members = [sets[i] for i in positions]
-        if len(members) > 1:
-            common = set(members[0]).intersection(*members[1:])
-            base = tuple(p for p in members[0] if p in common)
-            extras = [p for parents in members for p in parents if p not in common]
-            if (len(extras) == len(members)
-                    and [p for parents in members for p in parents if p in common]
-                    == list(base) * len(members)):
-                distinct.append(base)
-                heads = list(itertools.accumulate(map(cards.__getitem__, base), operator.mul,
-                                                  initial=1))
-                by_card = {}
-                for position, parents, extra in zip(positions, members, extras):
-                    by_card.setdefault(cards[extra], []).append(
-                        (heads[parents.index(extra)], position, extra))
-                groups += [(heads[-1] * card, base, card, sorted(rows))
-                           for card, rows in by_card.items()]
-                continue
-        distinct += members
-        for position, parents in zip(positions, members):
-            whole.setdefault(math.prod(map(cards.__getitem__, parents)), []).append(
-                (1, position, child))
-    if sum(map(len, map(set, distinct))) < sum(map(len, distinct)):
-        _check_indices(child, sets, len(cards))
-    return groups + [(n_configs, None, 1, rows) for n_configs, rows in whole.items()]
+        common = set(members[0]).intersection(*members[1:])
+        base = tuple(p for p in members[0] if p in common)
+        extras = [p for parents in members for p in parents if p not in common]
+        if (len(extras) == len(members)
+                and [p for parents in members for p in parents if p in common]
+                == list(base) * len(members)):
+            heads = list(itertools.accumulate(map(cards.__getitem__, base), operator.mul,
+                                              initial=1))
+            split = [(base, heads[parents.index(extra)], extra)
+                     for parents, extra in zip(members, extras)]
+        else:
+            split = [(parents[:-1], math.prod(map(cards.__getitem__, parents[:-1])),
+                      parents[-1] if parents else None) for parents in members]
+        for position, (base, head, extra) in zip(positions, split):
+            card = 1 if extra is None else cards[extra]
+            groups.setdefault((base, card), []).append((head, position, extra))
+    return [(math.prod(map(cards.__getitem__, base)) * card, base, card, sorted(members))
+            for (base, card), members in groups.items()]
 
 
 def family_count_tables(data, child, parent_sets):
@@ -346,27 +347,27 @@ def family_count_tables(data, child, parent_sets):
     fixes its row-major configuration indexing). Before anything is
     allocated, every index is checked (a Python or numpy integer, not a
     bool, in range, not repeated within a set, and not the child: a
-    ValueError names it) and so is every set's cell count. Sets of one
-    length that each add one parent to a shared base (its parents in one
-    order) are counted together from the base's row codes and each extra
-    parent's levels; any other set is counted from its own row codes, with
-    the other such sets of its number of parent configurations. No batch
-    holds an array of more than ``MAX_COUNT_CELLS`` elements (unless the row
-    codes of one set in one group's block alone need more).
+    ValueError names it) and so is every set's cell count. Each set is
+    counted as a base plus one extra parent, from the base's row codes and
+    the extra parent's levels; sets of one length that each add one parent
+    to a shared base (its parents in one order) are counted together. No
+    batch holds an array of more than ``MAX_COUNT_CELLS`` elements (unless
+    the row codes of one set in one group's block alone need more).
 
     Returns ``(positions, tables)`` pairs covering every set once:
     ``tables[i]`` is the (F, J, K) count table of ``parent_sets[positions[i]]``.
     """
     sets = [tuple(parents) for parents in parent_sets]
+    check_indices(zip(itertools.repeat(child), sets), data.n_variables)
+    return _count_tables(data, child, sets)
+
+
+def _count_tables(data, child, sets):
+    # family_count_tables once every index is checked; local_log_scores,
+    # which checks every family before its cache lookup, counts through here
     cards = data.cardinalities()
-    flat = list(itertools.chain.from_iterable(sets))
-    # the common case in bulk; the index by index check names an offender
-    if not (type(child) is int and set(map(type, flat)) <= {int} and 0 <= child < len(cards)
-            and (not flat or (min(flat) >= 0 and max(flat) < len(cards)))
-            and child not in flat):
-        _check_indices(child, sets, len(cards))
     child_card, n_groups = cards[child], data.n_groups
-    groups = _count_groups(child, sets, cards)
+    groups = _count_groups(sets, cards)
     oversize = [min(position for _, position, _ in members)
                 for n_configs, _, _, members in groups
                 if n_groups * n_configs * child_card > MAX_COUNT_CELLS]
@@ -390,53 +391,37 @@ def family_count_tables(data, child, parent_sets):
 
 
 def _count_joint(data, child, sets, n_configs, base, card, members):
-    # With a base, each set (a member: configurations before its extra,
-    # position, extra parent; sorted) counts a row in cell offset + code *
-    # C + extra level of its table, where the code runs row-major over the
-    # base and then the child and is computed once per group block for all
-    # the sets. Without one, each set's own row code (the child's stride 1)
-    # goes in its cell. One bincount per block counts every set, weighing
-    # each block row by its multiplicity: float sums of integers below 2**53
-    # are exact, and they are stored back as int64. A table so counted has
-    # axes (configurations of the parents before the extra, of those after
-    # it, child, extra); each run of sets with one extra position moves the
-    # extra axis into place in one transpose.
+    # Each set (a member: configurations before its extra, position, extra
+    # parent; sorted) counts a row in cell offset + code * C + extra level
+    # of its table, where the code runs row-major over the base and then the
+    # child and is computed once per group block for all the sets. One
+    # bincount per block counts every set, weighing each block row by its
+    # multiplicity: float sums of integers below 2**53 are exact, and they
+    # are stored back as int64. A table so counted has axes (configurations
+    # of the parents before the extra, of those after it, child, extra);
+    # each run of sets with one extra position moves the extra axis into
+    # place in one transpose.
     cards = data.cardinalities()
     child_card, n_groups = cards[child], data.n_groups
     table_cells = n_configs * child_card
     offsets = np.arange(len(sets), dtype=np.int64)[:, None] * table_cells
-    # column and stride of each base position: one base takes its columns
-    # one by one, sets counted whole an array of a column per set at each
-    # position, padded with stride-0 terms
-    terms = []
-    for parents in ([base] if base is not None else sets):
-        stride, tail = card * child_card, []
-        for p in reversed(parents):
-            tail.insert(0, (p, stride))
-            stride *= cards[p]
-        terms.append(tail)
-    if base is not None:
-        columns, strides = zip(*terms[0]) if base else ((), ())
-        extra_cols = [extra for _, _, extra in members]
-    else:
-        width = max(map(len, sets))
-        terms = np.array([[(child, 0)] * (width - len(tail)) + tail for tail in terms],
-                         dtype=np.intp).reshape(len(sets), width, 2)
-        columns, strides = terms[:, :, 0].T.copy(), terms[:, :, 1].T[:, :, None].astype(np.int64)
+    terms, stride = [], card * child_card
+    for p in reversed(base):
+        terms.append((p, stride))
+        stride *= cards[p]
+    extra_cols = [extra for _, _, extra in members]
     counted = np.empty((n_groups, len(sets) * table_cells), dtype=np.int64)
     for f, (block, weights) in enumerate(data.blocks):
-        if base is None:
-            codes = offsets + block[:, child]
-        else:
-            codes = card * block[:, child]
-        for cols, stride in zip(columns, strides):
-            # block[:, cols] comes out column-major, so its transpose is contiguous
-            codes += block[:, cols].T * stride
-        if base is not None:
-            shared = codes
+        shared = card * block[:, child]
+        for column, stride in terms:
+            shared += block[:, column] * stride
+        if card > 1:
+            # block[:, extra_cols] comes out column-major, so its transpose is contiguous
             codes = block[:, extra_cols].T
-            codes += offsets
-            codes += shared
+        else:  # every extra level is 0
+            codes = np.zeros((len(sets), len(block)), dtype=np.int64)
+        codes += offsets
+        codes += shared
         if weights is not None:
             weights = np.tile(weights, len(sets))
         counted[f] = np.bincount(codes.ravel(), weights, minlength=counted.shape[1])

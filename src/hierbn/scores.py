@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .data import FamilyCounts, family_count_tables, is_integer
+from .data import FamilyCounts, _count_tables, check_indices, is_integer
 
 SCORE_KINDS = ("bdeu", "bic", "bhd")
 
@@ -189,8 +189,7 @@ def _compute_locals(data, families, config):
         by_child.setdefault(child, []).append(position)
     by_shape = {}
     for child, positions in by_child.items():
-        for batch, tables in family_count_tables(data, child,
-                                                 [families[i][1] for i in positions]):
+        for batch, tables in _count_tables(data, child, [families[i][1] for i in positions]):
             where = [positions[i] for i in batch]
             if config.kind == "bic":
                 out[where] = [bic_local_log_score(table.sum(axis=0)) for table in tables]
@@ -222,12 +221,16 @@ def local_log_scores(data, families, config, cache=None):
     """Scores of several families under ``config``, as a list in order;
     each family is a (child, parents) pair, and the children may differ.
 
-    Each family is scored with its parents in sorted order, the order of
-    its cache key, so its score does not depend on the order the parents
-    are given in. With a ``cache``, each family is looked up in turn (so
+    Every index is checked first (``data.check_indices``), before any cache
+    lookup. Each family is scored with its parents in sorted order, the
+    order of its cache key, so its score does not depend on the order the
+    parents are given in. With a ``cache``, each family is looked up in turn (so
     hits and misses count as if the families were scored one by one) and
     only the distinct missing families are counted and scored, in one batch.
     """
+    families = [(child, tuple(parents)) for child, parents in families]
+    # before the keys: a bool or float index would find its integer's entry
+    check_indices(families, data.n_variables)
     families = [(child, tuple(sorted(parents))) for child, parents in families]
     if cache is None:
         return _compute_locals(data, families, config)

@@ -526,10 +526,11 @@ class TestJointCounting:
         # in one batch per number of extra levels
         self.assert_oracle(data, 0, [(5, 2, 1), (5, 3, 2), (4, 5, 2), (5, 2, 6)])
         assert sorted(batches) == [(1, (5, 2)), (3, (5, 2))]
-        # with the shared parents in two orders, every set is counted whole
+        # with the shared parents in two orders, each set's base is all its
+        # parents but the last
         batches.clear()
         self.assert_oracle(data, 0, [(5, 2, 1), (5, 3, 2), (4, 5, 2), (2, 5, 6)])
-        assert sorted(batches) == [(1, None), (3, None)]
+        assert sorted(batches) == [(1, (2, 5)), (1, (4, 5)), (1, (5, 2)), (1, (5, 3))]
 
     def test_empty_groups(self):
         data = mixed_dataset(6, group_sizes=(0, 33, 0), cards=WIDE_CARDS)
@@ -627,3 +628,18 @@ class TestIndexChecks:
                 local_log_score(data, child, parents, config)
         # the last variable is named by its index, not by a negative one
         assert local_log_score(data, 0, (4,), config) != local_log_score(data, 0, (3,), config)
+
+    def test_cached_scores_refuse_what_counting_refuses(self):
+        from hierbn.scores import LocalScoreCache, ScoreConfig, local_log_score
+        from hierbn.simgen import GenConfig, generate
+
+        _, data = generate(GenConfig(n_nodes=5, rows_per_group=100, seed=3))
+        config, cache = ScoreConfig("bdeu"), LocalScoreCache()
+        local_log_score(data, 0, (1,), config, cache)
+        local_log_score(data, 1, (0,), config, cache)
+        # each of these equals and hashes as a cached key's integer
+        for index in (True, np.bool_(True), 1.0, np.float64(1.0)):
+            for child, parents in [(0, (index,)), (index, (0,))]:
+                with pytest.raises(ValueError, match="is not an integer"):
+                    local_log_score(data, child, parents, config, cache)
+        assert (cache.hits, cache.misses) == (0, 2)

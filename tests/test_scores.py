@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hierbn import hier
+from hierbn import scores as scores_mod
 from hierbn.data import FamilyCounts, family_counts, load_csv
 from hierbn.graph import Dag
 from hierbn.hier import HierPrior, fit_variational
@@ -474,6 +475,27 @@ class TestBatchedScores:
         families = [(0, (1,)), (3, (4,)), (2, ()), (0, (4,)), (3, (1,))]
         local_log_scores(mixed_dataset(2), families, ScoreConfig("bhd"))
         assert sorted(stacks) == [(1, 3, 1, 4), (4, 3, 3, 2)]
+
+    @pytest.mark.parametrize("iss", [1.0, 7.5])
+    def test_bdeu_scores_equal_shapes_of_every_child_in_one_call(self, monkeypatch, iss):
+        config, stacks = ScoreConfig("bdeu", iss=iss), []
+        kernel = scores_mod.bd_local_log_scores
+
+        def recording(tables, alpha):
+            stacks.append(tables.shape)
+            return kernel(tables, alpha)
+
+        monkeypatch.setattr(scores_mod, "bd_local_log_scores", recording)
+        data = mixed_dataset(2)
+        # v0 and v3 have 2 levels, v1 and v4 have 3: four (3, 2) tables
+        families = [(0, (1,)), (3, (4,)), (2, ()), (0, (4,)), (3, (1,))]
+        got = local_log_scores(data, families, config)
+        assert sorted(stacks) == [(1, 1, 4), (4, 3, 2)]
+        stacks.clear()
+        assert got == [local_log_score(data, child, parents, config)
+                       for child, parents in families]
+        assert len(stacks) == len(families)
+        assert got == [local_oracle(data, child, parents, config) for child, parents in families]
 
     @pytest.mark.parametrize("config", BATCH_CONFIGS[1:], ids=lambda c: f"{c.kind}-{c.iss}")
     def test_warm_score_is_the_cold_sorted_score_in_either_order(self, config):
