@@ -6,7 +6,9 @@ never treated as a candidate variable itself.
 """
 
 import csv
+import functools
 import itertools
+import locale
 import math
 import operator
 import os
@@ -17,8 +19,12 @@ import numpy as np
 
 
 class DataError(ValueError):
-    """Raised when an input dataset violates the complete-data contract."""
+    """Raised when an input file is malformed or a dataset violates the
+    complete-data contract."""
 
+
+# bytes the line pass of load_csv reads at a time
+_BLOCK_BYTES = 1 << 16
 
 # largest array one family_count_tables batch allocates: count table, row codes
 # or row weights (2**26 cells of 8 bytes, 512 MiB)
@@ -170,6 +176,10 @@ def load_csv(path, group_column):
     distinct labels of ``group_column``, also sorted. Passing
     ``group_column=None`` places all rows in a single unnamed group.
 
+    The file is read as bytes in fixed blocks and split into lines where
+    text mode with ``newline=""`` splits it (at ``\\n``, ``\\r\\n`` and a lone
+    ``\\r``); only the distinct lines are decoded, in the platform's default
+    text encoding. An undecodable line or a directory is a DataError.
     Each distinct line is parsed, checked and encoded once, and a group
     whose distinct records are at most half its rows keeps them with the
     number of rows of each, so memory and counting time grow with the
@@ -177,10 +187,7 @@ def load_csv(path, group_column):
     """
     if not os.path.exists(path):
         raise FileNotFoundError(path)
-    line_ids = {}
-    with open(path, newline="") as fh:
-        ids = np.fromiter((line_ids.setdefault(line, len(line_ids)) for line in fh), np.int64)
-    lines = list(line_ids)
+    ids, lines = _line_pass(path)
     texts = {}  # one object per distinct cell text, so later passes touch few strings
 
     def parse(source):
@@ -275,6 +282,46 @@ def load_csv(path, group_column):
     table_row[kept] = np.arange(len(kept))
     return GroupedDataset._from_blocks(variables, group_labels, blocks,
                                        (table, group_codes, table_row[ids]))
+
+
+class _LineIds(dict):
+    """Line -> id, a line not yet seen taking the next id."""
+
+    def __missing__(self, line):
+        self[line] = n = len(self)
+        return n
+
+
+def _line_pass(path):
+    """(id of each line in file order, the distinct lines decoded), ids in
+    order of first appearance, as text mode with ``newline=""`` reads them."""
+    line_ids, ids, tail = _LineIds(), [], b""
+
+    def number(lines):
+        ids.append(np.fromiter(map(line_ids.__getitem__, lines), np.int64, len(lines)))
+
+    try:
+        with open(path, "rb") as fh:
+            for block in iter(functools.partial(fh.read, _BLOCK_BYTES), b""):
+                # a last line without its \n goes on in the next block
+                # (after a \r, the next block may start with its \n)
+                block = (tail + block).splitlines(keepends=True)
+                tail = b"" if block[-1].endswith(b"\n") else block.pop()
+                number(block)
+    except IsADirectoryError as exc:
+        raise DataError(f"{path}: is a directory") from exc
+    number([tail] if tail else [])
+    ids, lines = np.concatenate(ids), list(line_ids)
+    line_ids.clear()
+    encoding = locale.getpreferredencoding(False)
+    # in place, so each line's bytes are freed as its text is made
+    for i, line in enumerate(lines):
+        try:
+            lines[i] = line.decode(encoding)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: line {int(np.argmax(ids == i)) + 1} cannot be decoded "
+                            f"as {encoding}: {exc.reason} at byte {exc.start} of the line") from exc
+    return ids, lines
 
 
 def is_integer(value):

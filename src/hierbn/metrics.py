@@ -6,6 +6,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .data import DataError
 from .graph import arc_confusion, shd
 
 # column order of the results CSV; every field round-trips exactly
@@ -79,12 +80,27 @@ def write_records(path, records, append=False):
 
 
 def read_records(path):
+    """The records of a results file, as a stopped run may leave it: an
+    empty file holds none, and a last line without its line terminator is
+    a partial write and is dropped. A foreign header or a malformed complete
+    row is a DataError naming the file and line."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != CSV_COLUMNS:
-            raise ValueError(f"unexpected results header in {path}")
-        return [RunRecord.from_row(row) for row in reader]
+        lines = fh.readlines()
+    if lines and not lines[-1].endswith("\n"):
+        lines.pop()
+    reader = csv.reader(lines)
+    header = next(reader, None)
+    if header is None:
+        return []
+    if tuple(header) != CSV_COLUMNS:
+        raise DataError(f"{path}: line 1: unexpected results header")
+    records = []
+    for row in reader:
+        try:
+            records.append(RunRecord.from_row(row))
+        except ValueError as exc:
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from exc
+    return records
 
 
 def record_sort_key(record):

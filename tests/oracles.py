@@ -4,7 +4,8 @@ Everything here deliberately avoids the package's own evaluation paths:
 scores are recomputed with arbitrary-precision arithmetic (or, where a
 test pins bits, with the one-table float formula), counts row by row, equivalence
 classes by exhaustive enumeration, distances by breadth-first search
-over single-edge edits, and CSV files are read and written row by row.
+over single-edge edits, and CSV files are read and written row by row
+(and split into lines in text mode).
 The variational fit is kept as first written, with the bound and its
 gradient evaluated apart, to pin the package's fit bit for bit.
 """
@@ -163,6 +164,16 @@ def random_dag_uniform_pairs(n, rng, p=0.4):
             if rng.random() < p:
                 arcs.add((int(order[i]), int(order[j])))
     return Dag(n, frozenset(arcs))
+
+
+def line_pass_oracle(path):
+    """The line pass of hierbn.data.load_csv as first written: text mode,
+    one dict call per line. Returns (id of each line in file order, the
+    distinct lines), ids in order of first appearance."""
+    line_ids = {}
+    with open(path, newline="") as fh:
+        ids = np.fromiter((line_ids.setdefault(line, len(line_ids)) for line in fh), np.int64)
+    return ids, list(line_ids)
 
 
 def load_csv_oracle(path, group_column):

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import locale
 import os
 import subprocess
 import sys
@@ -106,6 +107,17 @@ class TestExitCodes:
         assert main(["bench", "--plan", str(plan), "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("hierbn: data error:")
         assert not out.exists()
+
+    def test_undecodable_csv_is_data_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(locale, "getpreferredencoding", lambda do_setlocale=True: "utf-8")
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"g,a,b\ns1,v0,v1\ns1,v\xff,v0\ns2,v0,v0\n")
+        assert main(["learn", "--data", str(path), "--group", "g"]) == 2
+        assert "line 3 cannot be decoded as utf-8" in capsys.readouterr().err
+
+    def test_directory_as_data_is_data_error(self, tmp_path, capsys):
+        assert main(["learn", "--data", str(tmp_path), "--group", "g"]) == 2
+        assert "is a directory" in capsys.readouterr().err
 
     def test_repeated_column_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "dup.csv"
@@ -370,6 +382,34 @@ class TestBench:
         assert main(["bench", "--plan", plan, "--out", out, "--jobs", "1",
                      "--resume"]) == 0
         assert open(out).read() == first
+
+    def test_resume_over_empty_file_runs_every_replicate(self, tmp_path, capsys):
+        out = tmp_path / "results.csv"
+        out.write_text("")
+        assert main(["bench", "--plan", self.plan(tmp_path), "--out", str(out), "--jobs", "1",
+                     "--resume"]) == 0
+        assert len(read_records(str(out))) == 4
+
+    def test_resume_recomputes_row_cut_off_mid_write(self, tmp_path, capsys):
+        out = str(tmp_path / "results.csv")
+        plan = self.plan(tmp_path)
+        assert main(["bench", "--plan", plan, "--out", out, "--jobs", "1"]) == 0
+        full = read_records(out)
+        with open(out, "rb+") as fh:
+            fh.truncate(len(fh.read()) - 20)
+        assert len(read_records(out)) == 3
+        assert main(["bench", "--plan", plan, "--out", out, "--jobs", "1", "--resume"]) == 0
+        strip = [(r.config_id, r.seed, r.score, r.shd, r.logscore) for r in full]
+        assert [(r.config_id, r.seed, r.score, r.shd, r.logscore)
+                for r in read_records(out)] == strip
+
+    def test_resume_over_foreign_header_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "results.csv"
+        out.write_text("a,b\n1,2\n")
+        assert main(["bench", "--plan", self.plan(tmp_path), "--out", str(out), "--jobs", "1",
+                     "--resume"]) == 2
+        assert "results.csv: line 1: unexpected results header" in capsys.readouterr().err
+        assert out.read_text() == "a,b\n1,2\n"
 
     def test_seed_override(self, tmp_path, capsys):
         out1, out2 = str(tmp_path / "r1.csv"), str(tmp_path / "r2.csv")

@@ -3,6 +3,7 @@
 import csv
 import io
 import itertools
+import locale
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 import hierbn.data as data_mod
 from hierbn.data import (DataError, FamilyCounts, GroupedDataset, VariableMeta,
                          family_count_tables, family_counts, load_csv)
-from oracles import family_counts_oracle, load_csv_oracle
+from oracles import family_counts_oracle, line_pass_oracle, load_csv_oracle
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -176,20 +177,84 @@ class TestLoadCsvMatchesOracle:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_repetitive_csv(self, tmp_path, seed):
-        rng = np.random.default_rng(seed)
-        pool = ["0", "1", "yes", "no", "a b", "x,y", 'say "hi"', "é", "two\nlines", "Z"]
-        n_cols = int(rng.integers(2, 6))
-        # a few distinct rows, each column showing at least two values
-        distinct = rng.choice(pool[:6] if seed % 3 else pool, size=(int(rng.integers(2, 12)), n_cols))
-        distinct[0], distinct[1] = "0", "1"
-        rows = distinct[rng.integers(0, len(distinct), size=int(rng.integers(50, 800)))]
-        groups = rng.choice(["s1", "s2", "s3"], size=len(rows))
-        buf = io.StringIO(newline="")
-        csv.writer(buf, lineterminator=("\n", "\r\n", "\r")[seed % 3]).writerows(
-            [["g"] + [f"v{j}" for j in range(n_cols)]] + [[g, *row] for g, row in zip(groups, rows)])
-        text = buf.getvalue()
-        loaded = assert_matches_oracle(tmp_path, text[:-1] if seed % 4 == 0 else text)
+        loaded = assert_matches_oracle(tmp_path, random_repetitive_text(seed))
         assert not isinstance(loaded[0], type)
+
+
+def random_repetitive_text(seed):
+    """A CSV of 50-800 rows drawn from a few distinct rows in three groups;
+    every fourth seed leaves out the final line end."""
+    rng = np.random.default_rng(seed)
+    pool = ["0", "1", "yes", "no", "a b", "x,y", 'say "hi"', "é", "two\nlines", "Z"]
+    n_cols = int(rng.integers(2, 6))
+    # a few distinct rows, each column showing at least two values
+    distinct = rng.choice(pool[:6] if seed % 3 else pool, size=(int(rng.integers(2, 12)), n_cols))
+    distinct[0], distinct[1] = "0", "1"
+    rows = distinct[rng.integers(0, len(distinct), size=int(rng.integers(50, 800)))]
+    groups = rng.choice(["s1", "s2", "s3"], size=len(rows))
+    buf = io.StringIO(newline="")
+    csv.writer(buf, lineterminator=("\n", "\r\n", "\r")[seed % 3]).writerows(
+        [["g"] + [f"v{j}" for j in range(n_cols)]] + [[g, *row] for g, row in zip(groups, rows)])
+    text = buf.getvalue()
+    return text[:-1] if seed % 4 == 0 else text
+
+
+# labels of two- and three-byte UTF-8 characters, lines ending in \r\n, \n
+# and a lone \r, and no final line end
+NON_ASCII = ("g,a,b\r\n1,é,日本\r\n2,日本,é\r\n1,é,é\n2,日本,日本\r1,é,日本\r\n"
+             "2,x,é\r\n1,é,日本\r\n2,日本,é")
+
+
+class TestLinePass:
+    """The line pass of load_csv against the text-mode pass it replaced
+    (oracles.line_pass_oracle): the same line ids in file order and the same
+    distinct lines, with blocks of 1, 2, 3 and 7 bytes and the default."""
+
+    def assert_matches_text_mode(self, monkeypatch, path):
+        want_ids, want_lines = line_pass_oracle(path)
+        for size in (1, 2, 3, 7, data_mod._BLOCK_BYTES):
+            monkeypatch.setattr(data_mod, "_BLOCK_BYTES", size)
+            ids, lines = data_mod._line_pass(path)
+            assert ids.dtype == np.int64 and ids.tolist() == want_ids.tolist()
+            assert lines == want_lines
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+    def test_case(self, tmp_path, monkeypatch, name):
+        self.assert_matches_text_mode(monkeypatch, write(tmp_path, ORACLE_CASES[name]))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_repetitive_csv(self, tmp_path, monkeypatch, seed):
+        self.assert_matches_text_mode(monkeypatch, write(tmp_path, random_repetitive_text(seed)))
+
+    def test_non_ascii_lines_across_block_edges(self, tmp_path, monkeypatch):
+        raw = NON_ASCII.encode("utf-8")
+        path = tmp_path / "data.csv"
+        path.write_bytes(raw)
+        # with 7-byte blocks, some \r\n and some character are cut in two
+        edges = range(7, len(raw), 7)
+        assert any(raw[e - 1:e + 1] == b"\r\n" for e in edges)
+        assert any(0x80 <= raw[e] < 0xC0 for e in edges)
+        self.assert_matches_text_mode(monkeypatch, str(path))
+        monkeypatch.setattr(data_mod, "_BLOCK_BYTES", 7)
+        loaded = outcome(load_csv, str(path), "g")
+        assert loaded == outcome(load_csv_oracle, str(path), "g")
+        assert loaded[0][0].levels == ("x", "é", "日本") and loaded[1] == ("1", "2")
+
+
+class TestUndecodableCsv:
+    def test_undecodable_byte_is_data_error_naming_first_line(self, tmp_path, monkeypatch):
+        # lines 3 and 4 cannot be decoded and line 5 repeats line 3: the
+        # message names line 3, the first in file order
+        monkeypatch.setattr(locale, "getpreferredencoding", lambda do_setlocale=True: "utf-8")
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"g,a\n1,x\n2,\xffy\n1,\xfe\n2,\xffy\n")
+        with pytest.raises(DataError, match=r"data\.csv: line 3 cannot be decoded as utf-8: "
+                                            r"invalid start byte at byte 2 of the line"):
+            load_csv(str(path), "g")
+
+    def test_directory_is_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="is a directory"):
+            load_csv(str(tmp_path), "g")
 
 
 class TestFamilyCounts:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hierbn.data import DataError
 from hierbn.graph import Dag, to_cpdag
 from hierbn.metrics import (CSV_COLUMNS, PairedDifference, RunRecord, evaluate,
                             paired_difference, read_records, record_sort_key,
@@ -68,7 +69,7 @@ class TestRecordCsv:
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text("nope,columns\n1,2\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match=r"r\.csv: line 1: unexpected results header"):
             read_records(str(path))
 
     def test_row_of_wrong_length_rejected(self, tmp_path):
@@ -76,7 +77,37 @@ class TestRecordCsv:
         for bad in (row + ",1", row.rsplit(",", 1)[0]):
             path = tmp_path / "r.csv"
             path.write_text(",".join(CSV_COLUMNS) + "\n" + bad + "\n")
-            with pytest.raises(ValueError):
+            with pytest.raises(DataError, match=r"r\.csv: line 2: expected 18 cells"):
+                read_records(str(path))
+
+    def test_empty_file_holds_no_records(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("")
+        assert read_records(str(path)) == []
+
+    @pytest.mark.parametrize("cut", [1, 2, 9])
+    def test_partial_last_row_dropped(self, tmp_path, cut):
+        # a row cut off mid-write, before or within its \r\n terminator
+        path = str(tmp_path / "r.csv")
+        records = [record(seed=s) for s in range(3)]
+        write_records(path, records)
+        with open(path, "rb+") as fh:
+            fh.truncate(len(fh.read()) - cut)
+        assert read_records(path) == records[:2]
+
+    def test_partial_header_holds_no_records(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text(",".join(CSV_COLUMNS)[:20])
+        assert read_records(str(path)) == []
+
+    def test_malformed_complete_row_is_data_error_naming_file_and_line(self, tmp_path):
+        row = record().to_row()
+        path = tmp_path / "r.csv"
+        for bad, message in ((row[:6], "expected 18 cells in a result row, got 6"),
+                             (row[:3] + ["five"] + row[4:], "invalid literal for int")):
+            # a complete row between complete rows, not the cut-off last one
+            path.write_text("\n".join(map(",".join, [CSV_COLUMNS, row, bad, row])) + "\n")
+            with pytest.raises(DataError, match=rf"r\.csv: line 3: {message}"):
                 read_records(str(path))
 
     def test_float_fields_preserved_exactly(self, tmp_path):
