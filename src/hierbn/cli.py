@@ -125,9 +125,9 @@ def _cmd_learn(args):
 
 
 def _read_graph(path, data):
-    with open(path) as fh:
-        text = fh.read()
     try:
+        with open(path) as fh:
+            text = fh.read()
         if path.endswith(".dot"):
             dag, names = dag_from_dot(text)
         else:
@@ -246,7 +246,7 @@ def main(argv=None):
     except _UsageError as exc:
         print(f"hierbn: error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, FileNotFoundError) as exc:
+    except (DataError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"hierbn: data error: {exc}", file=sys.stderr)
         return 2
     except SystemExit:

@@ -74,9 +74,6 @@ class Dag:
     def children(self, u):
         return self._children[u]
 
-    def has_arc(self, u, v):
-        return (u, v) in self.arcs
-
     def adjacent(self, u, v):
         return (u, v) in self.arcs or (v, u) in self.arcs
 

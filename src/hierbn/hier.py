@@ -13,17 +13,25 @@ and tau is a concentration. The fitted kappa feeds a closed-form per-group
 marginal-likelihood score.
 """
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import digamma, gammaln, zeta
 
+from .data import is_integer
+from .scores import bd_local_log_scores, fold_total
+
 KAPPA_FLOOR = 1e-12
 _LOG_TAU_MIN = np.log(1e-8)
 _LOG_TAU_MAX = np.log(1e10)
 _LBFGS_PAIRS = 10
 _EPS = np.finfo(float).eps
+# a fit stack holds at most this many count cells (one family at least):
+# stacking saves per-call overhead on small tables, and large ones have none
+# to save
+_STACK_CELLS = 2 ** 16
 
 
 class VariationalConvergenceWarning(RuntimeWarning):
@@ -250,8 +258,12 @@ def fit_variational_stack(per_group, prior, tol=1e-6, max_iters=500):
     family still searching, in one call. A family leaves the lockstep when
     it stops, and gets the same bits as it would fitted alone.
     """
-    if not (tol > 0 and np.isfinite(tol)) or not max_iters >= 1:
-        raise ValueError("tol must be positive and finite, and max_iters at least 1")
+    if not (tol > 0 and np.isfinite(tol)):
+        raise ValueError("tol must be positive and finite")
+    if not is_integer(max_iters):
+        raise ValueError(f"max_iters must be an integer, got {max_iters!r}")
+    if max_iters < 1:
+        raise ValueError("max_iters must be at least 1")
     per_group = np.asarray(per_group)
     if per_group.ndim != 4:
         raise ValueError("expected a (families, groups, configs, levels) stack of count tables")
@@ -370,18 +382,51 @@ def fit_variational(counts, prior, tol=1e-6, max_iters=500):
     return fit_variational_stack(counts.per_group[None], prior, tol, max_iters)[0]
 
 
+def _group_scores(per_group, kappa, s):
+    """bhd locals of a (B, F, J, K) stack under its B fitted centres kappa
+    (B, J, K): every group term in one kernel call, with cell weights
+    s * kappa repeated per group, and each family's F terms folded in group
+    order."""
+    n_fam, n_groups = per_group.shape[:2]
+    terms = bd_local_log_scores(per_group.reshape((-1,) + per_group.shape[2:]),
+                                np.repeat(s * kappa, n_groups, axis=0))
+    return fold_total(terms.reshape(n_fam, n_groups).T)
+
+
 def bhd_local_log_score(counts, fit, s=1.0):
     """Per-group marginal likelihood of a family under the fitted centre.
 
     Each group contributes a closed-form Dirichlet-multinomial term with
     cell weights s * kappa; the group terms are summed in group order. With
     a uniform kappa this reduces exactly to the sum of per-group uniform-
-    prior scores, since both run through the same evaluation kernel.
+    prior scores, since both run through the same evaluation kernel. It
+    scores a stack of one family the way ``bhd_local_log_scores`` scores
+    each of its fit stacks.
     """
-    from .scores import bd_local_log_scores, fold_total
     if fit.kappa.shape != (counts.n_configs, counts.child_card):
         raise ValueError("fit shape does not match the family's cell grid")
-    return fold_total(bd_local_log_scores(counts.per_group, s * fit.kappa).tolist())
+    return float(_group_scores(counts.per_group[None], fit.kappa[None], s)[0])
+
+
+def bhd_local_log_scores(per_group, s, s0=None, tol=1e-6, max_iters=500):
+    """bhd locals of a (B, F, J, K) stack of count tables, as B floats.
+
+    Every family is fitted under the flat hyperprior ``HierPrior.uniform((J,
+    K), s, s0)`` with ``fit_variational_stack``, in stacks of at most
+    ``_STACK_CELLS`` count cells, and scored as ``bhd_local_log_score``
+    scores it; each family gets the same bits as fitted and scored alone.
+    """
+    per_group = np.asarray(per_group)
+    if per_group.ndim != 4:
+        raise ValueError("expected a (families, groups, configs, levels) stack of count tables")
+    prior = HierPrior.uniform(per_group.shape[2:], s=s, s0=s0)
+    size = max(1, _STACK_CELLS // math.prod(per_group.shape[1:]))
+    out = np.empty(len(per_group))
+    for start in range(0, len(per_group), size):
+        stack = per_group[start:start + size]
+        fits = fit_variational_stack(stack, prior, tol, max_iters)
+        out[start:start + size] = _group_scores(stack, np.array([fit.kappa for fit in fits]), s)
+    return out
 
 
 def hier_posterior_means(counts, fit, s=1.0):

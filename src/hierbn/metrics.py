@@ -83,9 +83,13 @@ def read_records(path):
     """The records of a results file, as a stopped run may leave it: an
     empty file holds none, and a last line without its line terminator is
     a partial write and is dropped. A foreign header or a malformed complete
-    row is a DataError naming the file and line."""
-    with open(path, newline="") as fh:
-        lines = fh.readlines()
+    row is a DataError naming the file and line, and so is a file that
+    cannot be decoded."""
+    try:
+        with open(path, newline="") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: cannot be decoded as {exc.encoding}: {exc.reason}") from exc
     if lines and not lines[-1].endswith("\n"):
         lines.pop()
     reader = csv.reader(lines)

@@ -155,9 +155,6 @@ class LocalScoreCache:
         self.hits = 0
         self.misses = 0
 
-    def __len__(self):
-        return len(self._store)
-
     def __contains__(self, key):
         return key in self._store
 
@@ -173,47 +170,30 @@ class LocalScoreCache:
         return value
 
 
-# a bhd stack holds at most this many count cells (one family at least):
-# stacking saves per-call overhead on small tables, and large ones have none
-# to save
-_STACK_CELLS = 2 ** 16
-
-
 def _compute_locals(data, families, config):
-    # bic scores table by table; bdeu scores the equal-shape tables of every
-    # child in one stacked kernel call, and bhd fits them together, in stacks
-    cards = data.cardinalities()
-    out = np.empty(len(families))
+    # the equal-shape tables of every child are scored in one call per
+    # shape: bdeu and bic on tables pooled over the groups, bhd on the
+    # groups' tables
     by_child = {}
     for position, (child, _) in enumerate(families):
         by_child.setdefault(child, []).append(position)
     by_shape = {}
     for child, positions in by_child.items():
         for batch, tables in _count_tables(data, child, [families[i][1] for i in positions]):
-            where = [positions[i] for i in batch]
-            if config.kind == "bic":
-                out[where] = [bic_local_log_score(table.sum(axis=0)) for table in tables]
-            else:
-                by_shape.setdefault(tables.shape[2:], []).append(
-                    (where, tables.sum(axis=1) if config.kind == "bdeu" else tables))
-    if config.kind == "bdeu":
-        for shape, parts in by_shape.items():
-            out[[position for part, _ in parts for position in part]] = bd_local_log_scores(
-                np.concatenate([pooled for _, pooled in parts]), _uniform_alpha(shape, config.iss))
-        return out.tolist()
-    from . import hier  # deferred: hier shares this module's kernel
-    for shape, parts in by_shape.items():
-        where = [position for part, _ in parts for position in part]
-        tables = np.concatenate([part for _, part in parts])
-        prior = hier.HierPrior.uniform(shape, s=config.iss, s0=config.s0)
-        size = max(1, _STACK_CELLS // tables[0].size)
-        for start in range(0, len(tables), size):
-            stack = tables[start:start + size]
-            fits = hier.fit_variational_stack(stack, prior, config.vb_tol, config.vb_max_iters)
-            for position, table, fit in zip(where[start:start + size], stack, fits):
-                child, parents = families[position]
-                counts = FamilyCounts(cards[child], tuple(cards[p] for p in parents), table)
-                out[position] = hier.bhd_local_log_score(counts, fit, config.iss)
+            where, parts = by_shape.setdefault(tables.shape[1:], ([], []))
+            where.extend(positions[i] for i in batch)
+            parts.append(tables if config.kind == "bhd" else tables.sum(axis=1))
+    out = np.empty(len(families))
+    for where, parts in by_shape.values():
+        tables = np.concatenate(parts)
+        if config.kind == "bdeu":
+            out[where] = bd_local_log_scores(tables, _uniform_alpha(tables.shape[1:], config.iss))
+        elif config.kind == "bic":
+            out[where] = [bic_local_log_score(table) for table in tables]
+        else:
+            from . import hier  # deferred: hier imports this module's kernel
+            out[where] = hier.bhd_local_log_scores(tables, config.iss, config.s0,
+                                                   config.vb_tol, config.vb_max_iters)
     return out.tolist()
 
 

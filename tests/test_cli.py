@@ -13,7 +13,7 @@ import pytest
 import hierbn.cli as cli
 from hierbn.cli import main
 from hierbn.data import GroupedDataset, load_csv
-from hierbn.metrics import read_records
+from hierbn.metrics import CSV_COLUMNS, read_records
 from hierbn.scores import fold_total
 from hierbn.simgen import GenConfig, generate
 from oracles import write_replicate_csv_oracle
@@ -80,6 +80,20 @@ class TestExitCodes:
         assert main(["score", "--data", data_csv, "--group", "site",
                      "--graph", str(graph)]) == 2
         assert "cannot parse graph file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [b'{"nodes": ["a\x81"], "arcs": []}', None],
+                             ids=["undecodable", "directory"])
+    def test_unreadable_graph_file_is_data_error(self, data_csv, tmp_path, capsys, content):
+        # 0x81 is no character in UTF-8, ASCII or cp1252
+        graph = tmp_path / "g.json"
+        if content is None:
+            graph.mkdir()
+        else:
+            graph.write_bytes(content)
+        assert main(["score", "--data", data_csv, "--group", "site",
+                     "--graph", str(graph)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hierbn: data error:") and str(graph) in err
 
     def test_corrupt_plan_is_data_error(self, tmp_path, capsys):
         plan = tmp_path / "plan.json"
@@ -340,6 +354,15 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("hierbn: data error:")
         assert not out_dir.exists()
 
+    def test_directory_as_config_is_data_error(self, tmp_path, capsys):
+        config = tmp_path / "gen.json"
+        config.mkdir()
+        assert main(["simulate", "--config", str(config),
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hierbn: data error:") and str(config) in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("doc", [{"n_nodes": 3, "rows_per_group": 10.5},
                                      {"n_nodes": 5.5}, {"n_nodes": 3, "n_groups": True},
                                      {"n_nodes": 3, "seed": 1.5},
@@ -410,6 +433,28 @@ class TestBench:
                      "--resume"]) == 2
         assert "results.csv: line 1: unexpected results header" in capsys.readouterr().err
         assert out.read_text() == "a,b\n1,2\n"
+
+    @pytest.mark.parametrize("case", ["undecodable results", "directory as out",
+                                      "directory as plan"])
+    def test_unreadable_input_is_data_error(self, tmp_path, capsys, case):
+        plan, out = self.plan(tmp_path), tmp_path / "results.csv"
+        argv = ["--jobs", "1"]
+        if case == "undecodable results":
+            # 0x81 is no character in UTF-8, ASCII or cp1252
+            out.write_bytes(",".join(CSV_COLUMNS).encode() + b"\nc\x81\n")
+            argv.append("--resume")
+            named = out
+        elif case == "directory as out":
+            out.mkdir()
+            named = out
+        else:
+            plan = named = tmp_path / "plans"
+            plan.mkdir()
+        assert main(["bench", "--plan", str(plan), "--out", str(out)] + argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hierbn: data error:") and str(named) in err
+        if case == "undecodable results":
+            assert out.read_bytes().endswith(b"\nc\x81\n")
 
     def test_seed_override(self, tmp_path, capsys):
         out1, out2 = str(tmp_path / "r1.csv"), str(tmp_path / "r2.csv")

@@ -147,6 +147,33 @@ class TestFitVariational:
         with pytest.raises(ValueError, match="max_iters"):
             fit_variational(counts, prior, max_iters=np.nan)
 
+    @pytest.mark.parametrize("max_iters", [2.5, True, np.float64(3.0), 3.0, "3", None],
+                             ids=["2.5", "True", "float64", "3.0", "str", "None"])
+    def test_non_integer_max_iters_rejected(self, max_iters):
+        # a float or bool cap would run int(max_iters) or int(max_iters) + 1 steps
+        stack = np.array([[[[30, 3], [4, 20]], [[2, 25], [18, 6]]]])
+        counts, prior = make_counts(stack[0]), HierPrior.uniform((2, 2), s=1.0)
+        for fit in (lambda: fit_variational(counts, prior, max_iters=max_iters),
+                    lambda: fit_variational_stack(stack, prior, max_iters=max_iters),
+                    lambda: hier.bhd_local_log_scores(stack, 1.0, max_iters=max_iters)):
+            with pytest.raises(ValueError, match="max_iters must be an integer"):
+                fit()
+
+    @pytest.mark.parametrize("max_iters", [0, -1, np.int64(0)])
+    def test_max_iters_below_one_rejected(self, max_iters):
+        counts = make_counts([[[3, 1], [0, 2]], [[1, 1], [4, 0]]])
+        with pytest.raises(ValueError, match="max_iters must be at least 1"):
+            fit_variational(counts, HierPrior.uniform((2, 2), s=1.0), max_iters=max_iters)
+
+    def test_numpy_integer_max_iters_accepted(self):
+        counts = make_counts([[[30, 3], [4, 20]], [[2, 25], [18, 6]]])
+        prior = HierPrior.uniform((2, 2), s=1.0)
+        with pytest.warns(VariationalConvergenceWarning):
+            fit = fit_variational(counts, prior, max_iters=np.int32(2))
+            lone = fit_variational_stack(counts.per_group[None], prior, max_iters=2)[0]
+        assert same_fit(fit, lone)
+        assert len(fit.elbo_trace) <= 3
+
     def test_infinite_tol_rejected(self):
         # every gradient is within an infinite tolerance, so the start point
         # would come back flagged as converged

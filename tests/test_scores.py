@@ -7,7 +7,7 @@ import pytest
 
 from hierbn import hier
 from hierbn import scores as scores_mod
-from hierbn.data import FamilyCounts, family_counts, load_csv
+from hierbn.data import FamilyCounts, family_count_tables, family_counts, load_csv
 from hierbn.graph import Dag
 from hierbn.hier import HierPrior, fit_variational
 from hierbn.scores import (LocalScoreCache, ScoreConfig, bd_local_log_score,
@@ -434,7 +434,7 @@ class TestBatchedScores:
             want = [local_log_score(data, 2, parents, config, single) for parents in sets]
             assert got == want
             assert (batched.hits, batched.misses) == (single.hits, single.misses)
-        assert len(batched) == len(single)
+        assert batched._store.keys() == single._store.keys()
         assert batched.hits > 0
 
     @pytest.mark.parametrize("config", BATCH_CONFIGS, ids=lambda c: f"{c.kind}-{c.iss}")
@@ -459,7 +459,7 @@ class TestBatchedScores:
                     for child, parents in request]
             assert got == want
             assert (batched.hits, batched.misses) == (single.hits, single.misses)
-        assert len(batched) == len(single)
+        assert batched._store.keys() == single._store.keys()
         assert batched.hits > 0
 
     def test_bhd_fits_equal_shapes_of_every_child_as_one_stack(self, monkeypatch):
@@ -497,6 +497,35 @@ class TestBatchedScores:
         assert len(stacks) == len(families)
         assert got == [local_oracle(data, child, parents, config) for child, parents in families]
 
+    @pytest.mark.parametrize("cap", [None, 20])
+    def test_bhd_scores_each_fit_stack_in_one_kernel_call(self, monkeypatch, cap):
+        config, calls = ScoreConfig("bhd"), []
+        fit_stack, kernel = hier.fit_variational_stack, hier.bd_local_log_scores
+
+        def fitting(per_group, prior, tol, max_iters):
+            calls.append(per_group.shape)
+            return fit_stack(per_group, prior, tol, max_iters)
+
+        def scoring(tables, alpha):
+            calls.append(tables.shape)
+            assert np.shape(alpha) == tables.shape
+            return kernel(tables, alpha)
+
+        monkeypatch.setattr(hier, "fit_variational_stack", fitting)
+        monkeypatch.setattr(hier, "bd_local_log_scores", scoring)
+        if cap is not None:
+            # a (3, 3, 2) table holds 18 cells: one family per stack
+            monkeypatch.setattr(hier, "_STACK_CELLS", cap)
+        data = mixed_dataset(2)
+        # v0 and v3 have 2 levels, v1 and v4 have 3: four (3, 2) tables
+        families = [(0, (1,)), (3, (4,)), (2, ()), (0, (4,)), (3, (1,))]
+        got = local_log_scores(data, families, config)
+        fits, kernels = calls[0::2], calls[1::2]
+        assert sorted(fits) == ([(1, 3, 1, 4), (4, 3, 3, 2)] if cap is None
+                                else [(1, 3, 1, 4)] + [(1, 3, 3, 2)] * 4)
+        assert kernels == [(b * f, j, k) for b, f, j, k in fits]
+        assert got == [local_oracle(data, child, parents, config) for child, parents in families]
+
     @pytest.mark.parametrize("config", BATCH_CONFIGS[1:], ids=lambda c: f"{c.kind}-{c.iss}")
     def test_warm_score_is_the_cold_sorted_score_in_either_order(self, config):
         data = mixed_dataset(1)
@@ -518,3 +547,88 @@ class TestBatchedScores:
         with pytest.raises(ValueError, match="another dataset"):
             local_log_scores(second, [(2, parents) for parents in MIXED_SETS],
                              ScoreConfig("bdeu"), cache)
+
+
+def lone_bhd(table, config):
+    """One family's bhd local from a lone fit: by ``bhd_local_log_score``,
+    and by the one-table float kernel on each group, folded as
+    ``local_oracle`` folds them."""
+    n_groups, n_configs, child_card = table.shape
+    counts = FamilyCounts(child_card, (n_configs,) if n_configs > 1 else (), table)
+    prior = HierPrior.uniform((n_configs, child_card), s=config.iss, s0=config.s0)
+    fit = fit_variational(counts, prior, tol=config.vb_tol, max_iters=config.vb_max_iters)
+    total = 0.0
+    for group in table:
+        total += bd_local_float_oracle(group, config.iss * fit.kappa)
+    return hier.bhd_local_log_score(counts, fit, config.iss), total
+
+
+def bhd_stacks():
+    """Equal-shape stacks: K = 5, F = 1, all-zero members, sparse tables
+    and a lone family."""
+    rng = np.random.default_rng(73)
+    stacks = [rng.integers(0, 9, size=shape) for shape in
+              [(5, 1, 4, 5), (6, 3, 3, 2), (3, 2, 5, 5), (1, 4, 2, 3), (4, 1, 1, 2)]]
+    stacks[0][2] = 0
+    stacks[1][[0, 4]] = 0
+    stacks[2] *= rng.random(stacks[2].shape) < 0.3
+    return stacks
+
+
+BHD_CONFIGS = [ScoreConfig("bhd"), ScoreConfig("bhd", iss=7.5), ScoreConfig("bhd", s0=3.0),
+               ScoreConfig("bhd", iss=7.5, s0=0.5, vb_tol=1e-9)]
+
+
+def bhd_id(config):
+    return f"iss{config.iss}-s0{config.s0}-tol{config.vb_tol}"
+
+
+class TestBhdStackScores:
+    @pytest.mark.parametrize("cap", [None, 40])
+    @pytest.mark.parametrize("config", BHD_CONFIGS, ids=bhd_id)
+    def test_each_family_gets_its_lone_fit_and_score(self, monkeypatch, config, cap):
+        sizes = []
+        fit_stack = hier.fit_variational_stack
+
+        def recording(per_group, prior, tol, max_iters):
+            sizes.append(len(per_group))
+            return fit_stack(per_group, prior, tol, max_iters)
+
+        if cap is not None:
+            monkeypatch.setattr(hier, "_STACK_CELLS", cap)
+        split = 0
+        for stack in bhd_stacks():
+            with monkeypatch.context() as patch:
+                patch.setattr(hier, "fit_variational_stack", recording)
+                sizes.clear()
+                got = hier.bhd_local_log_scores(stack, config.iss, config.s0, config.vb_tol,
+                                                config.vb_max_iters)
+            # stacks of at most cap // (F * J * K) families, one family at least
+            size = max(1, (cap or 2 ** 16) // stack[0].size)
+            assert sizes == [len(stack[i:i + size]) for i in range(0, len(stack), size)]
+            split += len(sizes) > 1
+            lone = [lone_bhd(table, config) for table in stack]
+            assert got.tolist() == [score for score, _ in lone]
+            assert got.tolist() == [oracle for _, oracle in lone]
+        assert split == (0 if cap is None else 3)
+
+    @pytest.mark.parametrize("config", BHD_CONFIGS, ids=bhd_id)
+    @pytest.mark.parametrize("layout", [{}, {"group_sizes": (17,)},
+                                        {"cards": (2, 5, 3, 5, 2)}], ids=["F3", "F1", "K5"])
+    def test_counted_tables_score_as_the_local_oracle(self, config, layout):
+        data = mixed_dataset(4, **layout)
+        for child in range(data.n_variables):
+            others = [v for v in range(data.n_variables) if v != child]
+            sets = [()] + [(u,) for u in others] + [tuple(others[:2]), tuple(others[1:3])]
+            for positions, tables in family_count_tables(data, child, sets):
+                got = hier.bhd_local_log_scores(tables, config.iss, config.s0, config.vb_tol,
+                                                config.vb_max_iters)
+                assert got.tolist() == [local_oracle(data, child, sets[i], config)
+                                        for i in positions]
+
+    def test_bad_stacks_rejected(self):
+        with pytest.raises(ValueError, match="stack of count tables"):
+            hier.bhd_local_log_scores(np.ones((2, 2, 2), int), 1.0)
+        with pytest.raises(ValueError, match="s must be positive"):
+            hier.bhd_local_log_scores(np.ones((2, 1, 2, 2), int), 0.0)
+        assert hier.bhd_local_log_scores(np.ones((0, 1, 2, 2), int), 1.0).shape == (0,)
