@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .data import is_integer
+from .data import is_integer, is_number
 from .metrics import RunRecord, evaluate, read_records, record_sort_key, write_records
 from .scores import ScoreConfig
 from .search import run_hill_climb
@@ -46,7 +46,11 @@ class ExperimentPlan:
     def __post_init__(self):
         object.__setattr__(self, "cells", tuple(self.cells))
         object.__setattr__(self, "scores", tuple(self.scores))
-        object.__setattr__(self, "iss", tuple(float(v) for v in self.iss))
+        iss = tuple(self.iss)
+        for name, value in [*(("iss", v) for v in iss), ("vb_tol", self.vb_tol)]:
+            if not is_number(value):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+        object.__setattr__(self, "iss", tuple(map(float, iss)))
         if not self.cells:
             raise ValueError("plan needs at least one cell")
         if not self.scores or not self.iss:
@@ -183,11 +187,14 @@ def run(plan, out_path, jobs=1, resume=False):
         new_records.extend(rows)
         write_records(out_path, rows, append=True)
 
-    if jobs <= 1:
+    # the pool starts every worker at its first submit, so it gets no more
+    # workers than there are jobs
+    workers = min(jobs, len(pending))
+    if workers <= 1:
         for job in pending:
             collect(job, lambda: run_job(job))
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {pool.submit(run_job, job): job for job in pending}
             for future in as_completed(futures):
                 collect(futures[future], future.result)
@@ -215,7 +222,7 @@ _PLAN_FIELDS = {
     "structures": ("n_structures", None),
     "param_sets": ("n_param_sets", None),
     "data_sets": ("n_data_sets", None),
-    "vb_tol": ("vb_tol", float),
+    "vb_tol": ("vb_tol", None),
     "vb_max_iters": ("vb_max_iters", None),
 }
 

@@ -38,11 +38,10 @@ def build_parser():
                      description="Structure learning for discrete data observed in groups")
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def add_score_flags(p, with_group=True):
+    def add_score_flags(p):
         p.add_argument("--data", required=True, help="CSV file of complete categorical data")
-        if with_group:
-            p.add_argument("--group", default=None,
-                           help="column holding the group label (required for bhd)")
+        p.add_argument("--group", default=None,
+                       help="column holding the group label (required for bhd)")
         p.add_argument("--score", default="bdeu", choices=("bdeu", "bic", "bhd"))
         p.add_argument("--iss", type=float, default=ScoreConfig.iss,
                        help="imaginary sample size")

@@ -10,7 +10,7 @@ import functools
 import itertools
 import locale
 import math
-import operator
+import numbers
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -26,8 +26,8 @@ class DataError(ValueError):
 # bytes the line pass of load_csv reads at a time
 _BLOCK_BYTES = 1 << 16
 
-# largest array one family_count_tables batch allocates: count table, row codes
-# or row weights (2**26 cells of 8 bytes, 512 MiB)
+# largest array one family_count_tables batch allocates: count table, row codes,
+# row weights or gathered parent columns (2**26 cells of 8 bytes, 512 MiB)
 MAX_COUNT_CELLS = 2 ** 26
 
 
@@ -329,6 +329,11 @@ def is_integer(value):
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def is_number(value):
+    """True for a Python or numpy real number; bools and strings are not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def check_indices(families, n_variables):
     """Raise a ValueError naming the first index of the (child, parents)
     families that is not a Python or numpy integer (bools are not) in
@@ -353,40 +358,6 @@ def check_indices(families, n_variables):
             raise ValueError(f"parent set {tuple(parents)} repeats variable index {repeated}")
 
 
-def _count_groups(sets, cards):
-    """The sets in groups that are counted together, each (configurations
-    J, base, levels C of the extra parents, members), a member being
-    (configurations of the parents before its extra, position, extra
-    parent), sorted. Every set is a base plus one extra parent. Sets of one
-    length that each hold a shared base, in one order, plus one parent
-    outside it share that base; any other set's base is all its parents but
-    the last, and a set with no parents is its empty base with no extra
-    (None, C = 1). Sets with one base and one C form a group."""
-    by_length, groups = {}, {}
-    for position, parents in enumerate(sets):
-        by_length.setdefault(len(parents), []).append(position)
-    for positions in by_length.values():
-        members = [sets[i] for i in positions]
-        common = set(members[0]).intersection(*members[1:])
-        base = tuple(p for p in members[0] if p in common)
-        extras = [p for parents in members for p in parents if p not in common]
-        if (len(extras) == len(members)
-                and [p for parents in members for p in parents if p in common]
-                == list(base) * len(members)):
-            heads = list(itertools.accumulate(map(cards.__getitem__, base), operator.mul,
-                                              initial=1))
-            split = [(base, heads[parents.index(extra)], extra)
-                     for parents, extra in zip(members, extras)]
-        else:
-            split = [(parents[:-1], math.prod(map(cards.__getitem__, parents[:-1])),
-                      parents[-1] if parents else None) for parents in members]
-        for position, (base, head, extra) in zip(positions, split):
-            card = 1 if extra is None else cards[extra]
-            groups.setdefault((base, card), []).append((head, position, extra))
-    return [(math.prod(map(cards.__getitem__, base)) * card, base, card, sorted(members))
-            for (base, card), members in groups.items()]
-
-
 def family_count_tables(data, child, parent_sets):
     """Contingency counts of one child given each of several parent sets.
 
@@ -394,12 +365,10 @@ def family_count_tables(data, child, parent_sets):
     fixes its row-major configuration indexing). Before anything is
     allocated, every index is checked (a Python or numpy integer, not a
     bool, in range, not repeated within a set, and not the child: a
-    ValueError names it) and so is every set's cell count. Each set is
-    counted as a base plus one extra parent, from the base's row codes and
-    the extra parent's levels; sets of one length that each add one parent
-    to a shared base (its parents in one order) are counted together. No
-    batch holds an array of more than ``MAX_COUNT_CELLS`` elements (unless
-    the row codes of one set in one group's block alone need more).
+    ValueError names it) and so is every set's cell count. Sets with one
+    number of configurations are counted together, from one matrix product
+    per group block. No batch holds an array of more than
+    ``MAX_COUNT_CELLS`` elements unless one set alone needs more.
 
     Returns ``(positions, tables)`` pairs covering every set once:
     ``tables[i]`` is the (F, J, K) count table of ``parent_sets[positions[i]]``.
@@ -414,79 +383,62 @@ def _count_tables(data, child, sets):
     # which checks every family before its cache lookup, counts through here
     cards = data.cardinalities()
     child_card, n_groups = cards[child], data.n_groups
-    groups = _count_groups(sets, cards)
-    oversize = [min(position for _, position, _ in members)
-                for n_configs, _, _, members in groups
-                if n_groups * n_configs * child_card > MAX_COUNT_CELLS]
-    if oversize:
-        parents = sets[min(oversize)]
-        cells = n_groups * math.prod(map(cards.__getitem__, parents)) * child_card
-        raise DataError(f"count table of {data.variables[child].name!r} given "
-                        f"{len(parents)} parents needs {cells} cells, more than "
-                        f"{MAX_COUNT_CELLS}")
+    by_configs = {}
+    for position, parents in enumerate(sets):
+        n_configs = math.prod(map(cards.__getitem__, parents))
+        if n_groups * n_configs * child_card > MAX_COUNT_CELLS:
+            raise DataError(f"count table of {data.variables[child].name!r} given "
+                            f"{len(parents)} parents needs {n_groups * n_configs * child_card} "
+                            f"cells, more than {MAX_COUNT_CELLS}")
+        by_configs.setdefault(n_configs, []).append(position)
     rows = max((block.shape[0] for block, _ in data.blocks), default=0)
     out = []
-    for n_configs, base, card, members in groups:
-        # a batch's row codes and weights (one group's block at a time) and
-        # its tables fit under the cap
-        size = max(1, MAX_COUNT_CELLS // max(rows, n_groups * n_configs * child_card, 1))
-        for start in range(0, len(members), size):
-            batch = members[start:start + size]
-            out.append(_count_joint(data, child, [sets[i] for _, i, _ in batch],
-                                    n_configs, base, card, batch))
+    for n_configs, positions in by_configs.items():
+        # a batch's row codes and weights, its parent columns (one group's
+        # block at a time) and its tables fit under the cap
+        per_set = max(rows, n_groups * n_configs * child_card)
+        batches, used = [[]], set()
+        for position in positions:
+            grown = used.union(sets[position])
+            if batches[-1] and max(per_set * (len(batches[-1]) + 1),
+                                   rows * len(grown)) > MAX_COUNT_CELLS:
+                batches.append([])
+                grown = set(sets[position])
+            batches[-1].append(position)
+            used = grown
+        out.extend((batch, _count_joint(data, child, [sets[i] for i in batch], n_configs))
+                   for batch in batches)
     return out
 
 
-def _count_joint(data, child, sets, n_configs, base, card, members):
-    # Each set (a member: configurations before its extra, position, extra
-    # parent; sorted) counts a row in cell offset + code * C + extra level
-    # of its table, where the code runs row-major over the base and then the
-    # child and is computed once per group block for all the sets. One
-    # bincount per block counts every set, weighing each block row by its
-    # multiplicity: float sums of integers below 2**53 are exact, and they
-    # are stored back as int64. A table so counted has axes (configurations
-    # of the parents before the extra, of those after it, child, extra);
-    # each run of sets with one extra position moves the extra axis into
-    # place in one transpose.
+def _count_joint(data, child, sets, n_configs):
+    # The (S, F, J, K) tables of sets with J configurations each. A row's
+    # cell in set s's table is s * J * K, plus its child level, plus its
+    # parent levels times the set's row-major strides: one float product
+    # per group block, exact since every sum is an integer below J * K. One
+    # bincount per block counts every set, weighing each row by its
+    # multiplicity (float sums of integers below 2**53, stored as int64).
     cards = data.cardinalities()
-    child_card, n_groups = cards[child], data.n_groups
-    table_cells = n_configs * child_card
-    offsets = np.arange(len(sets), dtype=np.int64)[:, None] * table_cells
-    terms, stride = [], card * child_card
-    for p in reversed(base):
-        terms.append((p, stride))
-        stride *= cards[p]
-    extra_cols = [extra for _, _, extra in members]
-    counted = np.empty((n_groups, len(sets) * table_cells), dtype=np.int64)
+    child_card = cards[child]
+    used = sorted(set().union(*sets))
+    column = {p: i for i, p in enumerate(used)}
+    strides = np.zeros((len(used), len(sets)))
+    for s, parents in enumerate(sets):
+        stride = child_card
+        for p in reversed(parents):
+            strides[column[p], s] = stride
+            stride *= cards[p]
+    offsets = np.arange(len(sets), dtype=np.int64) * (n_configs * child_card)
+    tables = np.empty((len(sets), data.n_groups, n_configs, child_card), dtype=np.int64)
     for f, (block, weights) in enumerate(data.blocks):
-        shared = card * block[:, child]
-        for column, stride in terms:
-            shared += block[:, column] * stride
-        if card > 1:
-            # block[:, extra_cols] comes out column-major, so its transpose is contiguous
-            codes = block[:, extra_cols].T
-        else:  # every extra level is 0
-            codes = np.zeros((len(sets), len(block)), dtype=np.int64)
+        codes = (block[:, used].astype(np.float64) @ strides).astype(np.int64)
+        codes += block[:, child, None]
         codes += offsets
-        codes += shared
         if weights is not None:
-            weights = np.tile(weights, len(sets))
-        counted[f] = np.bincount(codes.ravel(), weights, minlength=counted.shape[1])
-    tables = np.empty((len(sets), n_groups, n_configs, child_card), dtype=np.int64)
-    start = 0
-    while start < len(sets):
-        head = members[start][0]
-        stop = start + 1
-        while stop < len(sets) and members[stop][0] == head:
-            stop += 1
-        tail = n_configs // (card * head)
-        source = counted[:, start * table_cells:stop * table_cells].reshape(
-            n_groups, stop - start, head, tail, child_card, card)
-        np.copyto(tables[start:stop].reshape(stop - start, n_groups, head, card, tail,
-                                             child_card),
-                  source.transpose(1, 0, 2, 5, 3, 4))
-        start = stop
-    return [position for _, position, _ in members], tables
+            weights = np.repeat(weights, len(sets))
+        counted = np.bincount(codes.ravel(), weights, minlength=len(sets) * n_configs * child_card)
+        tables[:, f] = counted.reshape(len(sets), n_configs, child_card)
+    return tables
 
 
 def family_counts(data, child, parents):

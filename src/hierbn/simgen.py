@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import GroupedDataset, VariableMeta, is_integer
+from .data import GroupedDataset, VariableMeta, is_integer, is_number
 from .graph import Dag
 
 REGIMES = ("hier", "iid", "id")
@@ -62,6 +62,8 @@ class GenConfig:
         for name in _INTEGER_FIELDS:
             if not is_integer(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not is_number(self.arc_ratio):
+            raise ValueError(f"arc_ratio must be a number, got {self.arc_ratio!r}")
         if self.n_nodes < 2:
             raise ValueError("need at least two nodes")
         if self.card < 2:

@@ -2,6 +2,7 @@
 
 import json
 import os
+from concurrent.futures import Future
 
 import pytest
 
@@ -156,6 +157,42 @@ class TestRun:
         run(plan, out)
         assert not log.exists()
 
+    @pytest.mark.parametrize("jobs, pending, workers", [(5000, 1, []), (5000, 4, [4]),
+                                                        (3, 4, [3]), (2, 0, [])])
+    def test_pool_gets_no_more_workers_than_jobs(self, tmp_path, monkeypatch, jobs, pending,
+                                                 workers):
+        # a stand-in pool that runs each job in this process, so no large
+        # worker count ever starts a process
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, job):
+                future = Future()
+                future.set_result(fn(job))
+                return future
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordingPool)
+        plan = tiny_plan(root_seed=11)
+        out = str(tmp_path / "res.csv")
+        # resume over the records of all but ``pending`` jobs
+        all_jobs = expand(plan)
+        write_records(out, [r for job in all_jobs[pending:] for r in run_job(job)])
+        records = run(plan, out, jobs=jobs, resume=True)
+        assert started == workers
+        assert len(records) == 2 * len(all_jobs)
+        serial = str(tmp_path / "serial.csv")
+        run(plan, serial, jobs=1)
+        assert strip_all(read_records(out)) == strip_all(read_records(serial))
+
     def test_parallel_matches_serial(self, tmp_path):
         plan = tiny_plan(root_seed=11)
         serial = str(tmp_path / "serial.csv")
@@ -207,6 +244,10 @@ class TestPlanJson:
         ({"vb_max_iters": 0}, "vb_max_iters"),
         ({"iss": [float("inf")]}, "imaginary sample size"),
         ({"vb_tol": float("inf")}, "vb_tol must be positive and finite"),
+        ({"iss": [True]}, "iss must be a number, got True"),
+        ({"iss": [1.0, "2"]}, "iss must be a number, got '2'"),
+        ({"vb_tol": True}, "vb_tol must be a number, got True"),
+        ({"vb_tol": "1e-3"}, "vb_tol must be a number, got '1e-3'"),
     ])
     def test_bad_score_settings_rejected(self, settings, message):
         doc = {"cells": [{"n_nodes": 3}], "scores": ["bdeu"], **settings}

@@ -122,6 +122,23 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("hierbn: data error:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["bench", "simulate"])
+    @pytest.mark.parametrize("value", [True, "1.0"])
+    def test_arc_ratio_that_is_not_a_number_is_data_error(self, tmp_path, capsys, command,
+                                                          value):
+        cell = {"n_nodes": 3, "rows_per_group": 10, "arc_ratio": value}
+        path, out = tmp_path / "doc.json", tmp_path / "out"
+        if command == "bench":
+            path.write_text(json.dumps({"cells": [cell], "scores": ["bdeu"]}))
+            argv = ["bench", "--plan", str(path), "--out", str(out)]
+        else:
+            path.write_text(json.dumps(cell))
+            argv = ["simulate", "--config", str(path), "--out-dir", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hierbn: data error:") and "arc_ratio must be a number" in err
+        assert not out.exists()
+
     def test_undecodable_csv_is_data_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(locale, "getpreferredencoding", lambda do_setlocale=True: "utf-8")
         path = tmp_path / "bad.csv"
@@ -175,7 +192,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("settings", [{"scores": ["bdx"]}, {"iss": [-1]},
                                           {"vb_tol": 0}, {"iss": [float("inf")]},
-                                          {"vb_tol": float("inf")}])
+                                          {"vb_tol": float("inf")}, {"iss": [True]},
+                                          {"iss": [1.0, "2"]}, {"vb_tol": True},
+                                          {"vb_tol": "1e-3"}])
     def test_bad_plan_score_setting_is_data_error(self, tmp_path, capsys, settings):
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps({

@@ -4,9 +4,13 @@ import csv
 import io
 import itertools
 import locale
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hierbn.data as data_mod
 from hierbn.data import (DataError, FamilyCounts, GroupedDataset, VariableMeta,
@@ -412,10 +416,12 @@ class TestFamilyCountTables:
         sizes = []
 
         def spy(data, child, sets, *layout):
-            # one group's row codes, and the batch's tables
+            # one group's row codes and gathered parent columns, and the
+            # batch's tables
             rows = max(block.shape[0] for block in data.group_rows)
             n_configs = sum(int(np.prod([cards[p] for p in s])) for s in sets)
-            sizes.append((len(sets) * rows, data.n_groups * n_configs * cards[child]))
+            sizes.append((len(sets) * rows, rows * len(set().union(*sets)),
+                          data.n_groups * n_configs * cards[child]))
             return count_joint(data, child, sets, *layout)
 
         monkeypatch.setattr(data_mod, "_count_joint", spy)
@@ -424,6 +430,48 @@ class TestFamilyCountTables:
             np.testing.assert_array_equal(table, family_counts_oracle(data, 2, sets[position]))
         assert len(sizes) > len({int(np.prod([cards[p] for p in s])) for s in sets})
         assert all(max(size) <= cap for size in sizes)
+
+
+@st.composite
+def count_cases(draw):
+    """Variables of 2-4 levels, groups of 0-30 rows drawn from a few distinct
+    rows (so a loaded file often holds weighted blocks), and parent sets of
+    0-3 parents for one child: unsorted, some repeated."""
+    cards = draw(st.lists(st.integers(2, 4), min_size=2, max_size=6))
+    child = draw(st.integers(0, len(cards) - 1))
+    others = [v for v in range(len(cards)) if v != child]
+    sets = draw(st.lists(st.lists(st.sampled_from(others), unique=True,
+                                  max_size=min(3, len(others))).map(tuple), max_size=8))
+    sets += draw(st.lists(st.sampled_from(sets), max_size=3)) if sets else []
+    group_sizes = draw(st.lists(st.integers(0, 30), min_size=1, max_size=3))
+    return cards, child, sets, group_sizes, draw(st.integers(1, 12)), draw(st.integers(0, 2 ** 32))
+
+
+class TestFamilyCountTablesProperty:
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(count_cases())
+    def test_tables_equal_row_by_row_oracle(self, case):
+        cards, child, sets, group_sizes, n_distinct, seed = case
+        rng = np.random.default_rng(seed)
+        distinct = np.stack([rng.integers(0, c, n_distinct) for c in cards], axis=1)
+        blocks = [distinct[rng.integers(0, n_distinct, n)] for n in group_sizes]
+        variables = [VariableMeta(f"v{i}", tuple(map(str, range(c)))) for i, c in enumerate(cards)]
+        data = GroupedDataset(variables, [f"g{f}" for f in range(len(blocks))], blocks)
+        for parents, table in zip(sets, count_tables(data, child, sets)):
+            assert table.dtype == np.int64
+            np.testing.assert_array_equal(table, family_counts_oracle(data, child, parents))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "data.csv")
+            with open(path, "w", newline="") as fh:
+                csv.writer(fh).writerows([["g", *(v.name for v in variables)]] + [
+                    [f"g{f}", *row] for f, block in enumerate(blocks) for row in block.tolist()])
+            try:
+                rows = load_csv_oracle(path, "g")
+            except DataError:  # no rows, or a variable seen at one level
+                return
+            loaded = load_csv(path, "g")
+            for parents, table in zip(sets, count_tables(loaded, child, sets)):
+                np.testing.assert_array_equal(table, family_counts_oracle(rows, child, parents))
 
 
 def assert_counts_match_rows(path, group_column):
@@ -540,8 +588,9 @@ class TestLoadedMemoryGuard:
         assert max(codes for codes, _ in batches) > block_rows
 
 
-# child 0 and a base of variables 2 and 5: variable 1 (3 levels) joins it
-# before both, 3 (2 levels) and 4 (3 levels) between them, 6 (3 levels) after
+# child 0 with parents 2 and 5 in common: a sorted set places a third
+# parent before both (variable 1, 3 levels), between them (3, 2 levels, and
+# 4, 3 levels) or after them (6, 3 levels)
 WIDE_CARDS = (2, 3, 4, 2, 3, 2, 3)
 
 
@@ -551,8 +600,9 @@ def grown_sets(base, extras):
 
 
 class TestJointCounting:
-    """Sets that add one parent each to a shared base are counted from the
-    base's row codes; every table must equal the row-by-row tally."""
+    """Sets with one number of parent configurations are counted together,
+    one stride column each, whatever their parents and their order; every
+    table must equal the row-by-row tally."""
 
     def assert_oracle(self, data, child, sets):
         for parents, table in zip(sets, count_tables(data, child, sets)):
@@ -577,25 +627,25 @@ class TestJointCounting:
         data = mixed_dataset(4, cards=WIDE_CARDS)
         self.assert_oracle(data, 3, [(u,) for u in range(7) if u != 3])
 
-    def test_base_in_any_one_order(self, monkeypatch):
+    def test_one_batch_per_configuration_count_in_any_order(self, monkeypatch):
         data = mixed_dataset(5, cards=WIDE_CARDS)
         count_joint = data_mod._count_joint
         batches = []
 
-        def spy(data, child, sets, n_configs, base, *members):
-            batches.append((len(sets), base))
-            return count_joint(data, child, sets, n_configs, base, *members)
+        def spy(data, child, sets, n_configs):
+            batches.append((n_configs, sorted(sets)))
+            return count_joint(data, child, sets, n_configs)
 
         monkeypatch.setattr(data_mod, "_count_joint", spy)
-        # unsorted sets whose shared parents keep one order share the base,
-        # in one batch per number of extra levels
-        self.assert_oracle(data, 0, [(5, 2, 1), (5, 3, 2), (4, 5, 2), (5, 2, 6)])
-        assert sorted(batches) == [(1, (5, 2)), (3, (5, 2))]
-        # with the shared parents in two orders, each set's base is all its
-        # parents but the last
-        batches.clear()
-        self.assert_oracle(data, 0, [(5, 2, 1), (5, 3, 2), (4, 5, 2), (2, 5, 6)])
-        assert sorted(batches) == [(1, (2, 5)), (1, (4, 5)), (1, (5, 2)), (1, (5, 3))]
+        # 24 configurations: three parents with their shared ones in one
+        # order or in two; 16: (5, 3, 2); 4: one parent or two, either order
+        for sets in ([(5, 2, 1), (5, 3, 2), (4, 5, 2), (5, 2, 6), (2,), (5, 3), (3, 5)],
+                     [(5, 2, 1), (5, 3, 2), (4, 5, 2), (2, 5, 6), (3, 5), (2,), (5, 3)]):
+            batches.clear()
+            self.assert_oracle(data, 0, sets)
+            assert sorted(batches) == [
+                (4, sorted(s for s in sets if len(s) < 3)), (16, [(5, 3, 2)]),
+                (24, sorted(s for s in sets if len(s) == 3 and s != (5, 3, 2)))]
 
     def test_empty_groups(self):
         data = mixed_dataset(6, group_sizes=(0, 33, 0), cards=WIDE_CARDS)
@@ -642,6 +692,23 @@ class TestJointCounting:
         sets = grown_sets((6,), [0, 3, 5, 3])
         self.assert_oracle(data, 1, sets)
         assert sorted(map(len, batches)) == ([1, 1, 1, 1] if cap == 60 else [2, 2])
+
+    def test_cap_splits_a_batch_by_its_parent_columns(self, monkeypatch):
+        data = mixed_dataset(9, group_sizes=(20,), cards=(2, 2, 2, 2, 2))
+        monkeypatch.setattr(data_mod, "MAX_COUNT_CELLS", 60)
+        count_joint = data_mod._count_joint
+        batches = []
+
+        def spy(data, child, sets, n_configs):
+            batches.append(sets)
+            return count_joint(data, child, sets, n_configs)
+
+        monkeypatch.setattr(data_mod, "_count_joint", spy)
+        # 20 rows and 8 cells a set leave room for three sets, but (2, 3)
+        # would bring the gathered parent columns to four: 80 cells
+        sets = [(0, 1), (1, 0), (2, 3), (3, 2)]
+        self.assert_oracle(data, 4, sets)
+        assert batches == [[(0, 1), (1, 0)], [(2, 3), (3, 2)]]
 
 
 class TestIndexChecks:
