@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .data import is_integer, is_number
+from .data import check_count
 from .metrics import RunRecord, evaluate, read_records, record_sort_key, write_records
 from .scores import ScoreConfig
 from .search import run_hill_climb
@@ -47,29 +47,23 @@ class ExperimentPlan:
         object.__setattr__(self, "cells", tuple(self.cells))
         object.__setattr__(self, "scores", tuple(self.scores))
         iss = tuple(self.iss)
-        for name, value in [*(("iss", v) for v in iss), ("vb_tol", self.vb_tol)]:
-            if not is_number(value):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-        object.__setattr__(self, "iss", tuple(map(float, iss)))
         if not self.cells:
             raise ValueError("plan needs at least one cell")
-        if not self.scores or not self.iss:
+        if not self.scores or not iss:
             raise ValueError("plan needs at least one score and one iss value")
-        for name in ("n_structures", "n_param_sets", "n_data_sets", "root_seed",
-                     "vb_max_iters"):
-            if not is_integer(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("n_structures", "n_param_sets", "n_data_sets"):
+            check_count(name, getattr(self, name), 1)
+        check_count("root_seed", self.root_seed, 0)
+        # one config per (score, iss) pair, scores outer; a setting no job
+        # could use fails here, before any job runs
+        object.__setattr__(self, "score_configs", tuple(
+            ScoreConfig(kind=kind, iss=value, vb_tol=self.vb_tol, vb_max_iters=self.vb_max_iters)
+            for kind in self.scores for value in iss))
+        object.__setattr__(self, "iss", tuple(map(float, iss)))
         for name, values in (("score", self.scores), ("iss", self.iss)):
             repeated = [v for i, v in enumerate(values) if v in values[:i]]
             if repeated:
                 raise ValueError(f"plan repeats {name} {repeated[0]!r}")
-        if min(self.n_structures, self.n_param_sets, self.n_data_sets) < 1:
-            raise ValueError("replication counts must be at least 1")
-        # one config per (score, iss) pair, scores outer; a setting no job
-        # could use fails here, before any job runs
-        object.__setattr__(self, "score_configs", tuple(
-            ScoreConfig(kind=kind, iss=iss, vb_tol=self.vb_tol, vb_max_iters=self.vb_max_iters)
-            for kind in self.scores for iss in self.iss))
 
     @property
     def records_per_job(self):

@@ -15,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import bench as bench_mod
-from .data import DataError, is_integer, load_csv
+from .data import DataError, check_count, load_csv
 from .graph import dag_from_dot, dag_from_json, dag_to_dot, dag_to_json
 from .scores import ScoreConfig, fold_total, local_log_scores
 from .search import SearchConfig, run_hill_climb
@@ -166,7 +166,13 @@ def _write_replicate_csv(path, dataset):
                                  *(lv[block[:, i]] for i, lv in enumerate(levels))))
 
 
+def _check_seed_flag(args):
+    if args.seed is not None and args.seed < 0:
+        raise _UsageError("--seed must be at least 0")
+
+
 def _cmd_simulate(args):
+    _check_seed_flag(args)
     with open(args.config) as fh:
         try:
             doc = json.load(fh)
@@ -175,15 +181,11 @@ def _cmd_simulate(args):
     if not isinstance(doc, dict):
         raise DataError(f"{args.config}: a generator configuration must be a JSON object")
     reps = {key: doc.pop(key, 1) for key in ("structures", "param_sets", "data_sets")}
-    for key, value in reps.items():
-        if not is_integer(value):
-            raise DataError(f"bad replication count: {key} must be an integer, "
-                            f"got {json.dumps(value)}")
-    if min(reps.values()) < 1:
-        raise DataError("replication counts must be at least 1")
     if args.seed is not None:
         doc["seed"] = args.seed
     try:
+        for key, value in reps.items():
+            check_count(key, value, 1)
         base = GenConfig(**doc)
     except (TypeError, ValueError) as exc:
         raise DataError(f"bad generator configuration: {exc}") from exc
@@ -214,6 +216,7 @@ def _cmd_simulate(args):
 def _cmd_bench(args):
     if args.jobs < 1:
         raise _UsageError("--jobs must be at least 1")
+    _check_seed_flag(args)
     with open(args.plan) as fh:
         try:
             plan = bench_mod.plan_from_json(fh.read())

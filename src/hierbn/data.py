@@ -334,6 +334,29 @@ def is_number(value):
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def check_count(name, value, least):
+    """Raise a ValueError unless ``value`` is an integer (``is_integer``) of
+    at least ``least``."""
+    if not is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}")
+
+
+def check_positive(name, value):
+    """``value`` as a float; a ValueError unless it is a number (``is_number``)
+    that is positive and finite. An int too large for a float is not finite."""
+    if not is_number(value):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not (number > 0 and math.isfinite(number)):
+        raise ValueError(f"{name} must be positive and finite")
+    return number
+
+
 def check_indices(families, n_variables):
     """Raise a ValueError naming the first index of the (child, parents)
     families that is not a Python or numpy integer (bools are not) in

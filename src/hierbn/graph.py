@@ -63,7 +63,7 @@ class Dag:
                 raise ValueError(f"arc ({u}, {v}) out of range")
             parents[v].append(u)
             children[u].append(v)
-        if not is_acyclic(self.node_count, arcs):
+        if len(_smallest_first_order(children)) != self.node_count:
             raise CycleError("arc set contains a cycle")
         object.__setattr__(self, "_parents", tuple(map(tuple, parents)))
         object.__setattr__(self, "_children", tuple(map(tuple, children)))

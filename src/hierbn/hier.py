@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import digamma, gammaln, zeta
 
-from .data import is_integer
+from .data import check_count, check_positive
 from .scores import bd_local_log_scores, fold_total
 
 KAPPA_FLOOR = 1e-12
@@ -52,8 +52,7 @@ class HierPrior:
     alpha0: np.ndarray
 
     def __post_init__(self):
-        if not (self.s > 0 and np.isfinite(self.s)):
-            raise ValueError("s must be positive and finite")
+        object.__setattr__(self, "s", check_positive("s", self.s))
         alpha0 = np.ascontiguousarray(np.asarray(self.alpha0, dtype=float))
         if alpha0.ndim != 2 or not np.all((alpha0 > 0) & np.isfinite(alpha0)):
             raise ValueError("alpha0 must be a positive, finite (configs, levels) array")
@@ -68,7 +67,7 @@ class HierPrior:
     def uniform(shape, s, s0=None):
         """Flat hyperprior: every cell gets s0 / n_cells (1.0 when s0 is None)."""
         n_cells = int(shape[0]) * int(shape[1])
-        fill = 1.0 if s0 is None else float(s0) / n_cells
+        fill = 1.0 if s0 is None else check_positive("s0", s0) / n_cells
         return HierPrior(s, np.full(shape, fill))
 
 
@@ -258,12 +257,8 @@ def fit_variational_stack(per_group, prior, tol=1e-6, max_iters=500):
     family still searching, in one call. A family leaves the lockstep when
     it stops, and gets the same bits as it would fitted alone.
     """
-    if not (tol > 0 and np.isfinite(tol)):
-        raise ValueError("tol must be positive and finite")
-    if not is_integer(max_iters):
-        raise ValueError(f"max_iters must be an integer, got {max_iters!r}")
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
+    tol = check_positive("tol", tol)
+    check_count("max_iters", max_iters, 1)
     per_group = np.asarray(per_group)
     if per_group.ndim != 4:
         raise ValueError("expected a (families, groups, configs, levels) stack of count tables")

@@ -6,13 +6,12 @@ separate and is dispatched from here but implemented alongside the
 variational fit.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
 
-from .data import FamilyCounts, _count_tables, check_indices, is_integer
+from .data import FamilyCounts, _count_tables, check_count, check_indices, check_positive
 
 SCORE_KINDS = ("bdeu", "bic", "bhd")
 
@@ -65,9 +64,7 @@ def bd_local_log_score(counts, alpha):
 
 
 def _uniform_alpha(shape, s):
-    if not (s > 0 and math.isfinite(s)):
-        raise ValueError("imaginary sample size must be positive and finite")
-    return np.full(shape, s / (shape[0] * shape[1]))
+    return np.full(shape, check_positive("iss", s) / (shape[0] * shape[1]))
 
 
 def bdeu_local_log_score(counts, s=1.0):
@@ -110,13 +107,13 @@ def classic_posterior_mean(counts, alpha):
 class ScoreConfig:
     """Which score to use and its hyperparameters.
 
-    ``iss`` is the imaginary sample size shared by the Dirichlet scores.
-    The vb_* fields and s0 only affect the hierarchical score; they are part
-    of the cache identity for it. Its variational fit has converged when the
-    largest component of the bound's gradient is at most ``vb_tol *
-    max(1, |initial bound|)``, or when no step raises the bound in floating
-    point; ``vb_max_iters`` caps its L-BFGS steps, and a fit that reaches
-    the cap unconverged warns.
+    ``iss`` is the imaginary sample size shared by the Dirichlet scores;
+    it, ``vb_tol`` and ``s0`` are kept as floats. The vb_* fields and s0
+    only affect the hierarchical score; they are part of the cache identity
+    for it. Its variational fit has converged when the largest component of
+    the bound's gradient is at most ``vb_tol * max(1, |initial bound|)``, or
+    when no step raises the bound in floating point; ``vb_max_iters`` caps
+    its L-BFGS steps, and a fit that reaches the cap unconverged warns.
     """
 
     kind: str = "bdeu"
@@ -128,16 +125,9 @@ class ScoreConfig:
     def __post_init__(self):
         if self.kind not in SCORE_KINDS:
             raise ValueError(f"unknown score kind {self.kind!r}")
-        if not (self.iss > 0 and math.isfinite(self.iss)):
-            raise ValueError("imaginary sample size must be positive and finite")
-        if not (self.vb_tol > 0 and math.isfinite(self.vb_tol)):
-            raise ValueError("vb_tol must be positive and finite")
-        if not is_integer(self.vb_max_iters):
-            raise ValueError(f"vb_max_iters must be an integer, got {self.vb_max_iters!r}")
-        if self.vb_max_iters < 1:
-            raise ValueError("vb_max_iters must be at least 1")
-        if self.s0 is not None and not (self.s0 > 0 and math.isfinite(self.s0)):
-            raise ValueError("s0 must be positive and finite when given")
+        for name in ("iss", "vb_tol") + (() if self.s0 is None else ("s0",)):
+            object.__setattr__(self, name, check_positive(name, getattr(self, name)))
+        check_count("vb_max_iters", self.vb_max_iters, 1)
 
     def cache_key(self):
         if self.kind == "bhd":

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import is_integer
+from .data import check_count
 from .graph import Dag
 from .scores import LocalScoreCache, fold_total, local_log_scores
 
@@ -19,14 +19,9 @@ class SearchConfig:
     max_iterations: int = 1000
 
     def __post_init__(self):
-        if not is_integer(self.max_iterations):
-            raise ValueError(f"max_iterations must be an integer, got {self.max_iterations!r}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if self.max_parents is not None and not is_integer(self.max_parents):
-            raise ValueError(f"max_parents must be an integer, got {self.max_parents!r}")
-        if self.max_parents is not None and self.max_parents < 0:
-            raise ValueError("max_parents cannot be negative")
+        check_count("max_iterations", self.max_iterations, 1)
+        if self.max_parents is not None:
+            check_count("max_parents", self.max_parents, 0)
 
 
 @dataclass(frozen=True)

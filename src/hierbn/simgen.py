@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import GroupedDataset, VariableMeta, is_integer, is_number
+from .data import GroupedDataset, VariableMeta, check_count, is_number
 from .graph import Dag
 
 REGIMES = ("hier", "iid", "id")
@@ -39,8 +39,9 @@ def derive_rng(root_seed, *path):
     return np.random.default_rng(np.random.SeedSequence(int(root_seed), spawn_key=tuple(path)))
 
 
-_INTEGER_FIELDS = ("n_nodes", "card", "n_groups", "rows_per_group", "n_perturbed",
-                   "n_removed", "seed")
+# integer field -> its least value
+_COUNT_FIELDS = {"n_nodes": 2, "card": 2, "n_groups": 1, "rows_per_group": 1,
+                 "n_perturbed": 0, "n_removed": 0, "seed": 0}
 
 
 @dataclass(frozen=True)
@@ -59,21 +60,14 @@ class GenConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in _INTEGER_FIELDS:
-            if not is_integer(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name, least in _COUNT_FIELDS.items():
+            check_count(name, getattr(self, name), least)
         if not is_number(self.arc_ratio):
             raise ValueError(f"arc_ratio must be a number, got {self.arc_ratio!r}")
-        if self.n_nodes < 2:
-            raise ValueError("need at least two nodes")
-        if self.card < 2:
-            raise ValueError("variables need at least two levels")
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}")
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
-        if self.n_groups < 1 or self.rows_per_group < 1:
-            raise ValueError("need at least one group and one row per group")
         max_arcs = self.n_nodes * (self.n_nodes - 1) // 2
         if not 0 <= round(self.arc_ratio * self.n_nodes) <= max_arcs:
             raise ValueError("arc_ratio requests more arcs than any order admits")

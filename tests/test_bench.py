@@ -64,8 +64,10 @@ class TestExpand:
         cell = GenConfig(n_nodes=3)
         with pytest.raises(ValueError):
             ExperimentPlan(cells=(cell,), scores=())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="n_structures must be at least 1"):
             ExperimentPlan(cells=(cell,), scores=("bdeu",), n_structures=0)
+        with pytest.raises(ValueError, match="root_seed must be at least 0"):
+            ExperimentPlan(cells=(cell,), scores=("bdeu",), root_seed=-1)
 
 
 class TestRunJob:
@@ -239,15 +241,17 @@ class TestPlanJson:
 
     @pytest.mark.parametrize("settings, message", [
         ({"scores": ["bdx"]}, "unknown score kind"),
-        ({"iss": [1.0, -1]}, "imaginary sample size"),
+        ({"iss": [1.0, -1]}, "iss must be positive and finite"),
         ({"vb_tol": 0}, "vb_tol"),
         ({"vb_max_iters": 0}, "vb_max_iters"),
-        ({"iss": [float("inf")]}, "imaginary sample size"),
+        ({"iss": [float("inf")]}, "iss must be positive and finite"),
         ({"vb_tol": float("inf")}, "vb_tol must be positive and finite"),
         ({"iss": [True]}, "iss must be a number, got True"),
         ({"iss": [1.0, "2"]}, "iss must be a number, got '2'"),
         ({"vb_tol": True}, "vb_tol must be a number, got True"),
         ({"vb_tol": "1e-3"}, "vb_tol must be a number, got '1e-3'"),
+        ({"iss": [10 ** 400]}, "iss must be positive and finite"),
+        ({"vb_tol": 10 ** 400}, "vb_tol must be positive and finite"),
     ])
     def test_bad_score_settings_rejected(self, settings, message):
         doc = {"cells": [{"n_nodes": 3}], "scores": ["bdeu"], **settings}

@@ -111,7 +111,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("settings", [
         {"cells": [{"n_nodes": 3, "rows_per_group": 10.5}]},
         {"structures": 1.9}, {"data_sets": True}, {"root_seed": "3"},
-        {"vb_max_iters": 20.5}, {"scores": ["bdeu", "bdeu"]}, {"iss": [2, 2.0]}])
+        {"vb_max_iters": 20.5}, {"scores": ["bdeu", "bdeu"]}, {"iss": [2, 2.0]},
+        {"root_seed": -1}])
     def test_fractional_count_or_repeated_setting_in_plan_is_data_error(
             self, tmp_path, capsys, settings):
         doc = {"cells": [{"n_nodes": 3, "rows_per_group": 10}], "scores": ["bdeu"],
@@ -168,6 +169,18 @@ class TestExitCodes:
                      str(tmp_path / "out.csv"), "--jobs", "0"]) == 1
         assert "--jobs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["bench", "simulate"])
+    def test_negative_seed_is_usage_error_before_any_file_is_read(self, tmp_path, capsys,
+                                                                  command):
+        absent = str(tmp_path / "absent.json")
+        argv = {"bench": ["bench", "--plan", absent, "--out", str(tmp_path / "out.csv"),
+                          "--seed", "-5"],
+                "simulate": ["simulate", "--config", absent, "--out-dir",
+                             str(tmp_path / "out"), "--seed", "-2"]}[command]
+        assert main(argv) == 1
+        assert "--seed must be at least 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("flag, value", [("--max-parents", "-1"), ("--max-iters", "0")])
     def test_bad_search_limit_is_usage_error(self, data_csv, capsys, flag, value):
         assert main(["learn", "--data", data_csv, "--group", "site", flag, value]) == 1
@@ -194,7 +207,8 @@ class TestExitCodes:
                                           {"vb_tol": 0}, {"iss": [float("inf")]},
                                           {"vb_tol": float("inf")}, {"iss": [True]},
                                           {"iss": [1.0, "2"]}, {"vb_tol": True},
-                                          {"vb_tol": "1e-3"}])
+                                          {"vb_tol": "1e-3"}, {"vb_tol": 10 ** 400},
+                                          {"iss": [10 ** 400]}])
     def test_bad_plan_score_setting_is_data_error(self, tmp_path, capsys, settings):
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps({
@@ -364,7 +378,8 @@ class TestSimulate:
 
     @pytest.mark.parametrize("text", ["[1, 2]", '{"n_nodes": 3, "structures": "abc"}',
                                       '{"n_nodes": 3, "structures": 0}',
-                                      '{"n_nodes": 3, "data_sets": -2}'])
+                                      '{"n_nodes": 3, "data_sets": -2}',
+                                      '{"n_nodes": 3, "seed": -1}'])
     def test_bad_config_document_is_data_error(self, tmp_path, capsys, text):
         path = tmp_path / "gen.json"
         path.write_text(text)

@@ -775,3 +775,39 @@ class TestIndexChecks:
                 with pytest.raises(ValueError, match="is not an integer"):
                     local_log_score(data, child, parents, config, cache)
         assert (cache.hits, cache.misses) == (0, 2)
+
+
+class TestNumberRules:
+    """``check_count`` and ``check_positive`` are the package's one rule for
+    a count and for a positive setting."""
+
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3),
+                                       pytest.param(10 ** 400, id="10**400")])
+    def test_count_accepts_integers_at_or_above_least(self, value):
+        data_mod.check_count("n", value, 3)
+
+    @pytest.mark.parametrize("value, message", [
+        (2, "n must be at least 3"), (np.int32(-1), "n must be at least 3"),
+        (3.0, r"n must be an integer, got 3\.0"), (True, "n must be an integer, got True"),
+        ("3", "n must be an integer, got '3'"), (None, "n must be an integer, got None")])
+    def test_count_refuses(self, value, message):
+        with pytest.raises(ValueError, match=message):
+            data_mod.check_count("n", value, 3)
+
+    @pytest.mark.parametrize("value", [1, 2.5, np.float32(0.5), np.int64(7), 5e-324,
+                                       pytest.param(10 ** 300, id="10**300")])
+    def test_positive_returns_the_float(self, value):
+        got = data_mod.check_positive("x", value)
+        assert type(got) is float and got == float(value)
+
+    @pytest.mark.parametrize("value, message", [
+        (0, "x must be positive and finite"), (-1.0, "x must be positive and finite"),
+        (float("nan"), "x must be positive and finite"),
+        (float("inf"), "x must be positive and finite"),
+        pytest.param(10 ** 400, "x must be positive and finite", id="10**400"),
+        pytest.param(-10 ** 400, "x must be positive and finite", id="-10**400"),
+        (True, "x must be a number, got True"), ("1", "x must be a number, got '1'"),
+        (None, "x must be a number, got None"), (1j, r"x must be a number, got 1j")])
+    def test_positive_refuses(self, value, message):
+        with pytest.raises(ValueError, match=message):
+            data_mod.check_positive("x", value)

@@ -50,6 +50,8 @@ class TestHierPrior:
     def test_validation(self):
         with pytest.raises(ValueError):
             HierPrior(0.0, np.ones((1, 2)))
+        with pytest.raises(ValueError, match="s must be a number, got True"):
+            HierPrior(True, np.ones((1, 2)))
         with pytest.raises(ValueError):
             HierPrior(1.0, np.zeros((1, 2)))
 
@@ -64,7 +66,7 @@ class TestHierPrior:
             HierPrior(np.inf, np.ones((1, 2)))
         with pytest.raises(ValueError, match="alpha0 must be a positive, finite"):
             HierPrior(1.0, np.array([[1.0, np.inf]]))
-        with pytest.raises(ValueError, match="alpha0"):
+        with pytest.raises(ValueError, match="s0 must be positive and finite"):
             HierPrior.uniform((1, 2), s=1.0, s0=np.inf)
 
 
@@ -181,6 +183,8 @@ class TestFitVariational:
         prior = HierPrior.uniform((2, 2), s=1.0)
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             fit_variational(counts, prior, tol=np.inf)
+        with pytest.raises(ValueError, match="tol must be a number, got True"):
+            fit_variational_stack(counts.per_group[None], prior, tol=True)
 
     def test_deterministic(self):
         counts = make_counts([[[7, 2], [1, 5]], [[3, 3], [2, 8]]])

@@ -111,6 +111,8 @@ class TestBdeu:
         # an infinite s gives every cell an infinite pseudo-count: a NaN score
         with pytest.raises(ValueError, match="positive and finite"):
             bdeu_local_log_score(np.ones((1, 2)), float("inf"))
+        with pytest.raises(ValueError, match="iss must be a number, got True"):
+            bdeu_local_log_score(np.ones((1, 2)), True)
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(8)
@@ -302,15 +304,23 @@ class TestScoreConfig:
     @pytest.mark.parametrize("kind", ["bdeu", "bic", "bhd"])
     def test_non_finite_iss_and_s0_rejected(self, kind):
         # an infinite iss or s0 would make every Dirichlet score NaN
-        with pytest.raises(ValueError, match="imaginary sample size must be positive and finite"):
+        with pytest.raises(ValueError, match="iss must be positive and finite"):
             ScoreConfig(kind, iss=float("inf"))
         with pytest.raises(ValueError, match="s0 must be positive and finite"):
             ScoreConfig(kind, s0=float("inf"))
+        # an int too large for a float is not finite either, and a bool is no number
+        with pytest.raises(ValueError, match="iss must be positive and finite"):
+            ScoreConfig(kind, iss=10 ** 400)
+        with pytest.raises(ValueError, match="iss must be a number, got True"):
+            ScoreConfig(kind, iss=True)
+        with pytest.raises(ValueError, match="s0 must be a number, got True"):
+            ScoreConfig(kind, s0=True)
 
     @pytest.mark.parametrize("kind", ["bdeu", "bhd"])
     @pytest.mark.parametrize("settings", [{"vb_tol": 0.0}, {"vb_tol": -1e-6},
                                           {"vb_tol": float("nan")}, {"vb_max_iters": 0},
-                                          {"vb_tol": float("inf")}])
+                                          {"vb_tol": float("inf")}, {"vb_tol": True},
+                                          {"vb_tol": 10 ** 400}])
     def test_bad_vb_settings(self, kind, settings):
         # checked for every kind, so a setting no fit could use never passes silently
         with pytest.raises(ValueError, match="vb_"):

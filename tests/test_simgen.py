@@ -27,6 +27,13 @@ class TestGenConfig:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             GenConfig(**{"n_nodes": 5, field: value})
 
+    @pytest.mark.parametrize("field, least", [("n_nodes", 2), ("card", 2), ("n_groups", 1),
+                                              ("rows_per_group", 1), ("n_perturbed", 0),
+                                              ("n_removed", 0), ("seed", 0)])
+    def test_counts_and_seed_below_their_least_value_rejected(self, field, least):
+        with pytest.raises(ValueError, match=f"{field} must be at least {least}"):
+            GenConfig(**{"n_nodes": 5, field: least - 1})
+
     def test_numpy_integers_accepted_numpy_floats_refused(self):
         config = GenConfig(n_nodes=np.int64(5), card=np.int32(3), n_groups=np.uint8(2),
                            rows_per_group=np.int64(20), seed=np.uint64(2 ** 63))
