@@ -241,10 +241,14 @@ class TestPlanJson:
 
     @pytest.mark.parametrize("settings, message", [
         ({"scores": ["bdx"]}, "unknown score kind"),
-        ({"iss": [1.0, -1]}, "iss must be positive and finite"),
+        # the ids these two cases have always had, from when the message
+        # spelled out "imaginary sample size"
+        pytest.param({"iss": [1.0, -1]}, "iss must be positive and finite",
+                     id="settings1-imaginary sample size"),
         ({"vb_tol": 0}, "vb_tol"),
         ({"vb_max_iters": 0}, "vb_max_iters"),
-        ({"iss": [float("inf")]}, "iss must be positive and finite"),
+        pytest.param({"iss": [float("inf")]}, "iss must be positive and finite",
+                     id="settings4-imaginary sample size"),
         ({"vb_tol": float("inf")}, "vb_tol must be positive and finite"),
         ({"iss": [True]}, "iss must be a number, got True"),
         ({"iss": [1.0, "2"]}, "iss must be a number, got '2'"),
