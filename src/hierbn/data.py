@@ -26,8 +26,9 @@ class DataError(ValueError):
 # bytes the line pass of load_csv reads at a time
 _BLOCK_BYTES = 1 << 16
 
-# largest array one family_count_tables batch allocates: count table, row codes,
-# row weights or gathered parent columns (2**26 cells of 8 bytes, 512 MiB)
+# largest array one family_count_tables batch allocates: its count tables, or
+# one block's row codes or row weights (2**26 cells of 8 bytes, 512 MiB); the
+# float copy of the blocks that counting reads is the dataset's, not a batch's
 MAX_COUNT_CELLS = 2 ** 26
 
 
@@ -101,6 +102,10 @@ class GroupedDataset:
     (n_f, N), read-only; a loaded dataset builds it on first access.
     Variable order and level order are fixed at construction, so counting is
     invariant to row order within a group.
+
+    The first count builds a read-only float64 copy of each block with a
+    trailing column of ones, shape (m_f, N + 1): the size of the block plus
+    one column. Every later count of the dataset reads it.
     """
 
     def __init__(self, variables, groups, group_rows):
@@ -142,6 +147,13 @@ class GroupedDataset:
         if self._group_rows is None:
             self._group_rows = self._expand_rows()
         return self._group_rows
+
+    @functools.cached_property
+    def _float_blocks(self):
+        blocks = tuple(np.hstack([rows, np.ones((len(rows), 1))]) for rows, _ in self.blocks)
+        for block in blocks:
+            block.flags.writeable = False
+        return blocks
 
     def _expand_rows(self):
         table, table_groups, row_ids = self._file_rows
@@ -417,46 +429,36 @@ def _count_tables(data, child, sets):
     rows = max((block.shape[0] for block, _ in data.blocks), default=0)
     out = []
     for n_configs, positions in by_configs.items():
-        # a batch's row codes and weights, its parent columns (one group's
-        # block at a time) and its tables fit under the cap
+        # a batch's tables, and one block's row codes and weights, fit under
+        # the cap
         per_set = max(rows, n_groups * n_configs * child_card)
-        batches, used = [[]], set()
-        for position in positions:
-            grown = used.union(sets[position])
-            if batches[-1] and max(per_set * (len(batches[-1]) + 1),
-                                   rows * len(grown)) > MAX_COUNT_CELLS:
-                batches.append([])
-                grown = set(sets[position])
-            batches[-1].append(position)
-            used = grown
+        step = max(1, MAX_COUNT_CELLS // max(1, per_set))
         out.extend((batch, _count_joint(data, child, [sets[i] for i in batch], n_configs))
-                   for batch in batches)
+                   for batch in (positions[i:i + step] for i in range(0, len(positions), step)))
     return out
 
 
 def _count_joint(data, child, sets, n_configs):
     # The (S, F, J, K) tables of sets with J configurations each. A row's
-    # cell in set s's table is s * J * K, plus its child level, plus its
-    # parent levels times the set's row-major strides: one float product
-    # per group block, exact since every sum is an integer below J * K. One
-    # bincount per block counts every set, weighing each row by its
-    # multiplicity (float sums of integers below 2**53, stored as int64).
+    # cell in set s's table is s * J * K (times its ones column), plus its
+    # child level, plus its parent levels times the set's row-major strides:
+    # one product of a block's float copy with an (N + 1, S) stride matrix,
+    # exact since every sum is an integer below S * J * K. One bincount per
+    # block counts every set, weighing each row by its multiplicity (float
+    # sums of integers below 2**53, stored as int64).
     cards = data.cardinalities()
     child_card = cards[child]
-    used = sorted(set().union(*sets))
-    column = {p: i for i, p in enumerate(used)}
-    strides = np.zeros((len(used), len(sets)))
+    strides = np.zeros((data.n_variables + 1, len(sets)))
+    strides[child] = 1
+    strides[-1] = np.arange(len(sets)) * (n_configs * child_card)
     for s, parents in enumerate(sets):
         stride = child_card
         for p in reversed(parents):
-            strides[column[p], s] = stride
+            strides[p, s] = stride
             stride *= cards[p]
-    offsets = np.arange(len(sets), dtype=np.int64) * (n_configs * child_card)
     tables = np.empty((len(sets), data.n_groups, n_configs, child_card), dtype=np.int64)
-    for f, (block, weights) in enumerate(data.blocks):
-        codes = (block[:, used].astype(np.float64) @ strides).astype(np.int64)
-        codes += block[:, child, None]
-        codes += offsets
+    for f, (block, (_, weights)) in enumerate(zip(data._float_blocks, data.blocks)):
+        codes = (block @ strides).astype(np.int64)
         if weights is not None:
             weights = np.repeat(weights, len(sets))
         counted = np.bincount(codes.ravel(), weights, minlength=len(sets) * n_configs * child_card)

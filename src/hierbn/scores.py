@@ -137,16 +137,16 @@ class ScoreConfig:
 
 class LocalScoreCache:
     """Memo table of one dataset's local scores, keyed by (child, parent
-    set, score identity); the first scored dataset binds it."""
+    set, score identity); the first scored dataset binds it.
+    ``local_log_scores`` answers a request's keys from the table in one pass
+    and counts ``hits`` and ``misses`` as ``get_or_compute`` would, one key
+    at a time."""
 
     def __init__(self):
         self._store = {}
         self.data = None
         self.hits = 0
         self.misses = 0
-
-    def __contains__(self, key):
-        return key in self._store
 
     def get_or_compute(self, key, compute):
         try:
@@ -194,9 +194,9 @@ def local_log_scores(data, families, config, cache=None):
     Every index is checked first (``data.check_indices``), before any cache
     lookup. Each family is scored with its parents in sorted order, the
     order of its cache key, so its score does not depend on the order the
-    parents are given in. With a ``cache``, each family is looked up in turn (so
-    hits and misses count as if the families were scored one by one) and
-    only the distinct missing families are counted and scored, in one batch.
+    parents are given in. With a ``cache``, only the distinct missing
+    families are counted and scored, in one batch, and hits and misses count
+    as if the families were looked up one by one.
     """
     families = [(child, tuple(parents)) for child, parents in families]
     # before the keys: a bool or float index would find its integer's entry
@@ -210,9 +210,12 @@ def local_log_scores(data, families, config, cache=None):
         raise ValueError("the cache holds scores of another dataset")
     identity = config.cache_key()
     keys = [family + identity for family in families]
-    missing = list(dict.fromkeys(key for key in keys if key not in cache))
-    computed = dict(zip(missing, _compute_locals(data, [key[:2] for key in missing], config)))
-    return [cache.get_or_compute(key, lambda key=key: computed[key]) for key in keys]
+    store = cache._store
+    missing = list(dict.fromkeys(key for key in keys if key not in store))
+    store.update(zip(missing, _compute_locals(data, [key[:2] for key in missing], config)))
+    cache.misses += len(missing)
+    cache.hits += len(keys) - len(missing)
+    return list(map(store.__getitem__, keys))
 
 
 def local_log_score(data, child, parents, config, cache=None):

@@ -15,6 +15,7 @@ the full joint table over the dropped parents (aggregating a Dirichlet draw
 is again a Dirichlet draw, so the regimes keep their meaning).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,8 @@ class GenConfig:
             check_count(name, getattr(self, name), least)
         if not is_number(self.arc_ratio):
             raise ValueError(f"arc_ratio must be a number, got {self.arc_ratio!r}")
+        if not 0 <= self.arc_ratio < math.inf:
+            raise ValueError(f"arc_ratio must be finite and at least 0, got {self.arc_ratio!r}")
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}")
         if self.scenario not in SCENARIOS:

@@ -140,6 +140,24 @@ class TestExitCodes:
         assert err.startswith("hierbn: data error:") and "arc_ratio must be a number" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["bench", "simulate"])
+    @pytest.mark.parametrize("value", ["1e400", "NaN", "-1.0"])
+    def test_arc_ratio_not_finite_or_negative_is_data_error(self, tmp_path, capsys, command,
+                                                            value):
+        cell = f'{{"n_nodes": 3, "rows_per_group": 10, "arc_ratio": {value}}}'
+        path, out = tmp_path / "doc.json", tmp_path / "out"
+        if command == "bench":
+            path.write_text(f'{{"cells": [{cell}], "scores": ["bdeu"]}}')
+            argv = ["bench", "--plan", str(path), "--out", str(out)]
+        else:
+            path.write_text(cell)
+            argv = ["simulate", "--config", str(path), "--out-dir", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hierbn: data error:")
+        assert "arc_ratio must be finite and at least 0" in err
+        assert not out.exists()
+
     def test_undecodable_csv_is_data_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(locale, "getpreferredencoding", lambda do_setlocale=True: "utf-8")
         path = tmp_path / "bad.csv"

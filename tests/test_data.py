@@ -416,12 +416,10 @@ class TestFamilyCountTables:
         sizes = []
 
         def spy(data, child, sets, *layout):
-            # one group's row codes and gathered parent columns, and the
-            # batch's tables
+            # one group's row codes, and the batch's tables
             rows = max(block.shape[0] for block in data.group_rows)
             n_configs = sum(int(np.prod([cards[p] for p in s])) for s in sets)
-            sizes.append((len(sets) * rows, rows * len(set().union(*sets)),
-                          data.n_groups * n_configs * cards[child]))
+            sizes.append((len(sets) * rows, data.n_groups * n_configs * cards[child]))
             return count_joint(data, child, sets, *layout)
 
         monkeypatch.setattr(data_mod, "_count_joint", spy)
@@ -693,7 +691,7 @@ class TestJointCounting:
         self.assert_oracle(data, 1, sets)
         assert sorted(map(len, batches)) == ([1, 1, 1, 1] if cap == 60 else [2, 2])
 
-    def test_cap_splits_a_batch_by_its_parent_columns(self, monkeypatch):
+    def test_cap_splits_a_batch_by_its_row_codes(self, monkeypatch):
         data = mixed_dataset(9, group_sizes=(20,), cards=(2, 2, 2, 2, 2))
         monkeypatch.setattr(data_mod, "MAX_COUNT_CELLS", 60)
         count_joint = data_mod._count_joint
@@ -704,11 +702,59 @@ class TestJointCounting:
             return count_joint(data, child, sets, n_configs)
 
         monkeypatch.setattr(data_mod, "_count_joint", spy)
-        # 20 rows and 8 cells a set leave room for three sets, but (2, 3)
-        # would bring the gathered parent columns to four: 80 cells
+        # 20 row codes and 8 cells a set: three sets fit, a fourth would
+        # bring the row codes to 80 cells, whatever the sets' parents
         sets = [(0, 1), (1, 0), (2, 3), (3, 2)]
         self.assert_oracle(data, 4, sets)
-        assert batches == [[(0, 1), (1, 0)], [(2, 3), (3, 2)]]
+        assert batches == [[(0, 1), (1, 0), (2, 3)], [(3, 2)]]
+        assert all(len(batch) * 20 <= 60 and len(batch) * 8 <= 60 for batch in batches)
+
+
+class TestFloatCopy:
+    """Counting reads one float64 copy of each block, ones last, built on
+    the dataset's first count; the int64 blocks and group rows stay as they
+    are."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        prop = GroupedDataset.__dict__["_float_blocks"]
+        build, built = prop.func, []
+
+        def spy(data):
+            built.append(data)
+            return build(data)
+
+        monkeypatch.setattr(prop, "func", spy)
+        return built
+
+    def test_built_once_and_reused_by_counts_and_a_climb(self, tmp_path, builds):
+        from hierbn.scores import ScoreConfig
+        from hierbn.search import run_hill_climb
+
+        for data in (mixed_dataset(10), load_csv(repetitive_csv(tmp_path), "g")):
+            blocks, group_rows = data.blocks, data.group_rows
+            block_arrays = [rows for rows, _ in blocks]
+            count_tables(data, 2, [(1,), (0, 1)])
+            copies = data._float_blocks
+            count_tables(data, 1, [(0,), ()])
+            run_hill_climb(data, ScoreConfig("bdeu"))
+            assert builds.count(data) == 1 and data._float_blocks is copies
+            for copy, (rows, _) in zip(copies, blocks):
+                assert copy.dtype == np.float64 and not copy.flags.writeable
+                np.testing.assert_array_equal(copy[:, :-1], rows)
+                assert copy.shape == (len(rows), data.n_variables + 1) and (copy[:, -1] == 1).all()
+            assert data.blocks is blocks and data.group_rows is group_rows
+            assert all(rows is before for (rows, _), before in zip(data.blocks, block_arrays))
+            assert all(rows.dtype == np.int64 for rows, _ in data.blocks)
+            assert all(rows.dtype == np.int64 for rows in data.group_rows)
+        assert len(builds) == 2
+
+    def test_not_built_before_the_first_count(self, builds):
+        data = mixed_dataset(11)
+        assert data.group_rows and data.n_rows == 65
+        assert builds == [] and "_float_blocks" not in vars(data)
+        count_tables(data, 0, [()])
+        assert builds == [data]
 
 
 class TestIndexChecks:

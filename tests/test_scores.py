@@ -226,6 +226,13 @@ class TestTotalScore:
         folded = fold_total(cols)
         alone = np.array([fold_total(col.tolist()) for col in cols.T])
         assert folded[0] == 0.0 and folded.tobytes() == alone.tobytes()
+        # so does one column of N >= 9 rows, which np.add.reduce(axis=0) sums
+        # pairwise: left to right each 1e-16 is lost to 1.0, summed pairwise
+        # the 1e-16s are not
+        col = np.array([[1.0]] + [[1e-16]] * 15)
+        folded = fold_total(col)
+        assert folded.tobytes() == np.array([fold_total(col[:, 0].tolist())]).tobytes()
+        assert folded[0] == 1.0
 
     def test_decomposability(self, tmp_path):
         rng = np.random.default_rng(21)
@@ -438,12 +445,15 @@ class TestBatchedScores:
         # both orders of {1, 4} are scored as (1, 4), so either may be cached
         assert local_log_score(data, 2, (1, 4), config) == local_log_score(data, 2, (4, 1), config)
         requests = [MIXED_SETS + [(1, 4), (4, 1)], MIXED_SETS[::-1] + [(0, 3)], [(3, 0), (4,)]]
-        batched, single = LocalScoreCache(), LocalScoreCache()
+        batched, single, looked_up = LocalScoreCache(), LocalScoreCache(), LocalScoreCache()
         for sets in requests:
             got = local_log_scores(data, [(2, parents) for parents in sets], config, batched)
             want = [local_log_score(data, 2, parents, config, single) for parents in sets]
+            for parents in sets:
+                looked_up.get_or_compute((2, tuple(sorted(parents))) + config.cache_key(), float)
             assert got == want
-            assert (batched.hits, batched.misses) == (single.hits, single.misses)
+            assert ((batched.hits, batched.misses) == (single.hits, single.misses)
+                    == (looked_up.hits, looked_up.misses))
         assert batched._store.keys() == single._store.keys()
         assert batched.hits > 0
 

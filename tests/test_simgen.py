@@ -1,5 +1,7 @@
 """Synthetic ground truth: structures, parameter regimes, ancestral sampling."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,12 @@ class TestGenConfig:
     def test_counts_and_seed_below_their_least_value_rejected(self, field, least):
         with pytest.raises(ValueError, match=f"{field} must be at least {least}"):
             GenConfig(**{"n_nodes": 5, field: least - 1})
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, np.float64("nan"), -1.0,
+                                       -0.01])
+    def test_arc_ratio_not_finite_or_negative_rejected(self, value):
+        with pytest.raises(ValueError, match="arc_ratio must be finite and at least 0"):
+            GenConfig(n_nodes=5, arc_ratio=value)
 
     def test_numpy_integers_accepted_numpy_floats_refused(self):
         config = GenConfig(n_nodes=np.int64(5), card=np.int32(3), n_groups=np.uint8(2),
