@@ -268,8 +268,12 @@ def dag_from_json(text):
         raise ValueError('a graph needs "nodes" and "arcs" lists')
     if not all(isinstance(arc, list) and len(arc) == 2 for arc in doc["arcs"]):
         raise ValueError("every arc must be a [from, to] pair")
-    names = list(doc["nodes"])
+    names = doc["nodes"]
+    if not all(isinstance(name, str) for name in names) or len(set(names)) < len(names):
+        raise ValueError("node names must be distinct strings")
     index = {name: i for i, name in enumerate(names)}
+    if not all(isinstance(end, str) and end in index for arc in doc["arcs"] for end in arc):
+        raise ValueError("every arc must join two of the nodes")
     arcs = {(index[u], index[v]) for u, v in doc["arcs"]}
     return Dag(len(names), frozenset(arcs)), names
 

@@ -201,7 +201,13 @@ def local_log_scores(data, families, config, cache=None):
     families = [(child, tuple(parents)) for child, parents in families]
     # before the keys: a bool or float index would find its integer's entry
     check_indices(families, data.n_variables)
-    families = [(child, tuple(sorted(parents))) for child, parents in families]
+    return _local_log_scores(data, [(child, tuple(sorted(parents)))
+                                    for child, parents in families], config, cache)
+
+
+def _local_log_scores(data, families, config, cache):
+    # local_log_scores past its checks: each family valid and its parents a
+    # sorted tuple, as the climb builds them
     if cache is None:
         return _compute_locals(data, families, config)
     if cache.data is None:

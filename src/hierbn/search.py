@@ -6,7 +6,7 @@ import numpy as np
 
 from .data import check_count
 from .graph import Dag
-from .scores import LocalScoreCache, fold_total, local_log_scores
+from .scores import LocalScoreCache, _local_log_scores, fold_total
 
 MOVE_KINDS = ("add", "delete", "reverse")  # sorted, so moves read off kind by kind are too
 
@@ -120,12 +120,13 @@ def run_hill_climb(data, score_config, search_config=None, start=None, cache=Non
 
     The graph is kept as arc and reachability matrices and sorted parent
     tuples, updated in place by each applied move; the one ``Dag`` built is
-    the result. Each node's locals with one parent added or dropped are kept in N x N
-    tables, rescored only when that node's parents change, in one batched
-    call per node. Each step lays out, for every legal move, the locals the
-    move leaves as one column of an N x M array and folds all columns at
-    once: the additions of a cold evaluation, bit for bit. The highest total
-    strictly above the current one wins, ties falling to the
+    the result. One N x N table holds each node's locals with one parent
+    toggled, rescored only when that node's parents change, in one batched
+    call per step; every family is valid and sorted as built, so the scoring
+    core takes it unchecked. Each step lays out, for every legal move, the
+    locals the move leaves as one column of an N x M array and folds all
+    columns at once: the additions of a cold evaluation, bit for bit. The
+    highest total strictly above the current one wins, ties falling to the
     lexicographically first move. Returns the climbed DAG, its total score
     (so it matches a cold evaluation of the final graph, and no neighbour
     folds higher), and the score trace.
@@ -141,25 +142,21 @@ def run_hill_climb(data, score_config, search_config=None, start=None, cache=Non
     below = _reachability(arcs)
     parents = [start.parents(i) for i in range(n)]
 
-    locals_ = local_log_scores(data, list(enumerate(parents)), score_config, cache)
+    locals_ = _local_log_scores(data, list(enumerate(parents)), score_config, cache)
     total = fold_total(locals_)
     trace = [total]
-    # grown[u, v]: local of v with parent u added; shrunk[u, v]: with u dropped
-    grown, shrunk = np.full((n, n), np.nan), np.full((n, n), np.nan)
+    # toggled[u, v]: local of v with u dropped from its parents if it is one, added if not
+    toggled = np.full((n, n), np.nan)
 
     for _ in range(cfg.max_iterations):
         masks = add, delete, reverse = _legal_masks(arcs, below, cfg.max_parents)
         # refill every entry a legal move needs, all columns in one batched call
-        grow_v, grow_u = np.nonzero(((add | reverse.T) & np.isnan(grown)).T)
-        shrink_v, shrink_u = np.nonzero((delete & np.isnan(shrunk)).T)
-        families = ([(v, parents[v] + (u,))
-                     for v, u in zip(grow_v.tolist(), grow_u.tolist())]
-                    + [(v, tuple(p for p in parents[v] if p != u))
-                       for v, u in zip(shrink_v.tolist(), shrink_u.tolist())])
-        if families:
-            values = local_log_scores(data, families, score_config, cache)
-            grown[grow_u, grow_v] = values[:len(grow_v)]
-            shrunk[shrink_u, shrink_v] = values[len(grow_v):]
+        need_v, need_u = np.nonzero(((add | delete | reverse.T) & np.isnan(toggled)).T)
+        if need_v.size:
+            families = [(v, tuple(p for p in parents[v] if p != u) if u in parents[v]
+                         else tuple(sorted(parents[v] + (u,))))
+                        for v, u in zip(need_v.tolist(), need_u.tolist())]
+            toggled[need_u, need_v] = _local_log_scores(data, families, score_config, cache)
         # every legal move: kinds in MOVE_KINDS order, each mask row-major,
         # which is neighbourhood's order
         kind, u, v = np.nonzero(np.stack(masks))
@@ -167,9 +164,8 @@ def run_hill_climb(data, score_config, search_config=None, start=None, cache=Non
         # column k: the locals that move k leaves, folded as a cold rescore folds them
         cols = np.empty((n, len(kind)))
         cols[:] = np.array(locals_)[:, None]
-        cols[v, np.arange(len(kind))] = np.concatenate([grown[add], shrunk[delete],
-                                                        shrunk[reverse]])
-        cols[u[rev], np.flatnonzero(rev)] = grown.T[reverse]
+        cols[v, np.arange(len(kind))] = toggled[u, v]
+        cols[u[rev], np.flatnonzero(rev)] = toggled[v[rev], u[rev]]
         with np.errstate(over="ignore", invalid="ignore"):  # silent, as float addition is
             totals = fold_total(cols)
         better = np.flatnonzero(totals > total)  # NaN never compares greater
@@ -182,6 +178,6 @@ def run_hill_climb(data, score_config, search_config=None, start=None, cache=Non
         total = float(totals[best])
         trace.append(total)
         changed = [u[best], v[best]] if rev[best] else [v[best]]  # nodes whose parents changed
-        grown[:, changed] = shrunk[:, changed] = np.nan
+        toggled[:, changed] = np.nan
 
     return SearchResult(Dag(n, frozenset(zip(*np.nonzero(arcs)))), total, tuple(trace))

@@ -71,8 +71,8 @@ class GenConfig:
             raise ValueError(f"unknown regime {self.regime!r}")
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
-        max_arcs = self.n_nodes * (self.n_nodes - 1) // 2
-        if not 0 <= round(self.arc_ratio * self.n_nodes) <= max_arcs:
+        n_arcs = round(self.arc_ratio * self.n_nodes)  # the arcs random_dag places
+        if n_arcs > self.n_nodes * (self.n_nodes - 1) // 2:
             raise ValueError("arc_ratio requests more arcs than any order admits")
         if self.scenario == "a":
             if self.n_perturbed or self.n_removed:
@@ -80,8 +80,8 @@ class GenConfig:
         else:
             if not 1 <= self.n_perturbed <= self.n_groups:
                 raise ValueError("scenario 'b' needs 1 <= n_perturbed <= n_groups")
-            if self.n_removed < 1:
-                raise ValueError("scenario 'b' removes at least one arc")
+            if not 1 <= self.n_removed <= n_arcs:
+                raise ValueError(f"scenario 'b' needs 1 <= n_removed <= {n_arcs}, the arc count")
 
 
 @dataclass(frozen=True)
@@ -224,8 +224,6 @@ def generate(config):
     parameters and data, so each stage is reproducible on its own.
     """
     master = random_dag(config.n_nodes, config.arc_ratio, derive_rng(config.seed, 0))
-    if config.scenario == "b" and config.n_removed > master.arc_count:
-        raise ValueError("n_removed exceeds the number of master arcs")
     group_dags = perturb_structures(master, config.n_groups, config.n_perturbed,
                                     config.n_removed, derive_rng(config.seed, 1))
     joint = _draw_joint_tables(master, config.card, config.regime, config.n_groups,

@@ -73,7 +73,11 @@ class TestExitCodes:
                      "--graph", str(graph)]) == 2
 
     @pytest.mark.parametrize("text", ["[]", '{"nodes": "ab", "arcs": []}',
-                                      '{"nodes": ["a", "b"], "arcs": [["a", "b", "c"]]}'])
+                                      '{"nodes": ["a", "b"], "arcs": [["a", "b", "c"]]}',
+                                      '{"nodes": ["A", 1], "arcs": []}',
+                                      '{"nodes": [["A"], "B"], "arcs": []}',
+                                      '{"nodes": ["a", "a", "b", "c"], "arcs": []}',
+                                      '{"nodes": ["a", "b", "c"], "arcs": [[["a"], "b"]]}'])
     def test_malformed_graph_document_is_data_error(self, data_csv, tmp_path, capsys, text):
         graph = tmp_path / "g.json"
         graph.write_text(text)
@@ -156,6 +160,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("hierbn: data error:")
         assert "arc_ratio must be finite and at least 0" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["bench", "simulate"])
+    def test_more_arcs_removed_than_placed_is_data_error(self, tmp_path, capsys, command):
+        # round(0.34 * 3) = 1 arc is placed, so none is left for a second removal
+        cell = {"n_nodes": 3, "arc_ratio": 0.34, "scenario": "b", "n_perturbed": 1,
+                "n_removed": 2, "rows_per_group": 5}
+        path, out = tmp_path / "doc.json", tmp_path / "out"
+        if command == "bench":
+            path.write_text(json.dumps({"cells": [cell], "scores": ["bdeu"]}))
+            argv = ["bench", "--plan", str(path), "--out", str(out)]
+        else:
+            path.write_text(json.dumps(cell))
+            argv = ["simulate", "--config", str(path), "--out-dir", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hierbn: data error:") and "1 <= n_removed <= 1" in err
         assert not out.exists()
 
     def test_undecodable_csv_is_data_error(self, tmp_path, capsys, monkeypatch):

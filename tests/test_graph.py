@@ -241,7 +241,12 @@ class TestSerialization:
     @pytest.mark.parametrize("text", ["[]", '"g"', '{"arcs": []}', '{"nodes": "ab", "arcs": []}',
                                       '{"nodes": ["a", "b"], "arcs": {"a": "b"}}',
                                       '{"nodes": ["a", "b"], "arcs": [["a"]]}',
-                                      '{"nodes": ["a", "b"], "arcs": ["ab"]}'])
+                                      '{"nodes": ["a", "b"], "arcs": ["ab"]}',
+                                      '{"nodes": ["A", 1], "arcs": []}',
+                                      '{"nodes": [["A"], "B"], "arcs": []}',
+                                      '{"nodes": ["a", "a"], "arcs": []}',
+                                      '{"nodes": ["A", "B"], "arcs": [[["A"], "B"]]}',
+                                      '{"nodes": ["A", "B"], "arcs": [["A", "C"]]}'])
     def test_json_of_the_wrong_shape_is_value_error(self, text):
         with pytest.raises(ValueError):
             dag_from_json(text)

@@ -8,6 +8,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from hierbn import data as data_module
 from hierbn import scores, search
 from hierbn.data import load_csv
 from hierbn.graph import Dag, is_acyclic
@@ -172,6 +173,29 @@ class TestClimbMatrices:
         result = run_hill_climb(data, ScoreConfig("bdeu"), start=original(2))
         assert len(result.trace) == 2 and len(built) == 1
 
+    def test_climb_checks_no_index_the_public_entries_check_once(self, monkeypatch):
+        # the climb builds its families valid and sorted, so only the
+        # public entries check theirs
+        _, data = generate(GenConfig(n_nodes=6, arc_ratio=1.5, rows_per_group=150, seed=0))
+        checked = []
+        original = data_module.check_indices
+
+        def spy(families, n_variables):
+            checked.append(n_variables)
+            return original(families, n_variables)
+
+        monkeypatch.setattr(data_module, "check_indices", spy)
+        monkeypatch.setattr(scores, "check_indices", spy)
+        config = ScoreConfig("bdeu")
+        result = run_hill_climb(data, config, start=Dag(6, frozenset({(5, 0)})))
+        assert len(result.trace) > 2 and not checked
+        scores.local_log_scores(data, [(0, (1, 2)), (3, ())], config)
+        assert len(checked) == 1
+        total_log_score(result.dag, data, config)
+        assert len(checked) == 2
+        data_module.family_count_tables(data, 0, [(1,), (2, 3)])
+        assert len(checked) == 3
+
 
 class TestHillClimb:
     def test_independent_variables_give_empty_graph(self, tmp_path):
@@ -326,8 +350,9 @@ class TestGreedyReplay:
         def stub_batch(data, families, config, cache=None):
             return [stub(data, child, parents, config) for child, parents in families]
 
-        # every local, one family or a batch, goes through local_log_scores
-        monkeypatch.setattr(search, "local_log_scores", stub_batch)
+        # every local, one family or a batch, goes through local_log_scores or
+        # the climb's unchecked core under it
+        monkeypatch.setattr(search, "_local_log_scores", stub_batch)
         monkeypatch.setattr(scores, "local_log_scores", stub_batch)
         data, config = SimpleNamespace(n_variables=4), ScoreConfig("bdeu")
         empty = Dag(4)
@@ -374,7 +399,7 @@ class TestGreedyReplay:
         def stub_batch(data, families, config, cache=None):
             return [stub(data, child, parents, config) for child, parents in families]
 
-        monkeypatch.setattr(search, "local_log_scores", stub_batch)
+        monkeypatch.setattr(search, "_local_log_scores", stub_batch)
         monkeypatch.setattr(scores, "local_log_scores", stub_batch)
         data, config = SimpleNamespace(n_variables=3), ScoreConfig("bdeu")
         dag, totals = replay_climb(data, config)

@@ -22,6 +22,18 @@ class TestGenConfig:
             GenConfig(n_nodes=5, scenario="b", n_perturbed=3, n_removed=1,
                       n_groups=2)
 
+    @pytest.mark.parametrize("n_nodes, arc_ratio", [(3, 0.34), (5, 1.0), (6, 1.5)])
+    def test_scenario_b_removes_at_most_every_placed_arc(self, n_nodes, arc_ratio):
+        # random_dag places round(arc_ratio * n_nodes) arcs: the one perturbed
+        # group may lose them all, and no more
+        n_arcs = round(arc_ratio * n_nodes)
+        cell = dict(n_nodes=n_nodes, arc_ratio=arc_ratio, scenario="b", n_perturbed=1,
+                    rows_per_group=5)
+        truth, _ = generate(GenConfig(**cell, n_removed=n_arcs))
+        assert [dag.arc_count for dag in truth.group_dags] in ([0, n_arcs], [n_arcs, 0])
+        with pytest.raises(ValueError, match=f"1 <= n_removed <= {n_arcs}"):
+            GenConfig(**cell, n_removed=n_arcs + 1)
+
     @pytest.mark.parametrize("field", ["n_nodes", "card", "n_groups", "rows_per_group",
                                        "n_perturbed", "n_removed", "seed"])
     @pytest.mark.parametrize("value", [5.0, 5.5, True, "5"])
