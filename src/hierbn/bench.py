@@ -13,7 +13,7 @@ import os
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -114,8 +114,7 @@ def expand(plan):
 def run_job(job):
     """Simulate one replicate and learn it with every (score, iss) pair."""
     truth, dataset = generate(job.config)
-    cfg = job.config
-    cid = cell_id(cfg)
+    cell = {"config_id": cell_id(job.config), **asdict(job.config)}
     records = []
     for score_config in job.score_configs:
         started = time.perf_counter()
@@ -123,12 +122,8 @@ def run_job(job):
         elapsed = time.perf_counter() - started
         shd_, tp, fp, fn = evaluate(result.dag, truth.master)
         records.append(RunRecord(
-            config_id=cid, scenario=cfg.scenario, regime=cfg.regime,
-            n_nodes=cfg.n_nodes, n_groups=cfg.n_groups, card=cfg.card,
-            arc_ratio=cfg.arc_ratio, rows_per_group=cfg.rows_per_group,
-            n_perturbed=cfg.n_perturbed, n_removed=cfg.n_removed,
-            seed=cfg.seed, score=score_config.kind, shd=shd_, tp=tp, fp=fp, fn=fn,
-            logscore=result.score, wall_time_s=elapsed, learned=result.dag))
+            **cell, score=score_config.kind, shd=shd_, tp=tp, fp=fp, fn=fn,
+            logscore=result.score, wall_time_s=elapsed))
     return records
 
 

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import bench as bench_mod
 from .data import DataError, check_count, load_csv
-from .graph import dag_from_dot, dag_from_json, dag_to_dot, dag_to_json
-from .scores import ScoreConfig, fold_total, local_log_scores
+from .graph import Dag, dag_from_dot, dag_from_json, dag_to_dot, dag_to_json
+from .scores import SCORE_KINDS, ScoreConfig, fold_total, local_log_scores
 from .search import SearchConfig, run_hill_climb
 from .simgen import GenConfig, derive_rng, generate
 
@@ -42,7 +42,7 @@ def build_parser():
         p.add_argument("--data", required=True, help="CSV file of complete categorical data")
         p.add_argument("--group", default=None,
                        help="column holding the group label (required for bhd)")
-        p.add_argument("--score", default="bdeu", choices=("bdeu", "bic", "bhd"))
+        p.add_argument("--score", default="bdeu", choices=SCORE_KINDS)
         p.add_argument("--iss", type=float, default=ScoreConfig.iss,
                        help="imaginary sample size")
         p.add_argument("--vb-tol", type=float, default=ScoreConfig.vb_tol,
@@ -131,17 +131,14 @@ def _read_graph(path, data):
             dag, names = dag_from_dot(text)
         else:
             dag, names = dag_from_json(text)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise DataError(f"cannot parse graph file {path}: {exc}") from exc
-    expected = [v.name for v in data.variables]
-    if sorted(names) != sorted(expected):
+    position = {v.name: i for i, v in enumerate(data.variables)}
+    if sorted(names) != sorted(position):
         raise DataError("graph nodes do not match the dataset's variables")
-    if names != expected:
-        # remap arcs onto the dataset's variable order
-        to_data = {name: expected.index(name) for name in names}
-        dag = type(dag)(len(expected),
-                        frozenset((to_data[names[u]], to_data[names[v]]) for u, v in dag.arcs))
-    return dag
+    # the arcs in the dataset's variable order
+    return Dag(len(names), frozenset((position[names[u]], position[names[v]])
+                                     for u, v in dag.arcs))
 
 
 def _cmd_score(args):

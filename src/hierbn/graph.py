@@ -8,9 +8,12 @@ are immutable snapshots: mutating operations return new values.
 import heapq
 import itertools
 import json
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .data import check_count, is_integer
 
 
 class CycleError(ValueError):
@@ -52,6 +55,9 @@ class Dag:
     arcs: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
+        check_count("node_count", self.node_count, 0)
+        if not all(is_integer(end) for arc in self.arcs for end in arc):
+            raise ValueError("arc ends must be integer node indices")
         arcs = frozenset((int(u), int(v)) for u, v in self.arcs)
         object.__setattr__(self, "arcs", arcs)
         parents = [[] for _ in range(self.node_count)]
@@ -259,6 +265,17 @@ def dag_to_json(dag, names=None):
     return json.dumps(doc, indent=2)
 
 
+def _named_dag(names, arcs):
+    """The Dag over ``names``, in order, with the named ``(from, to)`` arcs; a
+    ValueError unless the names are distinct strings and every arc joins two."""
+    if not all(isinstance(name, str) for name in names) or len(set(names)) < len(names):
+        raise ValueError("node names must be distinct strings")
+    index = {name: i for i, name in enumerate(names)}
+    if not all(isinstance(end, str) and end in index for arc in arcs for end in arc):
+        raise ValueError("every arc must join two of the nodes")
+    return Dag(len(names), frozenset((index[u], index[v]) for u, v in arcs))
+
+
 def dag_from_json(text):
     """Inverse of dag_to_json; returns (Dag, node names)."""
     doc = json.loads(text)
@@ -268,54 +285,44 @@ def dag_from_json(text):
         raise ValueError('a graph needs "nodes" and "arcs" lists')
     if not all(isinstance(arc, list) and len(arc) == 2 for arc in doc["arcs"]):
         raise ValueError("every arc must be a [from, to] pair")
-    names = doc["nodes"]
-    if not all(isinstance(name, str) for name in names) or len(set(names)) < len(names):
-        raise ValueError("node names must be distinct strings")
-    index = {name: i for i, name in enumerate(names)}
-    if not all(isinstance(end, str) and end in index for arc in doc["arcs"] for end in arc):
-        raise ValueError("every arc must join two of the nodes")
-    arcs = {(index[u], index[v]) for u, v in doc["arcs"]}
-    return Dag(len(names), frozenset(arcs)), names
+    return _named_dag(doc["nodes"], doc["arcs"]), doc["nodes"]
 
 
-def dag_to_dot(dag, names=None, graph_name="g"):
-    return cpdag_to_dot(Cpdag(dag.node_count, dag.arcs, frozenset()), names, graph_name)
-
-
-def cpdag_to_dot(cpdag, names=None, graph_name="g"):
-    """DOT-style text; reversible adjacencies are written with ``--``."""
+def dag_to_dot(dag, names=None):
+    """DOT text: a quoted line per node in order, then one per arc, sorted."""
     if names is None:
-        names = [f"X{i}" for i in range(cpdag.node_count)]
-    lines = [f"digraph {graph_name} {{"]
-    for name in names:
-        lines.append(f'  "{name}";')
-    for u, v in sorted(cpdag.directed):
-        lines.append(f'  "{names[u]}" -> "{names[v]}";')
-    for u, v in sorted(cpdag.undirected):
-        lines.append(f'  "{names[u]}" -- "{names[v]}";')
+        names = [f"X{i}" for i in range(dag.node_count)]
+    lines = ["digraph g {"]
+    lines += [f'  "{name}";' for name in names]
+    lines += [f'  "{names[u]}" -> "{names[v]}";' for u, v in dag.sorted_arcs()]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
+# a DOT name: quoted, anything but a quote; bare, no space, quote, ";", "->" or "--"
+_DOT_NAME = r'\s*("[^"]*"|(?:[^\s";-]|-(?![->]))+)\s*'
+_DOT_LINE = re.compile(_DOT_NAME + "(?:(->|--)" + _DOT_NAME + ")?;?")
+
+
 def dag_from_dot(text):
-    """Read back the directed subset of the DOT form emitted above."""
-    names = []
-    arcs = []
-    for raw in text.splitlines():
-        line = raw.strip().rstrip(";")
+    """Inverse of dag_to_dot; returns (Dag, node names). Reads ``"a";`` node and
+    ``"a" -> "b";`` arc lines, quotes optional; a ``--`` outside quotes is a
+    ValueError. With no node lines, the nodes are the arc ends in first-seen order."""
+    names, arcs = [], []
+    for number, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
         if not line or line.startswith(("digraph", "}")):
             continue
-        if "->" in line:
-            left, right = [part.strip().strip('"') for part in line.split("->", 1)]
-            arcs.append((left, right))
+        match = _DOT_LINE.fullmatch(line)
+        if not match:
+            raise ValueError(f"line {number}: neither a node nor an arc: {raw!r}")
+        first, op, second = (g and g.strip('"') for g in match.groups())
+        if op == "--":
+            raise ValueError(f"line {number}: an undirected edge; a DAG has only -> arcs")
+        if op:
+            arcs.append((first, second))
         else:
-            names.append(line.strip('"'))
+            names.append(first)
     if not names:
-        seen = []
-        for u, v in arcs:
-            for name in (u, v):
-                if name not in seen:
-                    seen.append(name)
-        names = seen
-    index = {name: i for i, name in enumerate(names)}
-    return Dag(len(names), frozenset((index[u], index[v]) for u, v in arcs)), names
+        names = list(dict.fromkeys(end for arc in arcs for end in arc))
+    return _named_dag(names, arcs), names

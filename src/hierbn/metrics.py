@@ -7,7 +7,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .data import DataError
-from .graph import arc_confusion, shd
+from .graph import arc_confusion, shd, to_cpdag
 
 # column order of the results CSV; every field round-trips exactly
 CSV_COLUMNS = ("config_id", "scenario", "regime", "N", "F", "card", "c", "n_f",
@@ -21,8 +21,7 @@ class RunRecord:
 
     The (config_id, seed) pair identifies the replicate; ``score`` names the
     scoring method, so records of different methods on the same replicate
-    align on (config_id, seed). ``learned`` is kept in memory only and is
-    not serialized.
+    align on (config_id, seed). The cell fields are named as GenConfig's.
     """
 
     config_id: str
@@ -43,16 +42,15 @@ class RunRecord:
     fn: int
     logscore: float
     wall_time_s: float
-    learned: object = None
 
     def to_row(self):
         """Stringified CSV cells; floats use repr so they read back bit-exactly."""
-        values = [getattr(self, f.name) for f in fields(self)[:-1]]
+        values = [getattr(self, f.name) for f in fields(self)]
         return [repr(v) if isinstance(v, float) else str(v) for v in values]
 
     @staticmethod
     def from_row(row):
-        columns = fields(RunRecord)[:-1]
+        columns = fields(RunRecord)
         if len(row) != len(columns):
             raise ValueError(f"expected {len(columns)} cells in a result row, got {len(row)}")
         return RunRecord(*(f.type(cell) for f, cell in zip(columns, row)))
@@ -64,6 +62,7 @@ def evaluate(learned, truth):
     Distance is measured between equivalence classes; the confusion counts
     are skeleton-level, so tp + fn always equals the true skeleton size.
     """
+    learned, truth = to_cpdag(learned), to_cpdag(truth)
     tp, fp, fn = arc_confusion(learned, truth)
     return shd(learned, truth), tp, fp, fn
 

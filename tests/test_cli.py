@@ -85,6 +85,14 @@ class TestExitCodes:
                      "--graph", str(graph)]) == 2
         assert "cannot parse graph file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ['"a";\n"a";\n"b";\n"c";', '"a" -- "b";', "a -- b;"])
+    def test_malformed_dot_graph_is_data_error(self, data_csv, tmp_path, capsys, text):
+        graph = tmp_path / "g.dot"
+        graph.write_text(f"digraph g {{\n{text}\n}}\n")
+        assert main(["score", "--data", data_csv, "--group", "site",
+                     "--graph", str(graph)]) == 2
+        assert "cannot parse graph file" in capsys.readouterr().err
+
     @pytest.mark.parametrize("content", [b'{"nodes": ["a\x81"], "arcs": []}', None],
                              ids=["undecodable", "directory"])
     def test_unreadable_graph_file_is_data_error(self, data_csv, tmp_path, capsys, content):
@@ -308,6 +316,25 @@ class TestLearnAndScore:
         # the DOT file is accepted back by score
         assert main(["score", "--data", data_csv, "--group", "site",
                      "--graph", dot]) == 0
+
+    @pytest.mark.parametrize("kind", ["bdeu", "bhd"])
+    def test_dot_round_trip_of_names_holding_arrows_exact(self, tmp_path, capsys, kind):
+        rng = np.random.default_rng(29)
+        lines = ["site,x->y,a--b,c"]
+        for i in range(120):
+            a = rng.integers(0, 2)
+            lines.append(f"s{i % 3},v{a},v{(a + (rng.random() < 0.1)) % 2},"
+                         f"v{rng.integers(0, 2)}")
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join(lines) + "\n")
+        graph, dot = str(tmp_path / "g.json"), str(tmp_path / "g.dot")
+        assert main(["learn", "--data", str(data), "--group", "site", "--score", kind,
+                     "--out", graph, "--dot", dot]) == 0
+        learned = json.loads(open(graph).read())
+        assert learned["arcs"]
+        assert main(["score", "--data", str(data), "--group", "site", "--score", kind,
+                     "--graph", dot]) == 0
+        assert json.loads(capsys.readouterr().out)["logscore"] == learned["logscore"]
 
     def test_score_rejects_mismatched_nodes(self, data_csv, tmp_path, capsys):
         graph = tmp_path / "g.json"

@@ -27,6 +27,21 @@ class TestDag:
         with pytest.raises(ValueError):
             Dag(2, frozenset({(0, 5)}))
 
+    @pytest.mark.parametrize("node_count, arcs", [
+        (3, [(0.9, 1)]), (3, [("1", "2")]), (3, [(True, 2)]), (3, [(0, np.float64(1))]),
+        (True, []), (-1, []), (2.0, []), ("2", [])],
+        ids=["float-end", "str-ends", "bool-end", "numpy-float-end", "bool-count",
+             "negative-count", "float-count", "str-count"])
+    def test_index_that_is_not_an_integer_is_value_error(self, node_count, arcs):
+        # the messages tell these from a cycle, which is a ValueError too
+        with pytest.raises(ValueError, match="node_count|arc ends"):
+            Dag(node_count, frozenset(arcs))
+
+    def test_numpy_integer_indices_read_as_ints(self):
+        dag = Dag(np.int64(3), frozenset({(np.int64(0), np.int32(2))}))
+        assert dag.arcs == frozenset({(0, 2)})
+        assert all(type(end) is int for arc in dag.arcs for end in arc)
+
     def test_immutability(self):
         dag = Dag(3, frozenset({(0, 1)}))
         grown = dag.with_arc(1, 2)
@@ -256,3 +271,25 @@ class TestSerialization:
         back, names = dag_from_dot(dag_to_dot(dag, ["a", "b", "c"]))
         assert names == ["a", "b", "c"]
         assert back == dag
+
+    @pytest.mark.parametrize("names", [["x->y", "a--b", "c"], ["-> c", "--", "a -- b -> c"]])
+    def test_dot_round_trip_of_names_holding_arrows(self, names):
+        dag = Dag(3, frozenset({(0, 1), (2, 1)}))
+        back, names_back = dag_from_dot(dag_to_dot(dag, names))
+        assert names_back == names
+        assert back == dag
+
+    @pytest.mark.parametrize("text, names", [
+        ("a -> b;\nb -> c;", ["a", "b", "c"]),
+        ('digraph g {\n  "x->y" -> b;\n  b->c\n}\n', ["x->y", "b", "c"])])
+    def test_dot_arcs_alone_name_the_nodes_in_order(self, text, names):
+        dag, names_back = dag_from_dot(text)
+        assert names_back == names
+        assert dag == Dag(3, frozenset({(0, 1), (1, 2)}))
+
+    @pytest.mark.parametrize("text", ['"a";\n"a";', '"a";\n"b";\n"a" -> "c";',
+                                      '"a" -- "b";', "a -- b;", '"a" "b";',
+                                      '"a" -> "b" -> "c";'])
+    def test_dot_of_the_wrong_shape_is_value_error(self, text):
+        with pytest.raises(ValueError):
+            dag_from_dot(text)

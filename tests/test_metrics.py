@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from hierbn import graph, metrics
 from hierbn.data import DataError
 from hierbn.graph import Dag, to_cpdag
 from hierbn.metrics import (CSV_COLUMNS, PairedDifference, RunRecord, evaluate,
@@ -29,6 +30,19 @@ class TestEvaluate:
         truth = Dag(4, frozenset({(0, 1), (1, 2), (0, 3)}))
         edge_count = to_cpdag(truth).edge_count
         assert evaluate(Dag(4), truth) == (edge_count, 0, 0, edge_count)
+
+    def test_each_graph_goes_to_its_cpdag_once(self, monkeypatch):
+        calls = []
+
+        def spy(dag):
+            calls.append(dag)
+            return to_cpdag(dag)
+
+        monkeypatch.setattr(graph, "to_cpdag", spy)
+        monkeypatch.setattr(metrics, "to_cpdag", spy)
+        learned, truth = Dag(3, frozenset({(0, 1)})), Dag(3, frozenset({(1, 2)}))
+        assert evaluate(learned, truth) == (2, 0, 1, 1)
+        assert calls == [learned, truth]
 
     def test_shd_bounded_by_confusion_and_orientation(self):
         # every differing pair is a missing edge, an extra edge, or an
@@ -117,14 +131,6 @@ class TestRecordCsv:
         back = read_records(path)[0]
         assert back.logscore == rec.logscore
         assert back.wall_time_s == rec.wall_time_s
-
-    def test_learned_field_not_serialized(self, tmp_path):
-        path = str(tmp_path / "r.csv")
-        rec = RunRecord("c", "a", "hier", 5, 5, 2, 1.0, 500, 0, 0, 1, "bdeu",
-                        0, 0, 0, 0, 0.0, 0.0, learned=Dag(5))
-        write_records(path, [rec])
-        back = read_records(path)[0]
-        assert back.learned is None
 
     def test_sort_key_orders_by_replicate_then_score(self):
         rows = [record(seed=1, score="bhd"), record(seed=0, score="bhd"),
