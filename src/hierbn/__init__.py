@@ -8,8 +8,8 @@ separate and shares statistical strength through a fitted latent centre.
 from .data import (DataError, FamilyCounts, GroupedDataset, VariableMeta, family_count_tables,
                    family_counts, load_csv)
 from .graph import Cpdag, CycleError, Dag, arc_confusion, is_acyclic, shd, to_cpdag
-from .hier import (HierPrior, VariationalFit, bhd_local_log_score, elbo,
-                   fit_variational, fit_variational_stack, hier_posterior_means)
+from .hier import (HierPrior, VariationalFit, bhd_local_log_score, fit_variational,
+                   fit_variational_stack, hier_posterior_means)
 from .metrics import RunRecord, evaluate, paired_difference
 from .scores import (LocalScoreCache, ScoreConfig, bd_local_log_score,
                      bd_local_log_scores, bdeu_local_log_score, bic_local_log_score,
@@ -25,8 +25,8 @@ __all__ = [
     "DataError", "FamilyCounts", "GroupedDataset", "VariableMeta",
     "family_count_tables", "family_counts", "load_csv",
     "Cpdag", "CycleError", "Dag", "arc_confusion", "is_acyclic", "shd", "to_cpdag",
-    "HierPrior", "VariationalFit", "bhd_local_log_score", "elbo",
-    "fit_variational", "fit_variational_stack", "hier_posterior_means",
+    "HierPrior", "VariationalFit", "bhd_local_log_score", "fit_variational",
+    "fit_variational_stack", "hier_posterior_means",
     "RunRecord", "evaluate", "paired_difference",
     "LocalScoreCache", "ScoreConfig", "bd_local_log_score", "bd_local_log_scores",
     "bdeu_local_log_score", "bic_local_log_score", "classic_posterior_mean",

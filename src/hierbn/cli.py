@@ -46,11 +46,12 @@ def build_parser():
         p.add_argument("--iss", type=float, default=ScoreConfig.iss,
                        help="imaginary sample size")
         p.add_argument("--vb-tol", type=float, default=ScoreConfig.vb_tol,
-                       help="the variational fit has converged when its largest gradient "
-                            "component is at most this times |initial bound| (or when no "
-                            "step raises the bound in floating point)")
+                       help="bhd: a parent configuration's centre fit has converged when "
+                            "the largest component of its log posterior's gradient is at "
+                            "most this times max(1, |log posterior at the start|) (or when "
+                            "no step raises it in floating point)")
         p.add_argument("--vb-max-iters", type=int, default=ScoreConfig.vb_max_iters,
-                       help="L-BFGS step cap of the variational fit; a fit that reaches it "
+                       help="bhd: Newton step cap of each centre fit; a fit that reaches it "
                             "unconverged warns")
         p.add_argument("--s0", type=float, default=None,
                        help="total mass of the flat hyperprior (default: one per cell)")
@@ -112,6 +113,12 @@ def _cmd_learn(args):
     doc["iss"] = args.iss
     doc["logscore"] = result.score
     text = json.dumps(doc, indent=2)
+    if args.dot:
+        # before anything is written: a name DOT cannot hold is a data error
+        try:
+            dot = dag_to_dot(result.dag, names)
+        except ValueError as exc:
+            raise DataError(f"cannot write --dot: {exc}") from exc
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -119,7 +126,7 @@ def _cmd_learn(args):
         print(text)
     if args.dot:
         with open(args.dot, "w") as fh:
-            fh.write(dag_to_dot(result.dag, names))
+            fh.write(dot)
     return 0
 
 

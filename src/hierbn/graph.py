@@ -289,25 +289,39 @@ def dag_from_json(text):
 
 
 def dag_to_dot(dag, names=None):
-    """DOT text: a quoted line per node in order, then one per arc, sorted."""
+    """DOT text: a quoted line per node in order, then one per arc, sorted.
+    A quote or backslash in a name is escaped with a backslash; a name
+    holding a line break is a ValueError, since a DOT line cannot hold it."""
     if names is None:
         names = [f"X{i}" for i in range(dag.node_count)]
+    broken = [name for name in names if "\n" in name or "\r" in name]
+    if broken:
+        raise ValueError(f"a DOT name cannot hold a line break: {broken[0]!r}")
+    quoted = ['"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"' for name in names]
     lines = ["digraph g {"]
-    lines += [f'  "{name}";' for name in names]
-    lines += [f'  "{names[u]}" -> "{names[v]}";' for u, v in dag.sorted_arcs()]
+    lines += [f"  {name};" for name in quoted]
+    lines += [f"  {quoted[u]} -> {quoted[v]};" for u, v in dag.sorted_arcs()]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-# a DOT name: quoted, anything but a quote; bare, no space, quote, ";", "->" or "--"
-_DOT_NAME = r'\s*("[^"]*"|(?:[^\s";-]|-(?![->]))+)\s*'
+# a DOT name: quoted, with \" and \\ escapes; bare, no space, quote, ";", "->" or "--"
+_DOT_NAME = r'\s*("(?:[^"\\]|\\.)*"|(?:[^\s";-]|-(?![->]))+)\s*'
 _DOT_LINE = re.compile(_DOT_NAME + "(?:(->|--)" + _DOT_NAME + ")?;?")
+_DOT_ESCAPE = re.compile(r'\\([\\"])')
+
+
+def _dot_name(token):
+    if token.startswith('"'):
+        return _DOT_ESCAPE.sub(r"\1", token[1:-1])
+    return token
 
 
 def dag_from_dot(text):
     """Inverse of dag_to_dot; returns (Dag, node names). Reads ``"a";`` node and
-    ``"a" -> "b";`` arc lines, quotes optional; a ``--`` outside quotes is a
-    ValueError. With no node lines, the nodes are the arc ends in first-seen order."""
+    ``"a" -> "b";`` arc lines, quotes optional, and ``\\"`` and ``\\\\`` in a
+    quoted name as ``"`` and ``\\``; a ``--`` outside quotes is a ValueError.
+    With no node lines, the nodes are the arc ends in first-seen order."""
     names, arcs = [], []
     for number, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -316,7 +330,8 @@ def dag_from_dot(text):
         match = _DOT_LINE.fullmatch(line)
         if not match:
             raise ValueError(f"line {number}: neither a node nor an arc: {raw!r}")
-        first, op, second = (g and g.strip('"') for g in match.groups())
+        first, op, second = match.groups()
+        first, second = _dot_name(first), second and _dot_name(second)
         if op == "--":
             raise ValueError(f"line {number}: an undirected edge; a DAG has only -> arcs")
         if op:

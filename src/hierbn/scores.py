@@ -2,8 +2,8 @@
 
 All scores are log-space and higher-is-better. The classic scores pool the
 group dimension away before evaluating; the hierarchical score keeps groups
-separate and is dispatched from here but implemented alongside the
-variational fit.
+separate and is dispatched from here but implemented in ``hier``, with the
+fit of its centres.
 """
 
 from dataclasses import dataclass
@@ -110,10 +110,13 @@ class ScoreConfig:
     ``iss`` is the imaginary sample size shared by the Dirichlet scores;
     it, ``vb_tol`` and ``s0`` are kept as floats. The vb_* fields and s0
     only affect the hierarchical score; they are part of the cache identity
-    for it. Its variational fit has converged when the largest component of
-    the bound's gradient is at most ``vb_tol * max(1, |initial bound|)``, or
-    when no step raises the bound in floating point; ``vb_max_iters`` caps
-    its L-BFGS steps, and a fit that reaches the cap unconverged warns.
+    for it. That score fits each parent configuration's centre by Newton
+    steps on its log posterior g (``hier``); a fit has converged when the
+    largest component of g's gradient is at most ``vb_tol * max(1, |g at
+    the start|)``, or when no step raises g in floating point.
+    ``vb_max_iters`` caps its Newton steps, and a fit that reaches the cap
+    unconverged warns. ``s0`` is the total mass of the flat hyperprior over
+    a family's cells (one per cell when None).
     """
 
     kind: str = "bdeu"

@@ -336,6 +336,40 @@ class TestLearnAndScore:
                      "--graph", dot]) == 0
         assert json.loads(capsys.readouterr().out)["logscore"] == learned["logscore"]
 
+    @pytest.mark.parametrize("kind", ["bdeu", "bhd"])
+    def test_dot_round_trip_of_names_holding_quotes_exact(self, tmp_path, capsys, kind):
+        # the header's "a""b" is the variable a"b, and c\d holds a backslash
+        rng = np.random.default_rng(31)
+        lines = ['site,"a""b",c\\d,e']
+        for i in range(120):
+            a = rng.integers(0, 2)
+            lines.append(f"s{i % 3},v{a},v{(a + (rng.random() < 0.1)) % 2},"
+                         f"v{rng.integers(0, 2)}")
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join(lines) + "\n")
+        graph, dot = str(tmp_path / "g.json"), str(tmp_path / "g.dot")
+        assert main(["learn", "--data", str(data), "--group", "site", "--score", kind,
+                     "--out", graph, "--dot", dot]) == 0
+        learned = json.loads(open(graph).read())
+        assert learned["arcs"] and 'a"b' in learned["nodes"] and "c\\d" in learned["nodes"]
+        assert main(["score", "--data", str(data), "--group", "site", "--score", kind,
+                     "--graph", dot]) == 0
+        assert json.loads(capsys.readouterr().out)["logscore"] == learned["logscore"]
+
+    @pytest.mark.parametrize("header", ['"a\nb"', '"a\rb"'], ids=["newline", "return"])
+    def test_dot_of_a_name_holding_a_line_break_is_data_error(self, tmp_path, capsys, header):
+        rng = np.random.default_rng(37)
+        lines = [f"site,{header},c"] + [f"s{i % 2},v{rng.integers(0, 2)},v{rng.integers(0, 2)}"
+                                        for i in range(40)]
+        data = tmp_path / "data.csv"
+        data.write_bytes(("\n".join(lines) + "\n").encode())
+        out, dot = tmp_path / "g.json", tmp_path / "g.dot"
+        assert main(["learn", "--data", str(data), "--group", "site",
+                     "--out", str(out), "--dot", str(dot)]) == 2
+        assert "line break" in capsys.readouterr().err
+        # refused before anything is written
+        assert not out.exists() and not dot.exists()
+
     def test_score_rejects_mismatched_nodes(self, data_csv, tmp_path, capsys):
         graph = tmp_path / "g.json"
         graph.write_text(json.dumps(

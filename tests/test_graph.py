@@ -279,6 +279,26 @@ class TestSerialization:
         assert names_back == names
         assert back == dag
 
+    @pytest.mark.parametrize("names", [['a"b', "a\\b", "c"], ['"', "\\", '\\"x\\\\"'],
+                                       ['say "a -> b"', "c:\\dir\\", "a--\\"]],
+                             ids=["quote-backslash", "bare-escapes", "mixed"])
+    def test_dot_round_trip_of_names_holding_quotes_and_backslashes(self, names):
+        dag = Dag(3, frozenset({(0, 1), (2, 1)}))
+        text = dag_to_dot(dag, names)
+        assert len(text.splitlines()) == 7
+        back, names_back = dag_from_dot(text)
+        assert names_back == names
+        assert back == dag
+
+    def test_dot_name_escapes_as_dot_writes_them(self):
+        text = dag_to_dot(Dag(2, frozenset({(0, 1)})), ['a"b', "a\\b"])
+        assert text == 'digraph g {\n  "a\\"b";\n  "a\\\\b";\n  "a\\"b" -> "a\\\\b";\n}\n'
+
+    @pytest.mark.parametrize("name", ["a\nb", "a\rb", "\r\n"])
+    def test_dot_name_holding_a_line_break_is_value_error(self, name):
+        with pytest.raises(ValueError, match="line break"):
+            dag_to_dot(Dag(2), ["x", name])
+
     @pytest.mark.parametrize("text, names", [
         ("a -> b;\nb -> c;", ["a", "b", "c"]),
         ('digraph g {\n  "x->y" -> b;\n  b->c\n}\n', ["x->y", "b", "c"])])

@@ -1,19 +1,19 @@
-"""Variational fit of the shared centre and the per-group family score."""
+"""The per-configuration Newton fit of the centres, its Laplace evidence
+and the per-group family score."""
 
 import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
-from scipy.special import softmax
+from scipy.special import gammaln, log_softmax, softmax
 
 import oracles
 from hierbn import hier
 from hierbn.data import FamilyCounts, family_counts, load_csv
 from hierbn.graph import Dag
 from hierbn.hier import (HierPrior, VariationalConvergenceWarning,
-                         VariationalFit, _bound_and_grad, _softmax,
-                         bhd_local_log_score, elbo, fit_variational,
+                         VariationalFit, bhd_local_log_score, fit_variational,
                          fit_variational_stack, hier_posterior_means)
 from hierbn.scores import (ScoreConfig, bd_local_log_score,
                            bdeu_local_log_score, local_log_score,
@@ -76,7 +76,8 @@ class TestFitVariational:
         prior = HierPrior.uniform((2, 2), s=1.0)
         fit = fit_variational(counts, prior)
         assert np.array_equal(fit.kappa, prior.alpha0 / prior.s0)
-        assert fit.tau == prior.s0
+        assert fit.tau == prior.s
+        assert fit.elbo_trace == (0.0,)
         assert fit.converged
 
     def test_mirrored_groups_force_symmetric_centre(self):
@@ -171,10 +172,10 @@ class TestFitVariational:
         counts = make_counts([[[30, 3], [4, 20]], [[2, 25], [18, 6]]])
         prior = HierPrior.uniform((2, 2), s=1.0)
         with pytest.warns(VariationalConvergenceWarning):
-            fit = fit_variational(counts, prior, max_iters=np.int32(2))
-            lone = fit_variational_stack(counts.per_group[None], prior, max_iters=2)[0]
+            fit = fit_variational(counts, prior, max_iters=np.int32(CAP))
+            lone = fit_variational_stack(counts.per_group[None], prior, max_iters=CAP)[0]
         assert same_fit(fit, lone)
-        assert len(fit.elbo_trace) <= 3
+        assert len(fit.elbo_trace) == CAP + 1
 
     def test_infinite_tol_rejected(self):
         # every gradient is within an infinite tolerance, so the start point
@@ -202,47 +203,57 @@ class TestFitVariational:
             fit.kappa[0, 0] = 0.9
 
 
-def reference_fit(counts, prior):
-    """Tight scipy L-BFGS-B maximum of the bound with nu profiled out.
+def log_posterior(tallies, alpha0, a, p):
+    """g of one configuration at the centre p: scipy's log-Gamma terms of
+    each group's Dirichlet-multinomial at weights a * p, and the log
+    Dirichlet(alpha0) density of p with the log-ratio basis's Jacobian."""
+    value = gammaln(alpha0.sum()) - gammaln(alpha0).sum() + (alpha0 * np.log(p)).sum()
+    for tally in tallies:
+        value += (gammaln(a) - gammaln(a + tally.sum())
+                  + (gammaln(a * p + tally) - gammaln(a * p)).sum())
+    return value
 
-    Restarted from its own optimum until the bound stops rising, so it is
-    an oracle for where the package's fit should land.
+
+def reference_fit(counts, prior):
+    """Tight scipy L-BFGS-B maximum of each configuration's log posterior
+    in the log-ratio basis, from numerical gradients.
+
+    Restarted from its own optimum until g stops rising, so it is an
+    oracle for where the package's fit should land. The fit's one trace
+    value is the summed maximum over the observed configurations.
     """
     from scipy.optimize import minimize
-    n_groups = counts.n_groups
-    shape = (counts.n_configs, counts.child_card)
-    m = shape[0] * shape[1]
-    n = counts.per_group.reshape(n_groups, m).astype(float)
-    a0 = prior.alpha0.reshape(m)
-    s = prior.s
+    n_configs = counts.n_configs
+    a = prior.s / n_configs
+    kappa = prior.alpha0 / prior.alpha0.sum(axis=1, keepdims=True)
+    total = 0.0
+    for j in range(n_configs):
+        tallies, alpha0 = counts.per_group[:, j, :], prior.alpha0[j]
+        if tallies.sum() == 0:
+            continue
 
-    def decode(x):
-        kappa = np.maximum(softmax(x[:-1]), 1e-12)
-        return kappa / kappa.sum(), float(np.exp(x[-1]))
+        def negative(x):
+            return -log_posterior(tallies, alpha0, a, softmax(np.append(x, 0.0)))
 
-    def negative(x):
-        kappa, tau = decode(x)
-        nu = s * kappa + n
-        value, g_rho, g_tau = _bound_and_grad(n, a0, s, kappa, tau, nu)
-        return -value, -np.append(g_rho, g_tau * tau)
-
-    start = n.sum(axis=0) + a0
-    x = np.append(np.log(start / start.sum()), np.log(a0.sum()))
-    best = np.inf
-    while True:
-        result = minimize(negative, x, jac=True, method="L-BFGS-B",
-                          options={"maxiter": 20000, "ftol": 1e-16, "gtol": 1e-10,
-                                   "maxcor": 20})
-        if not result.fun < best:
-            break
-        x, best = result.x, result.fun
-    kappa, tau = decode(x)
-    return VariationalFit(kappa.reshape(shape), tau,
-                          (s * kappa + n).reshape((n_groups,) + shape), (-best,), True)
+        start = tallies.sum(axis=0) + alpha0
+        x, best = np.log(start[:-1] / start[-1]), np.inf
+        while True:
+            result = minimize(negative, x, method="L-BFGS-B",
+                              options={"maxiter": 20000, "ftol": 1e-16, "gtol": 1e-10,
+                                       "maxcor": 20})
+            if not result.fun < best:
+                break
+            x, best = result.x, result.fun
+        kappa[j] = softmax(np.append(x, 0.0))
+        total -= best
+    kappa /= n_configs
+    return VariationalFit(kappa, prior.s, prior.s * kappa[None] + counts.per_group, (total,),
+                          True)
 
 
 def k5_f10_family():
-    """A K5 family with two parents (125 cells) in 10 groups of 1000 rows."""
+    """A K5 family with two parents (25 configurations) in 10 groups of
+    1000 rows."""
     _, data = generate(GenConfig(n_nodes=3, card=5, arc_ratio=1.0, n_groups=10,
                                  rows_per_group=1000, seed=1))
     return family_counts(data, 0, (1, 2))
@@ -251,7 +262,7 @@ def k5_f10_family():
 @pytest.fixture(scope="module")
 def oracle_cases():
     """(counts, prior, reference fit): 30 random families and one K5 F10
-    family with two parents (125 cells, 1000 rows per group)."""
+    family with two parents (25 configurations, 1000 rows per group)."""
     rng = np.random.default_rng(41)
     families = [(random_counts(rng, top=int(rng.choice([5, 25, 200]))),
                  float(rng.choice([0.5, 1.0, 2.0]))) for _ in range(30)]
@@ -272,7 +283,8 @@ def stall_counts():
 
 class TestFitAgainstReference:
     def test_score_within_a_twentieth_nat_of_reference(self, oracle_cases):
-        # at the default tolerance
+        # at the default tolerance, the groups' evidence at the fitted
+        # centres and at the reference's
         for counts, prior, ref in oracle_cases:
             fit = fit_variational(counts, prior)
             error = abs(bhd_local_log_score(counts, fit, prior.s)
@@ -281,9 +293,7 @@ class TestFitAgainstReference:
             assert error <= 0.05
 
     def test_bound_reaches_reference_at_float_precision(self, oracle_cases):
-        # the default tolerance bounds the largest gradient component, which
-        # leaves up to ~1e-8 |bound| on the 125-cell family; a fit run until
-        # the bound stalls must reach the reference optimum itself
+        # a fit run until g stalls must reach the reference optimum itself
         for counts, prior, ref in oracle_cases:
             fit = fit_variational(counts, prior, tol=1e-15)
             bound, best = fit.elbo_trace[-1], ref.elbo_trace[-1]
@@ -291,8 +301,8 @@ class TestFitAgainstReference:
             assert bound >= best - 1e-9 * abs(bound)
 
     def test_large_counts_stall_at_float_precision_without_warning(self):
-        # 1e5 rows per group: no gradient can reach 1e-15 |bound| in floats,
-        # so the fit ends when no step raises the bound, and that is converged
+        # 1e5 rows per group: no gradient can reach 1e-15 |g| in floats, so
+        # the fit ends when no step raises g, and that is converged
         counts = stall_counts()
         prior = HierPrior.uniform((3, 4), s=1.0)
         with warnings.catch_warnings():
@@ -303,7 +313,7 @@ class TestFitAgainstReference:
 
 def oracle_families():
     """(counts, prior, fit options) of 154 families for the bit-for-bit
-    comparison with ``oracles.fit_variational_oracle``."""
+    comparison with ``oracles.newton_fit_oracle``."""
     rng = np.random.default_rng(47)
     families = []
     for i in range(140):
@@ -320,9 +330,9 @@ def oracle_families():
     families.append((make_counts([[[30, 3], [4, 20]], [[0, 0], [0, 0]], [[2, 25], [18, 6]]]),
                      HierPrior.uniform((2, 2), s=1.0, s0=3.0), {}))
     families.append((make_counts([[[30, 3], [4, 20]], [[2, 25], [18, 6]]]),
-                     HierPrior.uniform((2, 2), s=1.0), {"max_iters": 3}))
+                     HierPrior.uniform((2, 2), s=1.0), {"max_iters": CAP}))
     families.append((stall_counts(), HierPrior.uniform((3, 4), s=1.0), {"tol": 1e-15}))
-    for arr in CLIP_FAMILIES:
+    for arr in EXTREME_FAMILIES:
         arr = np.asarray(arr)
         families.append((make_counts(arr), HierPrior.uniform(arr.shape[1:], s=1e4, s0=1e-3), {}))
     for i in range(8):
@@ -332,8 +342,10 @@ def oracle_families():
     return families
 
 
-# families whose trial points reach the largest and the smallest tau
-CLIP_FAMILIES = ([[[0, 2]]], [[[1, 3], [0, 1]]])
+# families fitted under a huge group weight and a tiny hyperprior
+EXTREME_FAMILIES = ([[[0, 2]]], [[[1, 3], [0, 1]]])
+# a step cap that [[30, 3], [4, 20]] and [[2, 25], [18, 6]] reach unconverged
+CAP = 1
 
 
 def fit_recording(fit, counts, prior, options):
@@ -343,6 +355,10 @@ def fit_recording(fit, counts, prior, options):
     return result, [w.category for w in caught]
 
 
+def oracle_fit(counts, prior, **options):
+    return oracles.newton_fit_oracle(counts, prior, **options)[0]
+
+
 class TestFitMatchesOracle:
     def test_same_bits_on_every_family(self):
         families = oracle_families()
@@ -350,81 +366,52 @@ class TestFitMatchesOracle:
         capped = 0
         for counts, prior, options in families:
             fit, warned = fit_recording(fit_variational, counts, prior, options)
-            ref, ref_warned = fit_recording(oracles.fit_variational_oracle, counts, prior,
-                                            options)
-            assert fit.kappa.tobytes() == ref.kappa.tobytes()
-            assert fit.tau == ref.tau
-            assert fit.elbo_trace == ref.elbo_trace
-            assert fit.converged == ref.converged
-            assert fit.nu.tobytes() == ref.nu.tobytes()
+            ref, ref_warned = fit_recording(oracle_fit, counts, prior, options)
+            assert same_fit(fit, ref)
             assert warned == ref_warned
             capped += warned == [VariationalConvergenceWarning]
         assert capped == 1
 
-    def test_clip_families_reach_both_tau_bounds(self, monkeypatch):
-        # the bit-for-bit comparison covers the clip of log tau only if some
-        # trial point lands on it
-        taus = []
-
-        def recording(n, a0, s, kappa, tau, nu):
-            taus.extend(np.ravel(tau).tolist())  # one tau per family of the stack
-            return _bound_and_grad(n, a0, s, kappa, tau, nu)
-
-        monkeypatch.setattr(hier, "_bound_and_grad", recording)
-        reached = set()
-        for arr in CLIP_FAMILIES:
-            arr = np.asarray(arr)
-            taus.clear()
-            fit_variational(make_counts(arr), HierPrior.uniform(arr.shape[1:], s=1e4, s0=1e-3))
-            reached |= {tau for tau in taus
-                        if tau in (float(np.exp(hier._LOG_TAU_MIN)),
-                                   float(np.exp(hier._LOG_TAU_MAX)))}
-        assert len(reached) == 2
-
     def test_softmax_matches_scipy_bitwise(self):
+        # the centre of each row is scipy's log_softmax of its logits, bit for bit
         rng = np.random.default_rng(53)
-        for _ in range(10000):
-            logits = rng.normal(size=int(rng.integers(1, 130))) * float(rng.choice([0.1, 3.0, 40.0]))
-            logits += float(rng.normal()) * 100.0
-            assert _softmax(logits).tobytes() == softmax(logits).tobytes()
+        for _ in range(2000):
+            x = rng.normal(size=(int(rng.integers(1, 20)), int(rng.integers(1, 130))))
+            x *= float(rng.choice([0.1, 3.0, 40.0]))
+            x += float(rng.normal()) * 100.0
+            want = [log_softmax(row) for row in x]
+            assert hier._log_centre(x).tobytes() == np.array(want).tobytes()
 
     def test_one_evaluation_per_trial_point(self, monkeypatch):
-        # the oracle evaluates the bound at every trial point and the gradient
-        # again at every accepted one; the package's fit must evaluate each
-        # trial point once, bound and gradient together
-        calls = Counter()
+        # the oracle evaluates each configuration's start and trial points
+        # once each; the package's lockstep must evaluate the same points,
+        # one call per round for every configuration still searching
+        calls, oracle_calls = [], Counter()
+        posterior, config_posterior = hier._posterior, oracles._config_posterior
 
-        def counting(name, function):
-            def counted(*args):
-                calls[name] += 1
-                return function(*args)
-            return counted
+        def counted(n, a0, a, const, x):
+            calls.append(len(x))
+            return posterior(n, a0, a, const, x)
 
-        monkeypatch.setattr(hier, "_bound_and_grad", counting("fit", _bound_and_grad))
-        monkeypatch.setattr(oracles, "_profiled_elbo",
-                            counting("oracle bound", oracles._profiled_elbo))
-        monkeypatch.setattr(oracles, "_profiled_grad",
-                            counting("oracle gradient", oracles._profiled_grad))
+        def oracle_counted(*args):
+            oracle_calls[args[1].tobytes(), args[3]] += 1
+            return config_posterior(*args)
+
+        monkeypatch.setattr(hier, "_posterior", counted)
+        monkeypatch.setattr(oracles, "_config_posterior", oracle_counted)
         counts = k5_f10_family()
         prior = HierPrior.uniform((counts.n_configs, counts.child_card), s=1.0)
-        fit = fit_variational(counts, prior)
-        oracles.fit_variational_oracle(counts, prior)
-        accepted = len(fit.elbo_trace) - 1
-        rejected = calls["oracle bound"] - calls["oracle gradient"]
-        assert accepted > 0 and rejected >= 0
-        assert calls["oracle gradient"] == 1 + accepted
-        assert calls["fit"] == 1 + accepted + rejected
-
-
-# a family one of whose trial points has a tau where (tau + 1) ** 2 by pow
-# and (tau + 1) * (tau + 1) differ in the last bit
-POW_FAMILY = [[[13, 5]]]
+        fit_variational(counts, prior)
+        oracles.newton_fit_oracle(counts, prior)
+        assert len(oracle_calls) == calls[0] == counts.n_configs
+        assert sum(calls) == sum(oracle_calls.values())
+        assert len(calls) == max(oracle_calls.values())
 
 
 def stack_cases():
     """(stack, prior, fit options) of stacks of equal-shape families for
     the comparison with lone fits: random stacks with sparse and all-zero
-    members, capped stacks, the clip and pow families among others of their
+    members, capped stacks, the extreme families among others of their
     shape, and stacks fitted to 1e-12."""
     rng = np.random.default_rng(59)
     cases = []
@@ -442,14 +429,14 @@ def stack_cases():
         cases.append((stack, HierPrior.uniform((j, k), s=s, s0=s0), options))
     pair = [[[30, 3], [4, 20]], [[2, 25], [18, 6]]]
     cases.append((np.array([pair, np.zeros((2, 2, 2), int), pair[::-1]]),
-                  HierPrior.uniform((2, 2), s=1.0), {"max_iters": 3}))
-    for arr in CLIP_FAMILIES:
+                  HierPrior.uniform((2, 2), s=1.0), {"max_iters": CAP}))
+    for arr in EXTREME_FAMILIES:
         arr = np.asarray(arr)
         others = rng.integers(0, 6, size=(3,) + arr.shape)
         cases.append((np.concatenate([others[:1], arr[None], others[1:]]),
                       HierPrior.uniform(arr.shape[1:], s=1e4, s0=1e-3), {}))
     for options in ({}, {"tol": 1e-12}):
-        cases.append((np.array([[[[2, 9]]], POW_FAMILY, [[[40, 1]]]]),
+        cases.append((np.array([[[[2, 9]]], [[[13, 5]]], [[[40, 1]]]]),
                       HierPrior.uniform((1, 2), s=1.0), options))
     return cases
 
@@ -471,8 +458,7 @@ class TestFitStack:
             for table, fit in zip(stack, fits):
                 counts = make_counts(table)
                 lone, lone_warning = fit_recording(fit_variational, counts, prior, options)
-                ref, ref_warning = fit_recording(oracles.fit_variational_oracle, counts, prior,
-                                                 options)
+                ref, ref_warning = fit_recording(oracle_fit, counts, prior, options)
                 assert same_fit(fit, lone)
                 assert same_fit(fit, ref)
                 assert lone_warning == ref_warning
@@ -483,42 +469,31 @@ class TestFitStack:
             capped_stacks += len(warned) == 2
         assert zero_members >= 3 and capped_stacks >= 1
 
-    def test_pow_family_squares_tau_plus_one_where_pow_and_product_differ(self, monkeypatch):
-        # the comparison above catches squaring by ** on an array only if a
-        # trial point lands on such a tau
-        taus = []
-
-        def recording(n, a0, s, kappa, tau, nu):
-            taus.extend(np.ravel(tau).tolist())
-            return _bound_and_grad(n, a0, s, kappa, tau, nu)
-
-        monkeypatch.setattr(hier, "_bound_and_grad", recording)
-        arr = np.asarray(POW_FAMILY)
-        fit_variational_stack(arr[None], HierPrior.uniform(arr.shape[1:], s=1.0))
-        assert any((t + 1.0) ** 2 != (t + 1.0) * (t + 1.0) for t in taus)
-
     def test_each_round_evaluates_every_searching_family_once(self, monkeypatch):
-        # one bound call per round, with one row per family still searching:
-        # as many calls as the longest lone fit makes, as many rows as all make
+        # one call per round, with one row per configuration still
+        # searching: as many calls as the longest lone fit makes, as many
+        # rows as all make
         calls = []
+        posterior = hier._posterior
 
-        def counting(n, a0, s, kappa, tau, nu):
-            calls.append(np.size(tau))
-            return _bound_and_grad(n, a0, s, kappa, tau, nu)
+        def counting(n, a0, a, const, x):
+            calls.append(len(x))
+            return posterior(n, a0, a, const, x)
 
-        monkeypatch.setattr(hier, "_bound_and_grad", counting)
+        monkeypatch.setattr(hier, "_posterior", counting)
         rng = np.random.default_rng(61)
         stack = rng.integers(0, 40, size=(6, 4, 5, 3)) * np.array([1, 2, 3, 30, 1, 300])[:, None, None, None]
         stack[4] *= rng.random(stack[4].shape) < 0.3
         prior = HierPrior.uniform((5, 3), s=1.0)
-        lone = []
+        lone, lone_rows = [], []
         for table in stack:
             calls.clear()
             fit_variational(make_counts(table), prior)
             lone.append(len(calls))
+            lone_rows.append(sum(calls))
         calls.clear()
         fit_variational_stack(stack, prior)
-        assert len(calls) == max(lone) and sum(calls) == sum(lone)
+        assert len(calls) == max(lone) and sum(calls) == sum(lone_rows)
         assert len(set(lone)) > 1
 
     def test_bad_stacks_rejected(self):
@@ -532,63 +507,88 @@ class TestFitStack:
         assert fit_variational_stack(np.ones((0, 1, 2, 2), int), prior) == []
 
 
+def random_rows(rng, n_rows=12, max_groups=4, max_levels=5, top=30):
+    """(P, K, F) counts, (P, K) hyperpriors and a group weight of random
+    configurations, for evaluating ``hier._posterior`` directly."""
+    f, k = int(rng.integers(1, max_groups + 1)), int(rng.integers(2, max_levels + 1))
+    tallies = rng.integers(0, top, size=(n_rows, f, k))
+    a0 = rng.uniform(0.3, 2.0, size=(n_rows, k))
+    a = float(rng.uniform(0.2, 3.0))
+    return tallies, a0, a
+
+
+def posterior_at(tallies, a0, a, x):
+    """``hier._posterior`` of (P, F, K) tallies at x, its constant from
+    ``log_posterior``'s terms."""
+    n = np.ascontiguousarray(np.swapaxes(tallies, 1, 2), dtype=float)
+    const = np.array([gammaln(a0_row.sum()) - gammaln(a0_row).sum()
+                      + sum(gammaln(a) - gammaln(a + tally.sum()) for tally in rows)
+                      for rows, a0_row in zip(tallies, a0)])
+    return hier._posterior(n, a0, a, const, x)
+
+
+def alr_second_differences(g, x, h=1e-4):
+    """The Hessian of g at x by central second differences."""
+    dims = np.eye(len(x))
+    return np.array([[(g(x + h * (e + d)) - g(x + h * (e - d)) - g(x - h * (e - d))
+                       + g(x - h * (e + d))) / (4 * h * h) for d in dims] for e in dims])
+
+
 class TestElboGradient:
     def test_matches_finite_differences(self):
+        # in the log-ratio basis x (the last level the reference): g against
+        # log_posterior, its gradient against central differences, and its
+        # Newton step against a solve with the finite-difference Hessian
+        # less its gradient terms; at the mode that Hessian's log
+        # determinant is the Laplace term's
         rng = np.random.default_rng(7)
         worst = 0.0
         for _ in range(12):
-            f = int(rng.integers(1, 4))
-            m = int(rng.integers(2, 9))
-            n = rng.integers(0, 30, size=(f, m)).astype(float)
-            a0 = rng.uniform(0.3, 2.0, size=m)
-            s = float(rng.uniform(0.5, 3.0))
-            rho = rng.normal(size=m)
-            kappa = softmax(rho)
-            tau = float(rng.uniform(0.5, 20.0))
-            nu = s * kappa + n + rng.uniform(0, 1, size=(f, m))
-            _, g_rho, g_tau = _bound_and_grad(n, a0, s, kappa, tau, nu)
-            h = 1e-6
-            fd_rho = np.zeros(m)
-            for a in range(m):
-                up, down = rho.copy(), rho.copy()
-                up[a] += h
-                down[a] -= h
-                fd_rho[a] = (_bound_and_grad(n, a0, s, softmax(up), tau, nu)[0]
-                             - _bound_and_grad(n, a0, s, softmax(down), tau, nu)[0]) / (2 * h)
-            fd_tau = (_bound_and_grad(n, a0, s, kappa, tau + h, nu)[0]
-                      - _bound_and_grad(n, a0, s, kappa, tau - h, nu)[0]) / (2 * h)
-            scale = max(1.0, float(np.abs(fd_rho).max()), abs(fd_tau))
-            err = max(float(np.abs(fd_rho - g_rho).max()), abs(fd_tau - g_tau)) / scale
-            worst = max(worst, err)
+            tallies, a0, a = random_rows(rng, n_rows=4)
+            k = tallies.shape[2]
+            x = rng.normal(size=(len(tallies), k - 1))
+            value, grad, step, _ = posterior_at(tallies, a0, a, np.append(x, np.zeros((4, 1)), axis=1))
+            grad, step = grad[:, :-1], step[:, :-1] - step[:, -1:]
+            for row in range(len(tallies)):
+                def g(point):
+                    return log_posterior(tallies[row], a0[row], a, softmax(np.append(point, 0.0)))
+
+                h = 1e-4
+                assert value[row] == pytest.approx(g(x[row]), rel=1e-12)
+                fd = np.array([(g(x[row] + h * e) - g(x[row] - h * e)) / (2 * h)
+                               for e in np.eye(k - 1)])
+                p = softmax(np.append(x[row], 0.0))[:-1]
+                gradient_terms = np.diag(grad[row]) - np.outer(grad[row], p) - np.outer(p, grad[row])
+                want = np.linalg.solve(gradient_terms - alr_second_differences(g, x[row]), grad[row])
+                scale = max(1.0, float(np.abs(fd).max()))
+                worst = max(worst, float(np.abs(fd - grad[row]).max()) / scale,
+                            float(np.abs(want - step[row]).max()) / max(1.0, float(np.abs(want).max())))
         assert worst < 1e-5
+        counts = make_counts(rng.integers(0, 30, size=(3, 1, 4)))
+        prior = HierPrior.uniform((1, 4), s=1.0)
+        fit = fit_variational(counts, prior, tol=1e-13)
+        x = np.log(fit.kappa[0, :-1] / fit.kappa[0, -1])
+        *_, log_det = posterior_at(counts.per_group[None, :, 0], prior.alpha0, 1.0,
+                                   np.log(fit.kappa))
+
+        def g(point):
+            return log_posterior(counts.per_group[:, 0], prior.alpha0[0], 1.0,
+                                 softmax(np.append(point, 0.0)))
+
+        assert log_det[0] == pytest.approx(np.linalg.slogdet(-alr_second_differences(g, x))[1],
+                                           abs=1e-5)
 
 
 class TestElbo:
     def test_finite_on_random_states(self):
+        # g, its gradient, Newton step and curvature are finite wherever p
+        # is representable, however far from the mode
         rng = np.random.default_rng(9)
         for _ in range(20):
-            counts = random_counts(rng)
-            shape = (counts.n_configs, counts.child_card)
-            prior = HierPrior.uniform(shape, s=1.0)
-            kappa = rng.dirichlet(np.ones(shape[0] * shape[1])).reshape(shape)
-            tau = float(rng.uniform(0.1, 50.0))
-            nu = rng.uniform(0.2, 5.0, size=counts.per_group.shape)
-            assert np.isfinite(elbo(counts, prior, kappa, tau, nu))
-
-    def test_closed_form_group_update_is_conditional_maximizer(self):
-        rng = np.random.default_rng(10)
-        for _ in range(20):
-            counts = random_counts(rng)
-            shape = (counts.n_configs, counts.child_card)
-            prior = HierPrior.uniform(shape, s=1.0)
-            kappa = prior.alpha0 / prior.s0
-            tau = float(rng.uniform(0.5, 10.0))
-            best_nu = prior.s * kappa[None] + counts.per_group
-            at_best = elbo(counts, prior, kappa, tau, best_nu)
-            for _ in range(5):
-                noise = rng.uniform(-0.1, 0.1, size=best_nu.shape)
-                trial = np.maximum(best_nu + noise, 1e-3)
-                assert elbo(counts, prior, kappa, tau, trial) <= at_best + 1e-10
+            tallies, a0, a = random_rows(rng)
+            x = rng.normal(size=(len(tallies), tallies.shape[2])) * float(rng.choice([1.0, 30.0]))
+            for part in posterior_at(tallies, a0, a, x):
+                assert np.all(np.isfinite(part))
 
 
 class TestBhdLocal:
@@ -714,3 +714,140 @@ class TestPosteriorMeans:
         fit = fit_variational(counts, prior)
         means = hier_posterior_means(counts, fit, 1.0)
         assert np.abs(means - p[None]).max() < 1e-3
+
+
+def lone_config_local(tallies, s=1.0):
+    """The bhd local of one configuration's (F, K) tallies: a (1, F, 1, K) stack."""
+    return float(hier.bhd_local_log_scores(np.asarray(tallies)[None, :, None, :], s)[0])
+
+
+# the tallies per group and s of the K = 2 table in ROADMAP.md, where the
+# removed joint-cell plug-in scored 0.40 to 0.92 nats above the evidence
+K2_TALLIES = [([[1, 0], [1, 0]], 1.0), ([[1, 0], [0, 1]], 1.0), ([[5, 0], [5, 0]], 1.0),
+              ([[3, 1], [0, 4]], 0.5), ([[30, 10], [25, 15]], 1.0),
+              ([[2, 1], [1, 2], [3, 0], [0, 1], [1, 1]], 1.0)]
+K3_TALLIES = [[[3, 1, 0], [0, 2, 2]], [[5, 5, 5], [1, 0, 9]], [[10, 3, 2]],
+              [[1, 0, 0], [0, 1, 0]], [[300, 100, 2], [250, 150, 0]]]
+
+
+class TestLaplaceEvidence:
+    def test_k2_within_a_tenth_nat_of_exact(self):
+        rng = np.random.default_rng(71)
+        cases = list(K2_TALLIES)
+        for _ in range(14):
+            f = int(rng.integers(1, 6))
+            cases.append((rng.integers(0, int(rng.choice([3, 20, 200])), size=(f, 2)),
+                          float(rng.choice([0.25, 1.0, 4.0]))))
+        for tallies, s in cases:
+            if np.sum(tallies) == 0:
+                continue
+            error = lone_config_local(tallies, s) - oracles.exact_config_evidence(tallies, s)
+            assert abs(error) <= 0.1
+
+    def test_k3_within_a_quarter_nat_of_exact(self):
+        for tallies in K3_TALLIES:
+            error = lone_config_local(tallies) - oracles.exact_config_evidence(tallies, 1.0)
+            assert abs(error) <= 0.25
+
+    def test_weight_of_each_configuration_is_iss_over_configs(self):
+        # a family's J configurations each get group weight s / J and their
+        # own hyperprior row; its local is their evidences' sum
+        table = np.array([[[4, 1], [0, 0], [2, 7]], [[3, 3], [0, 0], [0, 5]]])
+        local = hier.bhd_local_log_scores(table[None], 3.0, s0=12.0)[0]
+        exact = sum(oracles.exact_config_evidence(table[:, j], 1.0, [2.0, 2.0]) for j in (0, 2))
+        assert abs(local - exact) <= 0.2
+
+    def test_removed_joint_cell_plug_in_over_counts(self):
+        # the joint-cell fit scored by the groups' evidence at its centre
+        # sits at least 0.3 nats above the exact evidence on every tally of
+        # the K = 2 table; the Laplace evidence sits within 0.1 of it
+        for tallies, s in K2_TALLIES:
+            counts = make_counts(np.asarray(tallies)[:, None, :])
+            fit = oracles.fit_variational_oracle(counts, HierPrior.uniform((1, 2), s=s))
+            exact = oracles.exact_config_evidence(tallies, s)
+            assert bhd_local_log_score(counts, fit, s) - exact >= 0.3
+            assert abs(lone_config_local(tallies, s) - exact) <= 0.1
+
+
+def local_of(table, s=1.0, max_iters=500):
+    return float(hier.bhd_local_log_scores(np.asarray(table)[None], s, max_iters=max_iters)[0])
+
+
+class TestInvariance:
+    def test_permutations_move_a_local_by_at_most_1e_12(self):
+        rng = np.random.default_rng(73)
+        for _ in range(60):
+            f, j, k = int(rng.integers(1, 6)), int(rng.integers(1, 7)), int(rng.integers(2, 6))
+            table = rng.integers(0, int(rng.choice([3, 30, 300])), size=(f, j, k))
+            table *= rng.random(table.shape) < 0.7
+            s = float(rng.choice([0.5, 1.0, 7.5]))
+            local = local_of(table, s)
+            for moved in (table[rng.permutation(f)], table[:, rng.permutation(j)],
+                          table[:, :, rng.permutation(k)]):
+                assert abs(local_of(moved, s) - local) <= 1e-12 * max(1.0, abs(local))
+
+    def test_empty_groups_leave_a_local_unchanged(self):
+        rng = np.random.default_rng(79)
+        tables = [np.array([[[30, 10]], [[25, 15]]])]
+        tables += [rng.integers(0, 40, size=(int(rng.integers(1, 5)), int(rng.integers(1, 5)),
+                                             int(rng.integers(2, 5)))) for _ in range(40)]
+        for table in tables:
+            local = local_of(table)
+            for empty in (1, 2, 3):
+                padded = np.concatenate([table, np.zeros((empty,) + table.shape[1:], int)])
+                assert abs(local_of(padded) - local) <= 1e-12 * max(1.0, abs(local))
+                inside = np.insert(table, 0, 0, axis=0)
+                assert abs(local_of(inside) - local) <= 1e-12 * max(1.0, abs(local))
+
+    def test_configuration_without_rows_adds_exactly_zero(self, monkeypatch):
+        for shape in [(1, 1, 2), (3, 4, 2), (2, 5, 5)]:
+            assert local_of(np.zeros(shape, int)) == 0.0
+        fitted = []
+        newton_fit = hier._newton_fit
+
+        def recording(n, *args):
+            fitted.append(n.copy())
+            return newton_fit(n, *args)
+
+        monkeypatch.setattr(hier, "_newton_fit", recording)
+        table = np.array([[[0, 0], [4, 1], [0, 0], [2, 2]], [[0, 0], [0, 3], [0, 0], [1, 0]]])
+        local = local_of(table)
+        # only the observed configurations reach the fit, in order
+        assert [rows.tolist() for rows in fitted] == [[table[:, 1].tolist(), table[:, 3].tolist()]]
+        prior = HierPrior.uniform((4, 2), s=1.0)
+        assert local == oracles.newton_fit_oracle(make_counts(table), prior)[1]
+
+
+class TestStackLocals:
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_stack_equals_each_lone_local_bitwise(self, monkeypatch, k):
+        # stacks whose configurations stop converged and capped: every
+        # family's local is its lone local and the oracle's, bit for bit
+        stopped = []
+        newton_fit = hier._newton_fit
+
+        def recording(*args):
+            result = newton_fit(*args)
+            stopped.extend(result[2].tolist())
+            return result
+
+        monkeypatch.setattr(hier, "_newton_fit", recording)
+        rng = np.random.default_rng(83 + k)
+        stack = rng.integers(0, 30, size=(7, 3, 4, k)) * np.array([0, 1, 1, 5, 30, 300, 1])[:, None, None, None]
+        stack[1, :, :2] = 0
+        stack[6] = 0
+        stack[6, 0, 0, 0] = 1
+        prior = HierPrior.uniform((4, k), s=1.0)
+        for max_iters in (1, 2, 500):
+            stopped.clear()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = hier.bhd_local_log_scores(stack, 1.0, max_iters=max_iters).tolist()
+                capped = len(caught)
+                lone = [local_of(table, max_iters=max_iters) for table in stack]
+                oracle = [oracles.newton_fit_oracle(make_counts(table), prior,
+                                                    max_iters=max_iters)[1] for table in stack]
+            assert got == lone == oracle
+            if max_iters == 1:
+                assert 0 < capped < len(stack)
+                assert any(stopped) and not all(stopped)

@@ -9,7 +9,7 @@ from hierbn import hier
 from hierbn import scores as scores_mod
 from hierbn.data import FamilyCounts, family_count_tables, family_counts, load_csv
 from hierbn.graph import Dag
-from hierbn.hier import HierPrior, fit_variational
+from hierbn.hier import HierPrior
 from hierbn.scores import (LocalScoreCache, ScoreConfig, bd_local_log_score,
                            bd_local_log_scores, bdeu_local_log_score, bic_local_log_score,
                            classic_posterior_mean, fold_total, local_log_score,
@@ -17,7 +17,7 @@ from hierbn.scores import (LocalScoreCache, ScoreConfig, bd_local_log_score,
 from hierbn.simgen import GenConfig, generate
 
 from oracles import (all_dags, bd_local_float_oracle, bd_local_oracle, bdeu_local_oracle,
-                     class_signature, family_counts_oracle)
+                     class_signature, family_counts_oracle, newton_fit_oracle)
 from test_data import MIXED_SETS, mixed_dataset
 
 
@@ -361,12 +361,14 @@ class TestScoreConfig:
 
 
 def local_oracle(data, child, parents, config):
-    """One family's local score from row-by-row counts and the one-table
-    float kernel; bic and bhd keep the package's penalty and fit. The
-    parents are taken in sorted order, the order the package scores in."""
+    """One family's local score from row-by-row counts: bdeu by the
+    one-table float kernel, bic by the package's penalty, bhd by
+    ``oracles.newton_fit_oracle``, which scores each observed configuration
+    alone and folds their evidences in configuration order. The parents are
+    taken in sorted order, the order the package scores in."""
     parents = tuple(sorted(parents))
     table = family_counts_oracle(data, child, parents)
-    n_groups, n_configs, child_card = table.shape
+    _, n_configs, child_card = table.shape
     if config.kind == "bdeu":
         alpha = np.full((n_configs, child_card), config.iss / (n_configs * child_card))
         return bd_local_float_oracle(table.sum(axis=0), alpha)
@@ -375,11 +377,7 @@ def local_oracle(data, child, parents, config):
     if config.kind == "bic":
         return bic_local_log_score(counts)
     prior = HierPrior.uniform((n_configs, child_card), s=config.iss, s0=config.s0)
-    fit = fit_variational(counts, prior, tol=config.vb_tol, max_iters=config.vb_max_iters)
-    total = 0.0
-    for f in range(n_groups):
-        total += bd_local_float_oracle(table[f], config.iss * fit.kappa)
-    return total
+    return newton_fit_oracle(counts, prior, tol=config.vb_tol, max_iters=config.vb_max_iters)[1]
 
 
 BATCH_CONFIGS = [ScoreConfig("bdeu"), ScoreConfig("bdeu", iss=7.5), ScoreConfig("bic"),
@@ -484,17 +482,22 @@ class TestBatchedScores:
 
     def test_bhd_fits_equal_shapes_of_every_child_as_one_stack(self, monkeypatch):
         stacks = []
-        fit_stack = hier.fit_variational_stack
+        newton_fit = hier._newton_fit
 
-        def recording(per_group, prior, tol, max_iters):
-            stacks.append(per_group.shape)
-            return fit_stack(per_group, prior, tol, max_iters)
+        def recording(n, a0, a, tol, max_iters, traces=None):
+            stacks.append(n.shape)
+            return newton_fit(n, a0, a, tol, max_iters, traces)
 
-        monkeypatch.setattr(hier, "fit_variational_stack", recording)
-        # v0 and v3 have 2 levels, v1 and v4 have 3: four (3, 2) tables
+        monkeypatch.setattr(hier, "_newton_fit", recording)
+        data = mixed_dataset(2)
+        # v0 and v3 have 2 levels, v1 and v4 have 3: four (3, 2) tables,
+        # whose observed configurations are fitted as one (P, F, K) stack
         families = [(0, (1,)), (3, (4,)), (2, ()), (0, (4,)), (3, (1,))]
-        local_log_scores(mixed_dataset(2), families, ScoreConfig("bhd"))
-        assert sorted(stacks) == [(1, 3, 1, 4), (4, 3, 3, 2)]
+        local_log_scores(data, families, ScoreConfig("bhd"))
+        observed = sum(int((family_counts_oracle(data, child, parents).sum(axis=(0, 2)) > 0).sum())
+                       for child, parents in families if child != 2)
+        assert sorted(stacks) == [(1, 3, 4), (observed, 3, 2)]
+        assert observed > 4
 
     @pytest.mark.parametrize("iss", [1.0, 7.5])
     def test_bdeu_scores_equal_shapes_of_every_child_in_one_call(self, monkeypatch, iss):
@@ -519,31 +522,34 @@ class TestBatchedScores:
 
     @pytest.mark.parametrize("cap", [None, 20])
     def test_bhd_scores_each_fit_stack_in_one_kernel_call(self, monkeypatch, cap):
-        config, calls = ScoreConfig("bhd"), []
-        fit_stack, kernel = hier.fit_variational_stack, hier.bd_local_log_scores
+        # the Newton fit of a stack is its scoring call: it returns the
+        # evidences, and the Dirichlet kernel is not called
+        config, fits, kernels = ScoreConfig("bhd"), [], []
+        newton_fit, kernel = hier._newton_fit, hier.bd_local_log_scores
 
-        def fitting(per_group, prior, tol, max_iters):
-            calls.append(per_group.shape)
-            return fit_stack(per_group, prior, tol, max_iters)
+        def fitting(n, a0, a, tol, max_iters, traces=None):
+            fits.append(n.shape)
+            return newton_fit(n, a0, a, tol, max_iters, traces)
 
         def scoring(tables, alpha):
-            calls.append(tables.shape)
-            assert np.shape(alpha) == tables.shape
+            kernels.append(tables.shape)
             return kernel(tables, alpha)
 
-        monkeypatch.setattr(hier, "fit_variational_stack", fitting)
+        monkeypatch.setattr(hier, "_newton_fit", fitting)
         monkeypatch.setattr(hier, "bd_local_log_scores", scoring)
         if cap is not None:
-            # a (3, 3, 2) table holds 18 cells: one family per stack
+            # a (3, 2) configuration holds 6 cells: three per stack
             monkeypatch.setattr(hier, "_STACK_CELLS", cap)
         data = mixed_dataset(2)
         # v0 and v3 have 2 levels, v1 and v4 have 3: four (3, 2) tables
         families = [(0, (1,)), (3, (4,)), (2, ()), (0, (4,)), (3, (1,))]
         got = local_log_scores(data, families, config)
-        fits, kernels = calls[0::2], calls[1::2]
-        assert sorted(fits) == ([(1, 3, 1, 4), (4, 3, 3, 2)] if cap is None
-                                else [(1, 3, 1, 4)] + [(1, 3, 3, 2)] * 4)
-        assert kernels == [(b * f, j, k) for b, f, j, k in fits]
+        observed = sum(int((family_counts_oracle(data, child, parents).sum(axis=(0, 2)) > 0).sum())
+                       for child, parents in families if child != 2)
+        size = observed if cap is None else 3
+        assert sorted(fits) == sorted([(1, 3, 4)] + [(min(size, observed - i), 3, 2)
+                                                     for i in range(0, observed, size)])
+        assert kernels == []
         assert got == [local_oracle(data, child, parents, config) for child, parents in families]
 
     @pytest.mark.parametrize("config", BATCH_CONFIGS[1:], ids=lambda c: f"{c.kind}-{c.iss}")
@@ -570,17 +576,16 @@ class TestBatchedScores:
 
 
 def lone_bhd(table, config):
-    """One family's bhd local from a lone fit: by ``bhd_local_log_score``,
-    and by the one-table float kernel on each group, folded as
-    ``local_oracle`` folds them."""
-    n_groups, n_configs, child_card = table.shape
+    """One family's bhd local alone: by ``bhd_local_log_scores`` on a stack
+    of one, and by ``oracles.newton_fit_oracle``, one configuration at a
+    time."""
+    _, n_configs, child_card = table.shape
     counts = FamilyCounts(child_card, (n_configs,) if n_configs > 1 else (), table)
     prior = HierPrior.uniform((n_configs, child_card), s=config.iss, s0=config.s0)
-    fit = fit_variational(counts, prior, tol=config.vb_tol, max_iters=config.vb_max_iters)
-    total = 0.0
-    for group in table:
-        total += bd_local_float_oracle(group, config.iss * fit.kappa)
-    return hier.bhd_local_log_score(counts, fit, config.iss), total
+    lone = hier.bhd_local_log_scores(table[None], config.iss, config.s0, config.vb_tol,
+                                     config.vb_max_iters)[0]
+    return lone, newton_fit_oracle(counts, prior, tol=config.vb_tol,
+                                   max_iters=config.vb_max_iters)[1]
 
 
 def bhd_stacks():
@@ -608,24 +613,27 @@ class TestBhdStackScores:
     @pytest.mark.parametrize("config", BHD_CONFIGS, ids=bhd_id)
     def test_each_family_gets_its_lone_fit_and_score(self, monkeypatch, config, cap):
         sizes = []
-        fit_stack = hier.fit_variational_stack
+        newton_fit = hier._newton_fit
 
-        def recording(per_group, prior, tol, max_iters):
-            sizes.append(len(per_group))
-            return fit_stack(per_group, prior, tol, max_iters)
+        def recording(n, a0, a, tol, max_iters, traces=None):
+            sizes.append(len(n))
+            return newton_fit(n, a0, a, tol, max_iters, traces)
 
         if cap is not None:
             monkeypatch.setattr(hier, "_STACK_CELLS", cap)
         split = 0
         for stack in bhd_stacks():
             with monkeypatch.context() as patch:
-                patch.setattr(hier, "fit_variational_stack", recording)
+                patch.setattr(hier, "_newton_fit", recording)
                 sizes.clear()
                 got = hier.bhd_local_log_scores(stack, config.iss, config.s0, config.vb_tol,
                                                 config.vb_max_iters)
-            # stacks of at most cap // (F * J * K) families, one family at least
-            size = max(1, (cap or 2 ** 16) // stack[0].size)
-            assert sizes == [len(stack[i:i + size]) for i in range(0, len(stack), size)]
+            # stacks of at most cap // (F * K) observed configurations, one
+            # at least; a stack without any is fitted as one empty stack
+            size = max(1, (cap or 2 ** 16) // (stack.shape[1] * stack.shape[3]))
+            observed = int((stack.sum(axis=(1, 3)) > 0).sum())
+            assert sizes == ([min(size, observed - i) for i in range(0, observed, size)]
+                             or [0])
             split += len(sizes) > 1
             lone = [lone_bhd(table, config) for table in stack]
             assert got.tolist() == [score for score, _ in lone]

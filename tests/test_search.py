@@ -16,7 +16,7 @@ from hierbn.scores import LocalScoreCache, ScoreConfig, total_log_score
 from hierbn.search import SearchConfig, apply_move, neighbourhood, run_hill_climb
 from hierbn.simgen import GenConfig, generate
 
-from oracles import random_dag_uniform_pairs
+from oracles import all_dags, exact_optimum, random_dag_uniform_pairs
 
 
 def dataset_from_rows(tmp_path, rows, header, name="d.csv"):
@@ -417,3 +417,40 @@ class TestGreedyReplay:
         assert list(result.trace) == totals
         assert result.dag == dag
         assert result.score == totals[-1]
+
+
+def small_replicates():
+    """Fixed N4 and N5 replicates of K2 and K3 cells, iid and hierarchical."""
+    cells = [dict(n_nodes=4, card=2, n_groups=3, rows_per_group=40, regime="hier", seed=1),
+             dict(n_nodes=4, card=3, n_groups=2, rows_per_group=60, regime="iid", seed=2),
+             dict(n_nodes=5, card=2, n_groups=5, rows_per_group=30, regime="hier", seed=3),
+             dict(n_nodes=5, card=2, n_groups=2, rows_per_group=200, arc_ratio=1.5, seed=4),
+             dict(n_nodes=5, card=3, n_groups=3, rows_per_group=25, regime="hier", seed=5),
+             dict(n_nodes=5, card=2, n_groups=10, rows_per_group=10, regime="hier", seed=6)]
+    return [generate(GenConfig(**cell))[1] for cell in cells]
+
+
+class TestExactOptimum:
+    @pytest.mark.parametrize("kind", ["bdeu", "bhd"])
+    def test_matches_brute_force_over_every_four_node_dag(self, kind):
+        config = ScoreConfig(kind)
+        dags = all_dags(4)
+        for seed in range(2):
+            _, data = generate(GenConfig(n_nodes=4, card=2, n_groups=3, rows_per_group=30,
+                                         regime="hier", seed=seed))
+            cache = LocalScoreCache()
+            best = max(total_log_score(dag, data, config, cache) for dag in dags)
+            dag, score = exact_optimum(data, config)
+            assert score == pytest.approx(best, rel=1e-12, abs=1e-9)
+            assert score == total_log_score(dag, data, config, cache)
+
+    @pytest.mark.parametrize("kind", ["bdeu", "bhd"])
+    def test_no_climb_scores_above_the_optimum(self, kind):
+        config = ScoreConfig(kind)
+        reached = 0
+        for data in small_replicates():
+            _, optimum = exact_optimum(data, config)
+            result = run_hill_climb(data, config, cache=LocalScoreCache())
+            assert result.score <= optimum + 1e-9 * abs(optimum)
+            reached += result.score >= optimum - 1e-9 * abs(optimum)
+        assert reached > 0
