@@ -13,7 +13,7 @@ from .hier import (HierPrior, VariationalFit, bhd_local_log_score, fit_variation
 from .metrics import RunRecord, evaluate, paired_difference
 from .scores import (LocalScoreCache, ScoreConfig, bd_local_log_score,
                      bd_local_log_scores, bdeu_local_log_score, bic_local_log_score,
-                     classic_posterior_mean, fold_total, local_log_score,
+                     bic_local_log_scores, classic_posterior_mean, fold_total, local_log_score,
                      local_log_scores, total_log_score)
 from .search import SearchConfig, SearchResult, neighbourhood, run_hill_climb
 from .simgen import (GenConfig, GroundTruth, generate, perturb_structures,
@@ -29,7 +29,8 @@ __all__ = [
     "fit_variational_stack", "hier_posterior_means",
     "RunRecord", "evaluate", "paired_difference",
     "LocalScoreCache", "ScoreConfig", "bd_local_log_score", "bd_local_log_scores",
-    "bdeu_local_log_score", "bic_local_log_score", "classic_posterior_mean",
+    "bdeu_local_log_score", "bic_local_log_score", "bic_local_log_scores",
+    "classic_posterior_mean",
     "fold_total", "local_log_score", "local_log_scores", "total_log_score",
     "SearchConfig", "SearchResult", "neighbourhood", "run_hill_climb",
     "GenConfig", "GroundTruth", "generate", "perturb_structures",

@@ -17,7 +17,11 @@ additive-log-ratio basis x = (log p_k - log p_K), k < K (MacKay 1998):
     log evidence = g(x*) + (K - 1) / 2 * log(2 pi) - log det(-H(x*)) / 2,
 
 where DM is the Dirichlet-multinomial and the last sum of g is the
-Jacobian of the basis. g is concave in p, so the mode is unique. A
+Jacobian of the basis. g is concave in p, so the mode is unique. The fit
+starts with ``_FIXED_POINT_STEPS`` fixed-point steps on the mode's
+stationarity condition (Minka 2000), which walk from the pooled
+frequencies most of the way to the mode, and Newton steps polish the
+result and give the Hessian of the Laplace term. A
 ``VariationalFit`` reports a family's centres as one (J, K) ``kappa``
 whose row j is p_j / J, so that ``s * kappa`` holds every configuration's
 Dirichlet weights.
@@ -39,6 +43,9 @@ _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 # least): stacking saves per-call overhead on small tables, and large ones
 # have none to save
 _STACK_CELLS = 2 ** 16
+# fixed-point steps on the mode's stationarity condition that start every
+# centre fit before its Newton steps
+_FIXED_POINT_STEPS = 5
 
 
 class VariationalConvergenceWarning(RuntimeWarning):
@@ -91,8 +98,8 @@ class VariationalFit:
     nu: per-group Dirichlet parameters, shape (F, configs, levels): each
         group's posterior given the centres, nu = s * kappa + counts.
     elbo_trace: the summed log posterior of the observed configurations,
-        at the start and after each Newton step (a configuration that has
-        stopped keeps its last value); it never decreases.
+        at the warmed-up start and after each Newton step (a configuration
+        that has stopped keeps its last value); it never decreases.
     converged: every configuration met the stop rule within the step cap.
     """
 
@@ -154,30 +161,52 @@ def _posterior(n, a0, a, const, x):
             np.log(s).sum(axis=1) + np.log(spread[:, 0]))
 
 
+def _warm_start(n, a0, a):
+    """Logits of each row's centre after ``_FIXED_POINT_STEPS`` fixed-point
+    steps from the pooled frequencies, for (P, K, F) counts ``n``.
+
+    With u_k = p_k dg/dp_k = a0_k + sum_f w_k [digamma(w_k + n_fk) -
+    digamma(w_k)] at w = a * p (the ``u`` of ``_posterior``), g's gradient
+    in the logits is u - p * sum(u), so the mode is the fixed point of p <-
+    u / sum(u) (Minka 2000). The pooled frequencies are the mode only when
+    a is large; from them the steps walk most of the way to it, one digamma
+    per cell each, and leave Newton the polish. Every sum runs along a
+    row's own contiguous last axis.
+    """
+    p = n.sum(axis=2) + a0
+    p /= p.sum(axis=1, keepdims=True)
+    for _ in range(_FIXED_POINT_STEPS):
+        ap = a * p
+        u = ap * (digamma(ap[..., None] + n) - digamma(ap)[..., None]).sum(axis=-1) + a0
+        p = u / u.sum(axis=1, keepdims=True)
+    return np.log(p)
+
+
 def _newton_fit(n, a0, a, tol, max_iters, traces=None):
     """Fit the centre of each configuration of a (P, F, K) stack of group
     counts, under its row of the (P, K) hyperpriors ``a0`` and the group
     weight ``a``; returns (p, log evidence, converged), one row each.
 
-    Newton steps run in lockstep from the pooled frequencies: each row
-    keeps its own Armijo backtracking, step count and stop rule, and each
-    round evaluates one trial point of every row still searching in one
-    call, its value, gradient and Newton step together. A row has
-    converged when the largest component of its gradient in the logits is
-    at most ``tol * max(1, |g at the start|)``, or when no step raises g at
-    float precision; it stops unconverged after ``max_iters`` steps. The
-    logits, steps and stop rule treat every child level alike, so
-    relabelling the levels moves no row's path. A row leaves the lockstep
-    when it stops and gets the same bits as it would fitted alone. With a
-    list for ``traces``, it receives each row's list of g, at the start
-    and after each step.
+    Each row starts at its ``_warm_start`` point, and Newton steps run from
+    there in lockstep: each row keeps its own Armijo backtracking, step
+    count and stop rule, and each round evaluates one trial point of every
+    row still searching in one call, its value, gradient and Newton step
+    together. A row has converged when the largest component of its
+    gradient in the logits is at most ``tol * max(1, |g at the start|)``,
+    g at the warmed-up point, or when no step raises g at float precision;
+    it stops unconverged after ``max_iters`` Newton steps, the warm-up's
+    not counted. The warm-up, logits, steps and stop rule treat every
+    child level alike, so relabelling the levels moves no row's path. A row
+    leaves the lockstep when it stops and gets the same bits as it would
+    fitted alone. With a list for ``traces``, it receives each row's list
+    of g, at the warmed-up start and after each Newton step.
     """
     n_rows, _, k = n.shape
     totals = n.sum(axis=2)
     n = np.ascontiguousarray(np.swapaxes(n, 1, 2), dtype=float)
     const = ((gammaln(a) - gammaln(a + totals)).sum(axis=1)
              + gammaln(a0.sum(axis=1)) - gammaln(a0).sum(axis=1))
-    x = np.log(n.sum(axis=2) + a0)
+    x = _warm_start(n, a0, a)
     value, grad, direction, log_det = _posterior(n, a0, a, const, x)
     history = None if traces is None else [[v] for v in value.tolist()]
     gtol = tol * np.maximum(np.abs(value), 1.0)

@@ -73,22 +73,31 @@ def bdeu_local_log_score(counts, s=1.0):
     return bd_local_log_score(table, _uniform_alpha(table.shape, s))
 
 
-def bic_local_log_score(counts):
-    """Penalized maximum log likelihood of one family on pooled counts.
+def bic_local_log_scores(tables):
+    """Penalized maximum log likelihoods of a (B, J, K) stack of pooled
+    count tables, as B floats.
 
     Zero-count cells contribute nothing to the likelihood; the penalty is
-    (ln n)/2 per free parameter, defined as 0 when there is no data.
+    (ln n)/2 per free parameter, and a table without data scores 0. Each
+    table's likelihood terms are summed along its own contiguous cells, so
+    a family scores bit for bit the same alone or in any stack.
     """
-    table = _pooled_table(counts)
-    n_configs, child_card = table.shape
-    n = int(table.sum())
-    if n == 0:
-        return 0.0
-    n_j = table.sum(axis=1, keepdims=True)
-    mask = table > 0
-    ll = float((table[mask] * (np.log(table[mask]) - np.log(np.broadcast_to(n_j, table.shape)[mask]))).sum())
-    penalty = 0.5 * np.log(n) * n_configs * (child_card - 1)
-    return ll - float(penalty)
+    tables = np.asarray(tables)
+    if tables.ndim != 3:
+        raise ValueError("expected a (families, configs, levels) stack of count tables")
+    n_tables, n_configs, child_card = tables.shape
+    n_j = tables.sum(axis=-1, keepdims=True)
+    n = n_j.reshape(n_tables, -1).sum(axis=1)
+    # an empty cell or row takes log 1 = 0 and adds a zero term
+    terms = tables * (np.log(np.where(tables > 0, tables, 1)) - np.log(np.where(n_j > 0, n_j, 1)))
+    penalty = 0.5 * np.log(np.where(n > 0, n, 1)) * n_configs * (child_card - 1)
+    return np.where(n > 0, terms.reshape(n_tables, -1).sum(axis=1) - penalty, 0.0)
+
+
+def bic_local_log_score(counts):
+    """BIC of one family on pooled counts; the one-table case of
+    ``bic_local_log_scores``."""
+    return float(bic_local_log_scores(_pooled_table(counts)[None])[0])
 
 
 def classic_posterior_mean(counts, alpha):
@@ -110,13 +119,14 @@ class ScoreConfig:
     ``iss`` is the imaginary sample size shared by the Dirichlet scores;
     it, ``vb_tol`` and ``s0`` are kept as floats. The vb_* fields and s0
     only affect the hierarchical score; they are part of the cache identity
-    for it. That score fits each parent configuration's centre by Newton
-    steps on its log posterior g (``hier``); a fit has converged when the
-    largest component of g's gradient is at most ``vb_tol * max(1, |g at
-    the start|)``, or when no step raises g in floating point.
-    ``vb_max_iters`` caps its Newton steps, and a fit that reaches the cap
-    unconverged warns. ``s0`` is the total mass of the flat hyperprior over
-    a family's cells (one per cell when None).
+    for it. That score fits each parent configuration's centre by a
+    fixed-point warm-up and then Newton steps on its log posterior g
+    (``hier``); a fit has converged when the largest component of g's
+    gradient is at most ``vb_tol * max(1, |g at the start|)``, the start
+    being the warmed-up point, or when no step raises g in floating point.
+    ``vb_max_iters`` caps the Newton steps only, not the warm-up's, and a
+    fit that reaches the cap unconverged warns. ``s0`` is the total mass
+    of the flat hyperprior over a family's cells (one per cell when None).
     """
 
     kind: str = "bdeu"
@@ -182,7 +192,7 @@ def _compute_locals(data, families, config):
         if config.kind == "bdeu":
             out[where] = bd_local_log_scores(tables, _uniform_alpha(tables.shape[1:], config.iss))
         elif config.kind == "bic":
-            out[where] = [bic_local_log_score(table) for table in tables]
+            out[where] = bic_local_log_scores(tables)
         else:
             from . import hier  # deferred: hier imports this module's kernel
             out[where] = hier.bhd_local_log_scores(tables, config.iss, config.s0,

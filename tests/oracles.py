@@ -6,8 +6,9 @@ test pins bits, with the one-table float formula), counts row by row, equivalenc
 classes by exhaustive enumeration, distances by breadth-first search
 over single-edge edits, and CSV files are read and written row by row
 (and split into lines in text mode).
-The per-configuration Newton fit is written one configuration at a time,
-to pin the package's lockstep fit bit for bit; its Laplace evidence is
+The per-configuration fit, its fixed-point warm-up and Newton steps, is
+written one configuration at a time, to pin the package's lockstep fit bit
+for bit; its Laplace evidence is
 checked against an mpmath quadrature of the exact evidence. The joint-cell
 variational fit that the package used before is kept as first written, as
 the reference of that removed score. The exact optimum of a score comes
@@ -25,6 +26,7 @@ import mpmath as mp
 import numpy as np
 from scipy.special import digamma, gammaln, log_softmax, polygamma, softmax, zeta
 
+from hierbn import hier
 from hierbn.data import DataError, GroupedDataset, VariableMeta
 from hierbn.graph import Dag
 from hierbn.hier import VariationalConvergenceWarning, VariationalFit
@@ -328,14 +330,22 @@ def _config_posterior(n, a0, a, const, x):
     return value, u - p * u.sum(), step, np.log(s).sum() + np.log(spread)
 
 
-def _newton_config_oracle(tallies, a0, a, tol, max_iters):
+def _newton_config_oracle(tallies, a0, a, tol, max_iters, warm_steps=None):
     """Newton fit of one configuration's centre, (F, K) tallies, one step
-    at a time. Returns (p, log evidence, trace of g, converged)."""
+    at a time, from ``warm_steps`` fixed-point steps p <- u / sum(u) on the
+    pooled frequencies (``hier._FIXED_POINT_STEPS`` when None). Returns (p,
+    log evidence, trace of g, converged)."""
     totals = tallies.sum(axis=1)
     n = np.ascontiguousarray(tallies.T, dtype=float)
     const = ((gammaln(a) - gammaln(a + totals)).sum()
              + gammaln(a0.sum()) - gammaln(a0).sum())
-    x = np.log(n.sum(axis=1) + a0)
+    p = n.sum(axis=1) + a0
+    p = p / p.sum()
+    for _ in range(hier._FIXED_POINT_STEPS if warm_steps is None else warm_steps):
+        ap = a * p
+        u = ap * (digamma(ap[:, None] + n) - digamma(ap)[:, None]).sum(axis=1) + a0
+        p = u / u.sum()
+    x = np.log(p)
     value, grad, direction, log_det = _config_posterior(n, a0, a, const, x)
     gtol = tol * max(abs(value), 1.0)
     trace = [value]
@@ -367,7 +377,7 @@ def _newton_config_oracle(tallies, a0, a, tol, max_iters):
     return np.exp(log_softmax(x)), evidence, trace, converged
 
 
-def newton_fit_oracle(counts, prior, tol=1e-6, max_iters=500):
+def newton_fit_oracle(counts, prior, tol=1e-6, max_iters=500, warm_steps=None):
     """``hier.fit_variational`` and the family's bhd local, one
     configuration at a time: each observed configuration is fitted alone,
     its evidence folded in configuration order (an empty one adds nothing,
@@ -386,7 +396,7 @@ def newton_fit_oracle(counts, prior, tol=1e-6, max_iters=500):
         if tallies.sum() == 0:
             continue
         p, evidence, trace, done = _newton_config_oracle(tallies, prior.alpha0[j], a, tol,
-                                                         max_iters)
+                                                         max_iters, warm_steps)
         kappa[j] = p
         local += evidence
         traces.append(trace)

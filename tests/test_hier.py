@@ -6,7 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from scipy.special import gammaln, log_softmax, softmax
+from scipy.special import digamma, gammaln, log_softmax, softmax
 
 import oracles
 from hierbn import hier
@@ -136,8 +136,8 @@ class TestFitVariational:
             assert fit.tau > 0
 
     def test_warns_when_iteration_budget_too_small(self):
-        counts = make_counts([[[30, 3], [4, 20]], [[2, 25], [18, 6]]])
-        prior = HierPrior.uniform((2, 2), s=1.0)
+        counts = make_counts(CAPPED_PAIR)
+        prior = HierPrior.uniform((2, 2), s=CAPPED_S)
         with pytest.warns(VariationalConvergenceWarning):
             fit = fit_variational(counts, prior, max_iters=1)
         assert not fit.converged
@@ -169,8 +169,8 @@ class TestFitVariational:
             fit_variational(counts, HierPrior.uniform((2, 2), s=1.0), max_iters=max_iters)
 
     def test_numpy_integer_max_iters_accepted(self):
-        counts = make_counts([[[30, 3], [4, 20]], [[2, 25], [18, 6]]])
-        prior = HierPrior.uniform((2, 2), s=1.0)
+        counts = make_counts(CAPPED_PAIR)
+        prior = HierPrior.uniform((2, 2), s=CAPPED_S)
         with pytest.warns(VariationalConvergenceWarning):
             fit = fit_variational(counts, prior, max_iters=np.int32(CAP))
             lone = fit_variational_stack(counts.per_group[None], prior, max_iters=CAP)[0]
@@ -329,8 +329,8 @@ def oracle_families():
                      HierPrior.uniform((3, 2), s=1.0), {}))
     families.append((make_counts([[[30, 3], [4, 20]], [[0, 0], [0, 0]], [[2, 25], [18, 6]]]),
                      HierPrior.uniform((2, 2), s=1.0, s0=3.0), {}))
-    families.append((make_counts([[[30, 3], [4, 20]], [[2, 25], [18, 6]]]),
-                     HierPrior.uniform((2, 2), s=1.0), {"max_iters": CAP}))
+    families.append((make_counts(CAPPED_PAIR), HierPrior.uniform((2, 2), s=CAPPED_S),
+                     {"max_iters": CAP}))
     families.append((stall_counts(), HierPrior.uniform((3, 4), s=1.0), {"tol": 1e-15}))
     for arr in EXTREME_FAMILIES:
         arr = np.asarray(arr)
@@ -344,7 +344,11 @@ def oracle_families():
 
 # families fitted under a huge group weight and a tiny hyperprior
 EXTREME_FAMILIES = ([[[0, 2]]], [[[1, 3], [0, 1]]])
-# a step cap that [[30, 3], [4, 20]] and [[2, 25], [18, 6]] reach unconverged
+# a family of two groups whose two configurations each still take 2 Newton
+# steps after the warm-up under group weight CAPPED_S / 2, alone or with its
+# groups swapped, so both reach a cap of CAP steps unconverged
+CAPPED_PAIR = [[[71, 393], [194, 18]], [[26, 335], [285, 65]]]
+CAPPED_S = 7.5
 CAP = 1
 
 
@@ -427,9 +431,8 @@ def stack_cases():
         s0 = float(rng.uniform(0.5, 20.0)) if i % 4 == 1 else None
         options = {"tol": 1e-12} if i % 6 == 5 else {}
         cases.append((stack, HierPrior.uniform((j, k), s=s, s0=s0), options))
-    pair = [[[30, 3], [4, 20]], [[2, 25], [18, 6]]]
-    cases.append((np.array([pair, np.zeros((2, 2, 2), int), pair[::-1]]),
-                  HierPrior.uniform((2, 2), s=1.0), {"max_iters": CAP}))
+    cases.append((np.array([CAPPED_PAIR, np.zeros((2, 2, 2), int), CAPPED_PAIR[::-1]]),
+                  HierPrior.uniform((2, 2), s=CAPPED_S), {"max_iters": CAP}))
     for arr in EXTREME_FAMILIES:
         arr = np.asarray(arr)
         others = rng.integers(0, 6, size=(3,) + arr.shape)
@@ -837,17 +840,83 @@ class TestStackLocals:
         stack[1, :, :2] = 0
         stack[6] = 0
         stack[6, 0, 0, 0] = 1
-        prior = HierPrior.uniform((4, k), s=1.0)
+        # at this weight the warm-up leaves some configurations of the
+        # 30- and 300-fold families 2 Newton steps
+        s = 20.0
+        prior = HierPrior.uniform((4, k), s=s)
         for max_iters in (1, 2, 500):
             stopped.clear()
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                got = hier.bhd_local_log_scores(stack, 1.0, max_iters=max_iters).tolist()
+                got = hier.bhd_local_log_scores(stack, s, max_iters=max_iters).tolist()
                 capped = len(caught)
-                lone = [local_of(table, max_iters=max_iters) for table in stack]
+                lone = [local_of(table, s, max_iters=max_iters) for table in stack]
                 oracle = [oracles.newton_fit_oracle(make_counts(table), prior,
                                                     max_iters=max_iters)[1] for table in stack]
             assert got == lone == oracle
             if max_iters == 1:
                 assert 0 < capped < len(stack)
                 assert any(stopped) and not all(stopped)
+
+
+def seeded_stacks(card):
+    """The families of a seeded 3-node dataset of ``card`` levels in 10
+    groups of 300 rows, as two stacks: its six one-parent families and its
+    three two-parent ones."""
+    _, data = generate(GenConfig(n_nodes=3, card=card, arc_ratio=1.0, n_groups=10,
+                                 rows_per_group=300, seed=card))
+    one = [family_counts(data, c, (p,)) for c in range(3) for p in range(3) if p != c]
+    two = [family_counts(data, c, tuple(q for q in range(3) if q != c)) for c in range(3)]
+    return [one, two]
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("iss", [1.0, 7.5, 50.0])
+    @pytest.mark.parametrize("card", [2, 5])
+    def test_fewer_newton_steps_than_from_the_pooled_frequencies(self, card, iss):
+        # the fixed-point warm-up leaves Newton fewer steps than the same
+        # fit run from the pooled frequencies, and every fit still converges
+        warm = cold = 0
+        for families in seeded_stacks(card):
+            stack = np.array([counts.per_group for counts in families])
+            prior = HierPrior.uniform(stack.shape[2:], s=iss)
+            fits = fit_variational_stack(stack, prior)
+            assert all(fit.converged for fit in fits)
+            warm += sum(len(fit.elbo_trace) - 1 for fit in fits)
+            for counts in families:
+                ref = oracles.newton_fit_oracle(counts, prior, warm_steps=0)[0]
+                assert ref.converged
+                cold += len(ref.elbo_trace) - 1
+        assert warm < cold
+
+    def test_converged_centre_is_its_fixed_point(self):
+        # the mode is where u / sum(u) = p, u_k = a0_k + sum_f w_k
+        # [digamma(w_k + n_fk) - digamma(w_k)] at w = (s / J) p; fitted to a
+        # tolerance well below the gradient's scale, every observed
+        # configuration's centre satisfies it to 1e-6
+        rng = np.random.default_rng(89)
+        families = [counts for stacks in (seeded_stacks(2), seeded_stacks(5))
+                    for stack in stacks for counts in stack]
+        families += [random_counts(rng, top=int(rng.choice([5, 50, 500]))) for _ in range(20)]
+        for i, counts in enumerate(families):
+            s = (1.0, 7.5, 50.0)[i % 3]
+            prior = HierPrior.uniform((counts.n_configs, counts.child_card), s=s)
+            fit = fit_variational(counts, prior, tol=1e-10)
+            assert fit.converged
+            p = fit.kappa * counts.n_configs
+            w = s / counts.n_configs * p
+            n = counts.per_group
+            u = w * (digamma(w[None] + n) - digamma(w)[None]).sum(axis=0) + prior.alpha0
+            observed = n.sum(axis=(0, 2)) > 0
+            assert np.abs(u / u.sum(axis=1, keepdims=True) - p)[observed].max() <= 1e-6
+
+    def test_extreme_families_finite_without_warning(self):
+        for arr in EXTREME_FAMILIES:
+            arr = np.asarray(arr)
+            with warnings.catch_warnings(), np.errstate(all="raise"):
+                warnings.simplefilter("error")
+                local = hier.bhd_local_log_scores(arr[None], 1e4, 1e-3)
+                fit = fit_variational(make_counts(arr), HierPrior.uniform(arr.shape[1:], s=1e4,
+                                                                         s0=1e-3))
+            assert np.all(np.isfinite(local)) and fit.converged
+            assert np.all(np.isfinite(fit.kappa)) and np.all(fit.kappa > 0)

@@ -12,7 +12,7 @@ from hierbn.graph import Dag
 from hierbn.hier import HierPrior
 from hierbn.scores import (LocalScoreCache, ScoreConfig, bd_local_log_score,
                            bd_local_log_scores, bdeu_local_log_score, bic_local_log_score,
-                           classic_posterior_mean, fold_total, local_log_score,
+                           bic_local_log_scores, classic_posterior_mean, fold_total, local_log_score,
                            local_log_scores, total_log_score)
 from hierbn.simgen import GenConfig, generate
 
@@ -185,6 +185,31 @@ class TestBic:
         got = bic_local_log_score(table)
         ll = 12 * math.log(1 / 3)
         assert got == pytest.approx(ll - 0.5 * math.log(12) * 2, abs=1e-10)
+
+    def test_stack_equals_each_table_and_the_sum_over_non_empty_cells(self):
+        # each table of a stack scores its lone bits, and its likelihood is
+        # the exact sum over its non-empty cells to float precision
+        rng = np.random.default_rng(97)
+        for i in range(60):
+            b, j, k = int(rng.integers(1, 7)), int(rng.integers(1, 10)), int(rng.integers(2, 6))
+            tables = rng.integers(0, int(rng.choice([3, 40, 5000])), size=(b, j, k))
+            tables *= rng.random(tables.shape) < 0.6
+            tables[rng.random(b) < 0.2] = 0
+            got = bic_local_log_scores(tables).tolist()
+            assert got == [bic_local_log_score(table) for table in tables]
+            for table, value in zip(tables, got):
+                n = int(table.sum())
+                if n == 0:
+                    assert value == 0.0
+                    continue
+                ll = math.fsum(c * math.log(c / sum(row)) for row in table.tolist()
+                               for c in row if c)
+                want = ll - 0.5 * math.log(n) * j * (k - 1)
+                assert value == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_stack_of_the_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match="stack of count tables"):
+            bic_local_log_scores(np.ones((2, 3), int))
 
 
 class TestPosteriorMean:
@@ -509,6 +534,26 @@ class TestBatchedScores:
             return kernel(tables, alpha)
 
         monkeypatch.setattr(scores_mod, "bd_local_log_scores", recording)
+        data = mixed_dataset(2)
+        # v0 and v3 have 2 levels, v1 and v4 have 3: four (3, 2) tables
+        families = [(0, (1,)), (3, (4,)), (2, ()), (0, (4,)), (3, (1,))]
+        got = local_log_scores(data, families, config)
+        assert sorted(stacks) == [(1, 1, 4), (4, 3, 2)]
+        stacks.clear()
+        assert got == [local_log_score(data, child, parents, config)
+                       for child, parents in families]
+        assert len(stacks) == len(families)
+        assert got == [local_oracle(data, child, parents, config) for child, parents in families]
+
+    def test_bic_scores_equal_shapes_of_every_child_in_one_call(self, monkeypatch):
+        config, stacks = ScoreConfig("bic"), []
+        kernel = scores_mod.bic_local_log_scores
+
+        def recording(tables):
+            stacks.append(tables.shape)
+            return kernel(tables)
+
+        monkeypatch.setattr(scores_mod, "bic_local_log_scores", recording)
         data = mixed_dataset(2)
         # v0 and v3 have 2 levels, v1 and v4 have 3: four (3, 2) tables
         families = [(0, (1,)), (3, (4,)), (2, ()), (0, (4,)), (3, (1,))]
