@@ -47,13 +47,13 @@ def build_parser():
                        help="imaginary sample size")
         p.add_argument("--vb-tol", type=float, default=ScoreConfig.vb_tol,
                        help="bhd: a parent configuration's centre fit, fixed-point "
-                            "warm-up steps and then Newton steps, has converged when the "
+                            "steps from the pooled frequencies, has converged when the "
                             "largest component of its log posterior's gradient is at most "
-                            "this times max(1, |log posterior at the warmed-up start|) (or "
-                            "when no step raises it in floating point)")
+                            "this times max(1, |log posterior at the start|) (or when a "
+                            "step leaves the centre unchanged in floating point)")
         p.add_argument("--vb-max-iters", type=int, default=ScoreConfig.vb_max_iters,
-                       help="bhd: Newton step cap of each centre fit, after its fixed "
-                            "warm-up; a fit that reaches it unconverged warns")
+                       help="bhd: fixed-point step cap of each centre fit; a fit that "
+                            "reaches it unconverged warns")
         p.add_argument("--s0", type=float, default=None,
                        help="total mass of the flat hyperprior (default: one per cell)")
 

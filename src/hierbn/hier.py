@@ -17,11 +17,12 @@ additive-log-ratio basis x = (log p_k - log p_K), k < K (MacKay 1998):
     log evidence = g(x*) + (K - 1) / 2 * log(2 pi) - log det(-H(x*)) / 2,
 
 where DM is the Dirichlet-multinomial and the last sum of g is the
-Jacobian of the basis. g is concave in p, so the mode is unique. The fit
-starts with ``_FIXED_POINT_STEPS`` fixed-point steps on the mode's
-stationarity condition (Minka 2000), which walk from the pooled
-frequencies most of the way to the mode, and Newton steps polish the
-result and give the Hessian of the Laplace term. A
+Jacobian of the basis. g is concave in p, so the mode is unique. Each
+centre is fitted from the pooled frequencies by the fixed-point step p <-
+u / sum(u) on the mode's stationarity condition (Minka 2000), a
+minorize-maximize step (Hunter & Lange 2004) under which g never falls,
+until its gradient meets the tolerance or the step stops moving p; the
+Laplace term's Hessian has a closed form at the result. A
 ``VariationalFit`` reports a family's centres as one (J, K) ``kappa``
 whose row j is p_j / J, so that ``s * kappa`` holds every configuration's
 Dirichlet weights.
@@ -37,21 +38,17 @@ from scipy.special import digamma, gammaln, zeta
 from .data import check_count, check_positive
 from .scores import bd_local_log_scores, fold_total
 
-_EPS = np.finfo(float).eps
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 # a fit stack holds at most this many count cells (one configuration at
 # least): stacking saves per-call overhead on small tables, and large ones
 # have none to save
 _STACK_CELLS = 2 ** 16
-# fixed-point steps on the mode's stationarity condition that start every
-# centre fit before its Newton steps
-_FIXED_POINT_STEPS = 5
 
 
 class VariationalConvergenceWarning(RuntimeWarning):
-    """Emitted when a centre's fit takes ``max_iters`` Newton steps without
-    its gradient falling to tolerance or its log posterior stalling at
-    float precision."""
+    """Emitted when a centre's fit takes ``max_iters`` fixed-point steps
+    without its gradient falling to tolerance or a step leaving its centre
+    unchanged in floats."""
 
 
 @dataclass(frozen=True)
@@ -98,8 +95,9 @@ class VariationalFit:
     nu: per-group Dirichlet parameters, shape (F, configs, levels): each
         group's posterior given the centres, nu = s * kappa + counts.
     elbo_trace: the summed log posterior of the observed configurations,
-        at the warmed-up start and after each Newton step (a configuration
-        that has stopped keeps its last value); it never decreases.
+        at the pooled start and after each fixed-point step (a
+        configuration that has stopped keeps its last value); it never
+        decreases beyond rounding.
     converged: every configuration met the stop rule within the step cap.
     """
 
@@ -116,146 +114,95 @@ class VariationalFit:
             object.__setattr__(self, name, arr)
 
 
-def _log_centre(x):
-    """log p from softmax logits x, row by row: the arithmetic of
-    scipy.special.log_softmax."""
-    shifted = x - x.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
-def _posterior(n, a0, a, const, x):
-    """(g, gradient, Newton step, log det(-H)) of each row at the softmax
-    logits x of its centre p.
-
-    ``n`` is (P, K, F), each cell's group counts contiguous, ``a0`` (P, K)
-    and ``const`` (P,) the part of g that does not depend on p. With u_k =
-    p_k dg/dp_k and s_k = -p_k^2 d2g/dp_k^2 (positive: g is concave in p),
-    the gradient in x is u - p * sum(u). The Newton step is the one of the
-    constrained problem in p, dp = p * (u + lam * p) / s with lam fixing
-    sum(dp) = 0, returned as r = dp / p: the logits move by t * r, which is
-    the step dx_l = r_l - r_K in the log-ratio basis with any level as its
-    reference K. There it solves -H dx = gradient, with -H = J' diag(s /
-    p^2) J for J = dp/dx: the Hessian less its terms in the gradient, so
-    positive definite everywhere and equal to the Hessian at the mode. Its
-    log determinant is sum(log s) + log sum(p^2 / s), the same for every
-    reference level. Every sum runs along a row's own contiguous last axis,
-    so a row gets the same bits in any stack.
-    """
-    log_p = _log_centre(x)
-    p = np.exp(log_p)
+def _log_posterior(n, a0, a, const, p):
+    """g of each row at its centre p, for (P, K, F) counts ``n``, (P, K)
+    hyperpriors ``a0`` and (P,) ``const``, the part of g that does not
+    depend on p; a cell without rows adds exactly 0."""
     ap = a * p
-    # each cell's weight a * p_k, then a * p_k + n_fk for every group f: one
-    # call of each special function on both
-    both = np.concatenate([ap[..., None], ap[..., None] + n], axis=-1)
-    # a cell without rows adds exactly 0 to g and to each derivative
-    lg, dg = gammaln(both), digamma(both)
-    dm = lg[..., 1:] - lg[..., :1]
-    value = const + dm.reshape(len(n), math.prod(n.shape[1:])).sum(axis=1) + (a0 * log_p).sum(axis=1)
-    u = ap * (dg[..., 1:] - dg[..., :1]).sum(axis=-1) + a0
+    dm = gammaln(ap[..., None] + n) - gammaln(ap)[..., None]
+    return (const + dm.reshape(len(n), math.prod(n.shape[1:])).sum(axis=1)
+            + (a0 * np.log(p)).sum(axis=1))
+
+
+def _scaled_gradient(n, a0, a, p):
+    """u_k = p_k dg/dp_k = a0_k + sum_f w_k [digamma(w_k + n_fk) -
+    digamma(w_k)] of each row at w = a * p; g's gradient in the logits of
+    p is u - p * sum(u)."""
+    ap = a * p
+    return ap * (digamma(ap[..., None] + n) - digamma(ap)[..., None]).sum(axis=-1) + a0
+
+
+def _log_det(n, a0, a, p):
+    """log det(-H) of each row at its centre p, in the log-ratio basis
+    with any level as its reference: with s_k = a0_k + w_k^2 sum_f
+    [trigamma(w_k) - trigamma(w_k + n_fk)], positive as g is concave in p,
+    it is sum(log s) + log sum(p^2 / s). -H here is the Hessian less its
+    terms in the gradient, so it equals the Hessian at the mode."""
+    ap = a * p
     # polygamma(1, x) = zeta(2, x), the same values from a cheaper call
-    pg1 = zeta(2, both)
-    s = ap * ap * (pg1[..., :1] - pg1[..., 1:]).sum(axis=-1) + a0
-    spread = (p * p / s).sum(axis=1, keepdims=True)
-    step = (u - (u * p / s).sum(axis=1, keepdims=True) / spread * p) / s
-    return (value, u - p * u.sum(axis=1, keepdims=True), step,
-            np.log(s).sum(axis=1) + np.log(spread[:, 0]))
+    s = ap * ap * (zeta(2, ap)[..., None] - zeta(2, ap[..., None] + n)).sum(axis=-1) + a0
+    return np.log(s).sum(axis=1) + np.log((p * p / s).sum(axis=1))
 
 
-def _warm_start(n, a0, a):
-    """Logits of each row's centre after ``_FIXED_POINT_STEPS`` fixed-point
-    steps from the pooled frequencies, for (P, K, F) counts ``n``.
-
-    With u_k = p_k dg/dp_k = a0_k + sum_f w_k [digamma(w_k + n_fk) -
-    digamma(w_k)] at w = a * p (the ``u`` of ``_posterior``), g's gradient
-    in the logits is u - p * sum(u), so the mode is the fixed point of p <-
-    u / sum(u) (Minka 2000). The pooled frequencies are the mode only when
-    a is large; from them the steps walk most of the way to it, one digamma
-    per cell each, and leave Newton the polish. Every sum runs along a
-    row's own contiguous last axis.
-    """
-    p = n.sum(axis=2) + a0
-    p /= p.sum(axis=1, keepdims=True)
-    for _ in range(_FIXED_POINT_STEPS):
-        ap = a * p
-        u = ap * (digamma(ap[..., None] + n) - digamma(ap)[..., None]).sum(axis=-1) + a0
-        p = u / u.sum(axis=1, keepdims=True)
-    return np.log(p)
-
-
-def _newton_fit(n, a0, a, tol, max_iters, traces=None):
+def _fixed_point_fit(n, a0, a, tol, max_iters, traces=None):
     """Fit the centre of each configuration of a (P, F, K) stack of group
     counts, under its row of the (P, K) hyperpriors ``a0`` and the group
     weight ``a``; returns (p, log evidence, converged), one row each.
 
-    Each row starts at its ``_warm_start`` point, and Newton steps run from
-    there in lockstep: each row keeps its own Armijo backtracking, step
-    count and stop rule, and each round evaluates one trial point of every
-    row still searching in one call, its value, gradient and Newton step
-    together. A row has converged when the largest component of its
-    gradient in the logits is at most ``tol * max(1, |g at the start|)``,
-    g at the warmed-up point, or when no step raises g at float precision;
-    it stops unconverged after ``max_iters`` Newton steps, the warm-up's
-    not counted. The warm-up, logits, steps and stop rule treat every
-    child level alike, so relabelling the levels moves no row's path. A row
-    leaves the lockstep when it stops and gets the same bits as it would
-    fitted alone. With a list for ``traces``, it receives each row's list
-    of g, at the warmed-up start and after each Newton step.
+    Every row starts at its pooled frequencies p = (sum_f n_f + a0) /
+    total, and each step takes u = ``_scaled_gradient`` at p and moves to
+    p <- u / sum(u), whose fixed point is the mode. The step maximises a
+    minorizer of g built from the convexity of lnGamma(x + n) - lnGamma(x)
+    in log x (Minka 2000), so g never falls and needs no line search. A
+    row has converged when the largest component of its gradient u - p *
+    sum(u) is at most ``tol * max(1, |g at the pooled start|)`` or when a
+    step leaves its p unchanged in floats; either way it keeps that step's
+    u / sum(u) and leaves the stack. A row still searching after
+    ``max_iters`` steps stops unconverged. Every sum runs along a row's own
+    contiguous last axis, so a row gets the same bits in any stack, and no
+    child level is singled out. The evidence is the Laplace approximation
+    at the final p, g and ``_log_det`` evaluated there once. With a list
+    for ``traces``, it receives each row's list of g, at the start and
+    after each step.
     """
     n_rows, _, k = n.shape
     totals = n.sum(axis=2)
     n = np.ascontiguousarray(np.swapaxes(n, 1, 2), dtype=float)
     const = ((gammaln(a) - gammaln(a + totals)).sum(axis=1)
              + gammaln(a0.sum(axis=1)) - gammaln(a0).sum(axis=1))
-    x = _warm_start(n, a0, a)
-    value, grad, direction, log_det = _posterior(n, a0, a, const, x)
-    history = None if traces is None else [[v] for v in value.tolist()]
-    gtol = tol * np.maximum(np.abs(value), 1.0)
-    x_out, value_out, log_det_out = np.empty_like(x), np.empty(n_rows), np.empty(n_rows)
-    converged = np.zeros(n_rows, dtype=bool)
+    p = n.sum(axis=2) + a0
+    p /= p.sum(axis=1, keepdims=True)
+    start = _log_posterior(n, a0, a, const, p)
+    history = None if traces is None else [[v] for v in start.tolist()]
+    gtol = tol * np.maximum(np.abs(start), 1.0)
+    fitted, converged = np.empty_like(p), np.zeros(n_rows, dtype=bool)
 
-    # the lockstep's state, one row per configuration still searching
-    ids = np.arange(n_rows)
-    taken = np.zeros(n_rows, dtype=np.intp)  # accepted steps
-    t = np.ones(n_rows)
-    turn = np.ones(n_rows, dtype=bool)  # at a new iterate: test it, then start its line search
-    while ids.size:
-        met = turn & (np.abs(grad).max(axis=1) <= gtol)
-        leave = met | (turn & (taken >= max_iters))
-        # both change only at a new iterate
-        slope = np.vecdot(grad, direction)
-        resolution = 4.0 * _EPS * np.maximum(np.abs(value), 1.0)
-        t[turn] = 1.0
-        # a row whose remaining first-order gain is below the float
-        # resolution of g has converged
-        flat = ~leave & ~(t * slope > resolution)
-        converged[ids[met | flat]] = True
-        leave |= flat
-        if leave.any():
-            done = ids[leave]
-            x_out[done], value_out[done], log_det_out[done] = x[leave], value[leave], log_det[leave]
-            stay = ~leave
-            ids, n, a0, const, gtol, taken = ids[stay], n[stay], a0[stay], const[stay], gtol[stay], taken[stay]
-            x, value, grad, direction, log_det = x[stay], value[stay], grad[stay], direction[stay], log_det[stay]
-            slope, t = slope[stay], t[stay]
-            if not ids.size:
-                break
-        trial_x = x + t[:, None] * direction
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            trial = _posterior(n, a0, a, const, trial_x)
-        turn = (trial[0] > value) & (trial[0] >= value + 1e-4 * t * slope)
-        t[~turn] *= 0.5
-        x[turn] = trial_x[turn]
-        for mine, new in zip((value, grad, direction, log_det), trial):
-            mine[turn] = new[turn]
-        taken[turn] += 1
+    # the rows still searching
+    ids, rows, row_a0, row_const = np.arange(n_rows), n, a0, const
+    for _ in range(max_iters):
+        u = _scaled_gradient(rows, row_a0, a, p)
+        total = u.sum(axis=1, keepdims=True)
+        met = np.abs(u - p * total).max(axis=1) <= gtol
+        step = u / total
+        met |= (step == p).all(axis=1)
+        p = step
         if history is not None:
-            for b, v in zip(ids[turn].tolist(), trial[0][turn].tolist()):
+            for b, v in zip(ids.tolist(), _log_posterior(rows, row_a0, a, row_const, p).tolist()):
                 history[b].append(v)
+        if met.any():
+            fitted[ids[met]], converged[ids[met]] = p[met], True
+            stay = ~met
+            ids, p, rows, row_a0, row_const, gtol = (ids[stay], p[stay], rows[stay], row_a0[stay],
+                                                      row_const[stay], gtol[stay])
+        if not ids.size:
+            break
+    fitted[ids] = p
 
     if history is not None:
         traces.extend(history)
-    evidence = value_out + (k - 1) * _HALF_LOG_2PI - 0.5 * log_det_out
-    return np.exp(_log_centre(x_out)), evidence, converged
+    evidence = (_log_posterior(n, a0, a, const, fitted) + (k - 1) * _HALF_LOG_2PI
+                - 0.5 * _log_det(n, a0, a, fitted))
+    return fitted, evidence, converged
 
 
 def _checked_stack(per_group, tol, max_iters):
@@ -277,7 +224,7 @@ def _fit_stack(per_group, prior, tol, max_iters, traces=None):
     a0 = np.broadcast_to(prior.alpha0, observed.shape + prior.alpha0.shape[1:])[observed]
     a = prior.s / per_group.shape[2]
     size = max(1, _STACK_CELLS // math.prod(per_group.shape[1::2]))
-    parts = [_newton_fit(rows[i:i + size], a0[i:i + size], a, tol, max_iters, traces)
+    parts = [_fixed_point_fit(rows[i:i + size], a0[i:i + size], a, tol, max_iters, traces)
              for i in range(0, max(len(rows), 1), size)]
     return (observed,) + tuple(np.concatenate(part) for part in zip(*parts))
 
@@ -297,7 +244,7 @@ def fit_variational_stack(per_group, prior, tol=1e-6, max_iters=500):
     """Fit the centres of each family in a (B, F, J, K) stack of count
     tables, all under the one (J, K) ``prior``; returns the B fits in stack
     order. Every observed configuration of the stack is fitted by
-    ``_newton_fit`` in one lockstep, so each family gets the same bits
+    ``_fixed_point_fit`` on its own path, so each family gets the same bits
     alone or in any stack; a configuration without rows keeps its
     hyperprior mean. A family with a configuration capped at ``max_iters``
     steps warns once.
@@ -350,7 +297,7 @@ def bhd_local_log_scores(per_group, s, s0=None, tol=1e-6, max_iters=500):
     """bhd locals of a (B, F, J, K) stack of count tables, as B floats.
 
     Every observed configuration is fitted under its row of the flat
-    hyperprior ``HierPrior.uniform((J, K), s, s0)`` by ``_newton_fit``, in
+    hyperprior ``HierPrior.uniform((J, K), s, s0)`` by ``_fixed_point_fit``, in
     stacks of at most ``_STACK_CELLS`` count cells, and scored by its
     Laplace evidence; a family's local folds its configurations' evidences
     in configuration order with ``fold_total``, an empty one adding 0. Each

@@ -25,25 +25,32 @@ def _pooled_table(counts):
     return table
 
 
+def _checked_alpha(alpha, shapes):
+    """``alpha`` as floats, if its shape is one of ``shapes`` and every
+    pseudo-count is positive and finite (an infinite one scores NaN)."""
+    alpha = np.asarray(alpha, dtype=float)
+    if alpha.shape not in shapes:
+        raise ValueError("alpha shape must match the count table")
+    if not np.all((alpha > 0) & np.isfinite(alpha)):
+        raise ValueError("alpha must be strictly positive and finite")
+    return alpha
+
+
 def bd_local_log_scores(tables, alpha):
     """Dirichlet-multinomial log marginal likelihoods of stacked families.
 
     ``tables`` is a (B, J, K) stack of count tables; ``alpha`` gives a
-    positive pseudo-count per (config, level) cell, shape (J, K) for every
-    table or (B, J, K). Returns the B scores. This is the single evaluation
-    kernel shared by every Dirichlet-family score, and each table's sums run
-    along the contiguous last axis, so a family scores bit for bit the same
-    alone or in any stack and algebraic reductions between the scores hold
-    bit for bit.
+    positive, finite pseudo-count per (config, level) cell, shape (J, K)
+    for every table or (B, J, K). Returns the B scores. This is the single
+    evaluation kernel shared by every Dirichlet-family score, and each
+    table's sums run along the contiguous last axis, so a family scores bit
+    for bit the same alone or in any stack and algebraic reductions between
+    the scores hold bit for bit.
     """
     tables = np.asarray(tables)
-    alpha = np.asarray(alpha, dtype=float)
     if tables.ndim != 3:
         raise ValueError("expected a (families, configs, levels) stack of count tables")
-    if alpha.shape not in (tables.shape, tables.shape[1:]):
-        raise ValueError("alpha shape must match the count table")
-    if not np.all(alpha > 0):
-        raise ValueError("alpha must be strictly positive")
+    alpha = _checked_alpha(alpha, (tables.shape, tables.shape[1:]))
     alpha_j = alpha.sum(axis=-1)
     n_j = tables.sum(axis=-1)
     value = (gammaln(alpha_j) - gammaln(alpha_j + n_j)).sum(axis=-1)
@@ -103,11 +110,7 @@ def bic_local_log_score(counts):
 def classic_posterior_mean(counts, alpha):
     """Conditional posterior means (alpha + n) / (alpha_j + n_j), shape (J, K)."""
     table = _pooled_table(counts)
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != table.shape:
-        raise ValueError("alpha shape must match the count table")
-    if not np.all(alpha > 0):
-        raise ValueError("alpha must be strictly positive")
+    alpha = _checked_alpha(alpha, (table.shape,))
     denom = (alpha.sum(axis=1) + table.sum(axis=1))[:, None]
     return (alpha + table) / denom
 
@@ -119,14 +122,14 @@ class ScoreConfig:
     ``iss`` is the imaginary sample size shared by the Dirichlet scores;
     it, ``vb_tol`` and ``s0`` are kept as floats. The vb_* fields and s0
     only affect the hierarchical score; they are part of the cache identity
-    for it. That score fits each parent configuration's centre by a
-    fixed-point warm-up and then Newton steps on its log posterior g
-    (``hier``); a fit has converged when the largest component of g's
-    gradient is at most ``vb_tol * max(1, |g at the start|)``, the start
-    being the warmed-up point, or when no step raises g in floating point.
-    ``vb_max_iters`` caps the Newton steps only, not the warm-up's, and a
-    fit that reaches the cap unconverged warns. ``s0`` is the total mass
-    of the flat hyperprior over a family's cells (one per cell when None).
+    for it. That score fits each parent configuration's centre by
+    fixed-point steps p <- u / sum(u) on its log posterior g, from the
+    pooled frequencies (``hier``); a fit has converged when the largest
+    component of g's gradient is at most ``vb_tol * max(1, |g at the
+    start|)`` or when a step leaves the centre unchanged in floating point.
+    ``vb_max_iters`` caps the fixed-point steps, and a fit that reaches the
+    cap unconverged warns. ``s0`` is the total mass of the flat hyperprior
+    over a family's cells (one per cell when None).
     """
 
     kind: str = "bdeu"

@@ -6,9 +6,8 @@ test pins bits, with the one-table float formula), counts row by row, equivalenc
 classes by exhaustive enumeration, distances by breadth-first search
 over single-edge edits, and CSV files are read and written row by row
 (and split into lines in text mode).
-The per-configuration fit, its fixed-point warm-up and Newton steps, is
-written one configuration at a time, to pin the package's lockstep fit bit
-for bit; its Laplace evidence is
+The per-configuration fixed-point fit is written one configuration at a
+time, to pin the package's stacked fit bit for bit; its Laplace evidence is
 checked against an mpmath quadrature of the exact evidence. The joint-cell
 variational fit that the package used before is kept as first written, as
 the reference of that removed score. The exact optimum of a score comes
@@ -24,9 +23,8 @@ from collections import Counter, deque
 
 import mpmath as mp
 import numpy as np
-from scipy.special import digamma, gammaln, log_softmax, polygamma, softmax, zeta
+from scipy.special import digamma, gammaln, polygamma, softmax, zeta
 
-from hierbn import hier
 from hierbn.data import DataError, GroupedDataset, VariableMeta
 from hierbn.graph import Dag
 from hierbn.hier import VariationalConvergenceWarning, VariationalFit
@@ -313,71 +311,49 @@ def exact_config_evidence(tallies, a, alpha0=None):
 HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def _config_posterior(n, a0, a, const, x):
-    """(g, gradient, Newton step, log det(-H)) of one configuration at the
-    softmax logits x of its centre, with n its (K, F) counts: the formulas
-    of ``hier._posterior`` for one row, the centre from scipy's log_softmax
-    and the curvature from polygamma."""
-    log_p = log_softmax(x)
-    p = np.exp(log_p)
+def _config_log_posterior(n, a0, a, const, p):
+    """g of one configuration at its centre p, with n its (K, F) counts."""
     ap = a * p
-    cells = ap[:, None] + n
-    value = const + (gammaln(cells) - gammaln(ap)[:, None]).sum() + (a0 * log_p).sum()
-    u = ap * (digamma(cells) - digamma(ap)[:, None]).sum(axis=1) + a0
-    s = ap * ap * (polygamma(1, ap)[:, None] - polygamma(1, cells)).sum(axis=1) + a0
-    spread = (p * p / s).sum()
-    step = (u - (u * p / s).sum() / spread * p) / s
-    return value, u - p * u.sum(), step, np.log(s).sum() + np.log(spread)
+    return const + (gammaln(ap[:, None] + n) - gammaln(ap)[:, None]).sum() + (a0 * np.log(p)).sum()
 
 
-def _newton_config_oracle(tallies, a0, a, tol, max_iters, warm_steps=None):
-    """Newton fit of one configuration's centre, (F, K) tallies, one step
-    at a time, from ``warm_steps`` fixed-point steps p <- u / sum(u) on the
-    pooled frequencies (``hier._FIXED_POINT_STEPS`` when None). Returns (p,
-    log evidence, trace of g, converged)."""
+def _fixed_point_config_oracle(tallies, a0, a, tol, max_iters, path=None):
+    """Fixed-point fit of one configuration's centre, (F, K) tallies, one
+    step p <- u / sum(u) at a time from the pooled frequencies, the
+    curvature of its Laplace term from polygamma. Returns (p, log evidence,
+    trace of g, converged); with a list for ``path``, it receives p at the
+    start and after each step."""
     totals = tallies.sum(axis=1)
     n = np.ascontiguousarray(tallies.T, dtype=float)
     const = ((gammaln(a) - gammaln(a + totals)).sum()
              + gammaln(a0.sum()) - gammaln(a0).sum())
     p = n.sum(axis=1) + a0
     p = p / p.sum()
-    for _ in range(hier._FIXED_POINT_STEPS if warm_steps is None else warm_steps):
+    trace = [_config_log_posterior(n, a0, a, const, p)]
+    gtol = tol * max(abs(trace[0]), 1.0)
+    if path is not None:
+        path.append(p)
+    converged = False
+    for _ in range(max_iters):
         ap = a * p
         u = ap * (digamma(ap[:, None] + n) - digamma(ap)[:, None]).sum(axis=1) + a0
-        p = u / u.sum()
-    x = np.log(p)
-    value, grad, direction, log_det = _config_posterior(n, a0, a, const, x)
-    gtol = tol * max(abs(value), 1.0)
-    trace = [value]
-    while True:
-        if np.abs(grad).max() <= gtol:
-            converged = True
+        total = u.sum()
+        step = u / total
+        converged = bool(np.abs(u - p * total).max() <= gtol or np.all(step == p))
+        p = step
+        trace.append(_config_log_posterior(n, a0, a, const, p))
+        if path is not None:
+            path.append(p)
+        if converged:
             break
-        if len(trace) > max_iters:
-            converged = False
-            break
-        slope = np.vecdot(grad, direction)
-        resolution = 4.0 * np.finfo(float).eps * max(abs(value), 1.0)
-        t, accepted = 1.0, None
-        while t * slope > resolution:
-            trial_x = x + t * direction
-            with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-                trial = _config_posterior(n, a0, a, const, trial_x)
-            if trial[0] > value and trial[0] >= value + 1e-4 * t * slope:
-                accepted = trial
-                break
-            t *= 0.5
-        if accepted is None:
-            converged = True
-            break
-        x = trial_x
-        value, grad, direction, log_det = accepted
-        trace.append(value)
-    evidence = value + (len(a0) - 1) * HALF_LOG_2PI - 0.5 * log_det
-    return np.exp(log_softmax(x)), evidence, trace, converged
+    ap = a * p
+    s = ap * ap * (polygamma(1, ap)[:, None] - polygamma(1, ap[:, None] + n)).sum(axis=1) + a0
+    log_det = np.log(s).sum() + np.log((p * p / s).sum())
+    evidence = trace[-1] + (len(a0) - 1) * HALF_LOG_2PI - 0.5 * log_det
+    return p, evidence, trace, converged
 
 
-def newton_fit_oracle(counts, prior, tol=1e-6, max_iters=500, warm_steps=None):
+def fixed_point_fit_oracle(counts, prior, tol=1e-6, max_iters=500):
     """``hier.fit_variational`` and the family's bhd local, one
     configuration at a time: each observed configuration is fitted alone,
     its evidence folded in configuration order (an empty one adds nothing,
@@ -395,8 +371,8 @@ def newton_fit_oracle(counts, prior, tol=1e-6, max_iters=500, warm_steps=None):
         tallies = counts.per_group[:, j, :]
         if tallies.sum() == 0:
             continue
-        p, evidence, trace, done = _newton_config_oracle(tallies, prior.alpha0[j], a, tol,
-                                                         max_iters, warm_steps)
+        p, evidence, trace, done = _fixed_point_config_oracle(tallies, prior.alpha0[j], a, tol,
+                                                              max_iters)
         kappa[j] = p
         local += evidence
         traces.append(trace)

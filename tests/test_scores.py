@@ -1,6 +1,7 @@
 """Classic local scores: hand-checked values, oracle agreement, invariances."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from hierbn.scores import (LocalScoreCache, ScoreConfig, bd_local_log_score,
 from hierbn.simgen import GenConfig, generate
 
 from oracles import (all_dags, bd_local_float_oracle, bd_local_oracle, bdeu_local_oracle,
-                     class_signature, family_counts_oracle, newton_fit_oracle)
+                     class_signature, family_counts_oracle, fixed_point_fit_oracle)
 from test_data import MIXED_SETS, mixed_dataset
 
 
@@ -65,6 +66,18 @@ class TestBdLocal:
             bd_local_log_scores(np.ones((3, 1, 2)), alpha)
         with pytest.raises(ValueError, match="strictly positive"):
             classic_posterior_mean(np.ones((1, 2)), alpha)
+
+    def test_infinite_alpha_rejected(self):
+        # an infinite pseudo-count gave a NaN score with a RuntimeWarning
+        table, alpha = np.array([[3, 1], [0, 2]]), np.array([[np.inf, 1.0], [1.0, 1.0]])
+        for call in (lambda: bd_local_log_score(table, alpha),
+                     lambda: bd_local_log_scores(table[None], alpha),
+                     lambda: bd_local_log_scores(table[None], alpha[None]),
+                     lambda: classic_posterior_mean(table, alpha)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="alpha must be strictly positive and finite"):
+                    call()
 
     def test_alpha_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -388,7 +401,7 @@ class TestScoreConfig:
 def local_oracle(data, child, parents, config):
     """One family's local score from row-by-row counts: bdeu by the
     one-table float kernel, bic by the package's penalty, bhd by
-    ``oracles.newton_fit_oracle``, which scores each observed configuration
+    ``oracles.fixed_point_fit_oracle``, which scores each observed configuration
     alone and folds their evidences in configuration order. The parents are
     taken in sorted order, the order the package scores in."""
     parents = tuple(sorted(parents))
@@ -402,7 +415,7 @@ def local_oracle(data, child, parents, config):
     if config.kind == "bic":
         return bic_local_log_score(counts)
     prior = HierPrior.uniform((n_configs, child_card), s=config.iss, s0=config.s0)
-    return newton_fit_oracle(counts, prior, tol=config.vb_tol, max_iters=config.vb_max_iters)[1]
+    return fixed_point_fit_oracle(counts, prior, tol=config.vb_tol, max_iters=config.vb_max_iters)[1]
 
 
 BATCH_CONFIGS = [ScoreConfig("bdeu"), ScoreConfig("bdeu", iss=7.5), ScoreConfig("bic"),
@@ -507,13 +520,13 @@ class TestBatchedScores:
 
     def test_bhd_fits_equal_shapes_of_every_child_as_one_stack(self, monkeypatch):
         stacks = []
-        newton_fit = hier._newton_fit
+        fixed_point_fit = hier._fixed_point_fit
 
         def recording(n, a0, a, tol, max_iters, traces=None):
             stacks.append(n.shape)
-            return newton_fit(n, a0, a, tol, max_iters, traces)
+            return fixed_point_fit(n, a0, a, tol, max_iters, traces)
 
-        monkeypatch.setattr(hier, "_newton_fit", recording)
+        monkeypatch.setattr(hier, "_fixed_point_fit", recording)
         data = mixed_dataset(2)
         # v0 and v3 have 2 levels, v1 and v4 have 3: four (3, 2) tables,
         # whose observed configurations are fitted as one (P, F, K) stack
@@ -567,20 +580,20 @@ class TestBatchedScores:
 
     @pytest.mark.parametrize("cap", [None, 20])
     def test_bhd_scores_each_fit_stack_in_one_kernel_call(self, monkeypatch, cap):
-        # the Newton fit of a stack is its scoring call: it returns the
+        # the fixed-point fit of a stack is its scoring call: it returns the
         # evidences, and the Dirichlet kernel is not called
         config, fits, kernels = ScoreConfig("bhd"), [], []
-        newton_fit, kernel = hier._newton_fit, hier.bd_local_log_scores
+        fixed_point_fit, kernel = hier._fixed_point_fit, hier.bd_local_log_scores
 
         def fitting(n, a0, a, tol, max_iters, traces=None):
             fits.append(n.shape)
-            return newton_fit(n, a0, a, tol, max_iters, traces)
+            return fixed_point_fit(n, a0, a, tol, max_iters, traces)
 
         def scoring(tables, alpha):
             kernels.append(tables.shape)
             return kernel(tables, alpha)
 
-        monkeypatch.setattr(hier, "_newton_fit", fitting)
+        monkeypatch.setattr(hier, "_fixed_point_fit", fitting)
         monkeypatch.setattr(hier, "bd_local_log_scores", scoring)
         if cap is not None:
             # a (3, 2) configuration holds 6 cells: three per stack
@@ -622,14 +635,14 @@ class TestBatchedScores:
 
 def lone_bhd(table, config):
     """One family's bhd local alone: by ``bhd_local_log_scores`` on a stack
-    of one, and by ``oracles.newton_fit_oracle``, one configuration at a
+    of one, and by ``oracles.fixed_point_fit_oracle``, one configuration at a
     time."""
     _, n_configs, child_card = table.shape
     counts = FamilyCounts(child_card, (n_configs,) if n_configs > 1 else (), table)
     prior = HierPrior.uniform((n_configs, child_card), s=config.iss, s0=config.s0)
     lone = hier.bhd_local_log_scores(table[None], config.iss, config.s0, config.vb_tol,
                                      config.vb_max_iters)[0]
-    return lone, newton_fit_oracle(counts, prior, tol=config.vb_tol,
+    return lone, fixed_point_fit_oracle(counts, prior, tol=config.vb_tol,
                                    max_iters=config.vb_max_iters)[1]
 
 
@@ -658,18 +671,18 @@ class TestBhdStackScores:
     @pytest.mark.parametrize("config", BHD_CONFIGS, ids=bhd_id)
     def test_each_family_gets_its_lone_fit_and_score(self, monkeypatch, config, cap):
         sizes = []
-        newton_fit = hier._newton_fit
+        fixed_point_fit = hier._fixed_point_fit
 
         def recording(n, a0, a, tol, max_iters, traces=None):
             sizes.append(len(n))
-            return newton_fit(n, a0, a, tol, max_iters, traces)
+            return fixed_point_fit(n, a0, a, tol, max_iters, traces)
 
         if cap is not None:
             monkeypatch.setattr(hier, "_STACK_CELLS", cap)
         split = 0
         for stack in bhd_stacks():
             with monkeypatch.context() as patch:
-                patch.setattr(hier, "_newton_fit", recording)
+                patch.setattr(hier, "_fixed_point_fit", recording)
                 sizes.clear()
                 got = hier.bhd_local_log_scores(stack, config.iss, config.s0, config.vb_tol,
                                                 config.vb_max_iters)
