@@ -65,10 +65,6 @@ class ExperimentPlan:
             if repeated:
                 raise ValueError(f"plan repeats {name} {repeated[0]!r}")
 
-    @property
-    def records_per_job(self):
-        return len(self.score_configs)
-
 
 @dataclass(frozen=True)
 class Job:
@@ -122,19 +118,21 @@ def run_job(job):
         elapsed = time.perf_counter() - started
         shd_, tp, fp, fn = evaluate(result.dag, truth.master)
         records.append(RunRecord(
-            **cell, score=score_config.kind, shd=shd_, tp=tp, fp=fp, fn=fn,
-            logscore=result.score, wall_time_s=elapsed))
+            **cell, score=score_config.kind, iss=score_config.iss, shd=shd_, tp=tp, fp=fp,
+            fn=fn, logscore=result.score, wall_time_s=elapsed))
     return records
 
 
 def _completed_jobs(plan, existing):
-    """Replicate keys whose full record set is already on disk."""
+    """Replicate keys whose full record set is already on disk: one record
+    for each of the plan's (score, iss) pairs."""
+    wanted = sorted((c.kind, c.iss) for c in plan.score_configs)
     by_key = {}
     for record in existing:
         by_key.setdefault((record.config_id, record.seed), []).append(record)
     done, kept = set(), []
     for key, group in by_key.items():
-        if len(group) == plan.records_per_job and {r.score for r in group} == set(plan.scores):
+        if sorted((r.score, r.iss) for r in group) == wanted:
             done.add(key)
             kept.extend(group)
     return done, kept

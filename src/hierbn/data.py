@@ -27,9 +27,14 @@ class DataError(ValueError):
 _BLOCK_BYTES = 1 << 16
 
 # largest array one family_count_tables batch allocates: its count tables, or
-# one block's row codes or row weights (2**26 cells of 8 bytes, 512 MiB); the
-# float copy of the blocks that counting reads is the dataset's, not a batch's
+# the dataset's row codes or row weights (2**26 cells of 8 bytes, 512 MiB);
+# the float copy of the rows that counting reads is the dataset's, not a batch's
 MAX_COUNT_CELLS = 2 ** 26
+
+# multiply-adds one slice of a counting product takes at most: a larger
+# product may run on two OpenBLAS threads, and on a loaded two-core machine a
+# threaded product often waits a scheduler slice for its second thread
+_PRODUCT_MADDS = 2 ** 19
 
 
 @dataclass(frozen=True)
@@ -89,79 +94,73 @@ class FamilyCounts:
 class GroupedDataset:
     """Complete categorical data split by group label.
 
-    Each group is held as one block: a read-only int64 array of level
-    indices, shape (m_f, N), and the multiplicity of each of its rows as a
-    read-only int64 array, or None when every row counts once. Counts run
-    over a group's block rows, each weighted by its multiplicity. The
-    constructor takes every row of each group, so its multiplicities are
-    None; ``load_csv`` holds a group as its distinct records, each with the
-    number of data rows it stands for, when they are at most half its rows,
-    and as its rows otherwise.
+    ``rows`` is one read-only int64 matrix of level indices, shape (m, N),
+    sorted by group; ``row_groups`` holds each row's group index and
+    ``weights`` its multiplicity, both read-only int64, ``weights`` None
+    when every row counts once. Counts run over the matrix rows, each
+    weighted by its multiplicity. The constructor takes every row of each
+    group, so its weights are None; ``load_csv`` holds the file's distinct
+    records, each with the number of data rows it stands for, when they are
+    at most half its rows, and its rows otherwise.
 
     ``group_rows`` holds every row of each group in input order, shape
     (n_f, N), read-only; a loaded dataset builds it on first access.
     Variable order and level order are fixed at construction, so counting is
     invariant to row order within a group.
 
-    The first count builds a read-only float64 copy of each block with a
-    trailing column of ones, shape (m_f, N + 1): the size of the block plus
-    one column. Every later count of the dataset reads it.
+    The first count builds a read-only float64 copy of the matrix with each
+    row's group index and a column of ones appended, shape (m, N + 2). Every
+    later count of the dataset reads it.
     """
 
     def __init__(self, variables, groups, group_rows):
         if len(groups) != len(group_rows):
             raise ValueError("one row block required per group")
         variables = tuple(variables)
-        blocks = []
-        for block in group_rows:
-            arr = np.ascontiguousarray(np.asarray(block, dtype=np.int64))
-            if arr.ndim != 2 or arr.shape[1] != len(variables):
-                raise ValueError("row block shape must be (n_f, n_variables)")
-            for i, var in enumerate(variables):
-                col = arr[:, i]
-                if col.size and (col.min() < 0 or col.max() >= var.card):
-                    raise ValueError(f"level index out of range for variable {var.name!r}")
-            arr.flags.writeable = False
-            blocks.append(arr)
-        self._setup(variables, groups, [(arr, None) for arr in blocks])
-        self._group_rows = tuple(blocks)
+        blocks = [np.asarray(block, dtype=np.int64) for block in group_rows]
+        if any(block.ndim != 2 or block.shape[1] != len(variables) for block in blocks):
+            raise ValueError("row block shape must be (n_f, n_variables)")
+        rows = np.concatenate([np.empty((0, len(variables)), dtype=np.int64), *blocks])
+        cards = [var.card for var in variables]
+        bad = np.flatnonzero((rows.min(0, initial=0) < 0) | (rows.max(0, initial=-1) >= cards))
+        if bad.size:
+            raise ValueError(f"level index out of range for variable {variables[bad[0]].name!r}")
+        sizes = [len(block) for block in blocks]
+        self._setup(variables, groups, rows, np.repeat(np.arange(len(sizes)), sizes), None)
+        starts = itertools.accumulate(sizes, initial=0)
+        self.group_rows = tuple(self.rows[a:a + n] for a, n in zip(starts, sizes))
 
     @classmethod
-    def _from_blocks(cls, variables, groups, blocks, file_rows):
-        """A dataset of checked (rows, multiplicities) blocks. ``file_rows``
-        is (table, group of each table row, table row of each data row in
-        file order), from which ``group_rows`` is built when first read."""
+    def _loaded(cls, variables, groups, rows, row_groups, weights, file_rows):
+        """A dataset of checked rows; ``file_rows`` is the matrix row of each
+        data row in file order, from which ``group_rows`` is built when
+        first read."""
         data = object.__new__(cls)
-        data._setup(variables, groups, blocks)
-        data._group_rows, data._file_rows = None, file_rows
+        data._setup(variables, groups, rows, row_groups, weights)
+        data._file_rows = file_rows
         return data
 
-    def _setup(self, variables, groups, blocks):
-        self.variables = tuple(variables)
-        self.groups = tuple(groups)
-        self.blocks = tuple(blocks)
+    def _setup(self, variables, groups, rows, row_groups, weights):
+        self.variables, self.groups = tuple(variables), tuple(groups)
+        for array in (rows, row_groups, weights):
+            if array is not None:
+                array.flags.writeable = False
+        self.rows, self.row_groups, self.weights = rows, row_groups, weights
         self._cards = tuple(v.card for v in self.variables)
 
-    @property
+    @functools.cached_property
     def group_rows(self):
-        if self._group_rows is None:
-            self._group_rows = self._expand_rows()
-        return self._group_rows
+        rows, groups = self.rows[self._file_rows], self.row_groups[self._file_rows]
+        blocks = tuple(rows[groups == g] for g in range(self.n_groups))
+        for block in blocks:
+            block.flags.writeable = False
+        return blocks
 
     @functools.cached_property
-    def _float_blocks(self):
-        blocks = tuple(np.hstack([rows, np.ones((len(rows), 1))]) for rows, _ in self.blocks)
-        for block in blocks:
-            block.flags.writeable = False
-        return blocks
-
-    def _expand_rows(self):
-        table, table_groups, row_ids = self._file_rows
-        rows, row_groups = table[row_ids], table_groups[row_ids]
-        blocks = tuple(rows[row_groups == g] for g in range(self.n_groups))
-        for block in blocks:
-            block.flags.writeable = False
-        return blocks
+    def _float_rows(self):
+        copy = np.column_stack([self.rows, self.row_groups, np.ones(len(self.rows))])
+        copy.flags.writeable = False
+        return copy
 
     @property
     def n_variables(self):
@@ -173,8 +172,7 @@ class GroupedDataset:
 
     @property
     def n_rows(self):
-        return sum(rows.shape[0] if weights is None else int(weights.sum())
-                   for rows, weights in self.blocks)
+        return len(self.rows) if self.weights is None else int(self.weights.sum())
 
     def cardinalities(self):
         return self._cards
@@ -191,15 +189,18 @@ def load_csv(path, group_column):
     The file is read as bytes in fixed blocks and split into lines where
     text mode with ``newline=""`` splits it (at ``\\n``, ``\\r\\n`` and a lone
     ``\\r``); only the distinct lines are decoded, in the platform's default
-    text encoding. An undecodable line or a directory is a DataError.
-    Each distinct line is parsed, checked and encoded once, and a group
-    whose distinct records are at most half its rows keeps them with the
+    text encoding; one byte-order mark (U+FEFF) that starts the first line
+    is dropped. An undecodable line or a directory is a DataError. Each
+    distinct line is parsed, checked and encoded once. When the distinct
+    records are at most half the data rows, the dataset holds them with the
     number of rows of each, so memory and counting time grow with the
-    distinct rows.
+    distinct rows; otherwise it holds the rows.
     """
     if not os.path.exists(path):
         raise FileNotFoundError(path)
     ids, lines = _line_pass(path)
+    if lines and lines[0].startswith("\ufeff"):  # the first line alone loses the mark
+        ids[0], lines = len(lines), lines + [lines[0][1:]]
     texts = {}  # one object per distinct cell text, so later passes touch few strings
 
     def parse(source):
@@ -252,8 +253,7 @@ def load_csv(path, group_column):
         raise DataError(f"row {r + 2}: incomplete data (empty cell)")
 
     # each distinct record the data rows use is encoded once, and carries the
-    # number of rows that use it; the group label is one of its cells, so
-    # with the table sorted by group a group's records are one slice of it
+    # number of rows that use it
     counts = np.bincount(ids)
     kept = np.flatnonzero(counts)
 
@@ -276,24 +276,20 @@ def load_csv(path, group_column):
         order = np.argsort(group_codes, kind="stable")
         table, kept, group_codes = table[order], kept[order], group_codes[order]
     weights = counts[kept]
-    table.flags.writeable = weights.flags.writeable = False
-    bounds = np.cumsum(np.bincount(group_codes, minlength=len(group_labels)))[:-1]
-    blocks = []
-    for rows, w in zip(np.split(table, bounds), np.split(weights, bounds)):
-        # a weighted bincount costs about half as much again per row as a
-        # plain one, so a group's distinct records stand in for its rows
-        # only when they are at most half as many; a slice of distinct rows
-        # already is its group's rows
-        if (w == 1).all():
-            w = None
-        elif 2 * len(w) > w.sum():
-            rows, w = np.repeat(rows, w, axis=0), None
-            rows.flags.writeable = False
-        blocks.append((rows, w))
-    table_row = np.empty(len(counts), dtype=np.int64)
-    table_row[kept] = np.arange(len(kept))
-    return GroupedDataset._from_blocks(variables, group_labels, blocks,
-                                       (table, group_codes, table_row[ids]))
+    if 2 * len(kept) > len(ids):
+        # a weighted bincount costs about half as much again per row as a plain
+        # one, so distinct records stand in for the rows only when at most half
+        # as many; otherwise each record is repeated, its first copy at first
+        first = np.cumsum(weights) - weights
+        if len(kept) < len(ids):
+            table, group_codes = np.repeat(table, weights, axis=0), np.repeat(group_codes, weights)
+        weights = None
+    else:
+        first = np.arange(len(kept))
+    matrix_row = np.empty(len(counts), dtype=np.int64)
+    matrix_row[kept] = first
+    return GroupedDataset._loaded(variables, group_labels, table, group_codes, weights,
+                                  matrix_row[ids])
 
 
 class _LineIds(dict):
@@ -393,8 +389,8 @@ def family_count_tables(data, child, parent_sets):
     allocated, every index is checked (a Python or numpy integer, not a
     bool, in range, not repeated within a set, and not the child: a
     ValueError names it) and so is every set's cell count. Sets with one
-    number of configurations are counted together, from one matrix product
-    per group block. No batch holds an array of more than
+    number of configurations are counted together, every group at once,
+    from one matrix product. No batch holds an array of more than
     ``MAX_COUNT_CELLS`` elements unless one set alone needs more.
 
     Returns ``(positions, tables)`` pairs covering every set once:
@@ -418,11 +414,11 @@ def _count_tables(data, child, sets):
                             f"{len(parents)} parents needs {n_groups * n_configs * child_card} "
                             f"cells, more than {MAX_COUNT_CELLS}")
         by_configs.setdefault(n_configs, []).append(position)
-    rows = max((block.shape[0] for block, _ in data.blocks), default=0)
+    rows = len(data.rows)
     out = []
     for n_configs, positions in by_configs.items():
-        # a batch's tables, and one block's row codes and weights, fit under
-        # the cap
+        # a batch's tables, and the dataset's row codes and weights, fit
+        # under the cap
         per_set = max(rows, n_groups * n_configs * child_card)
         step = max(1, MAX_COUNT_CELLS // max(1, per_set))
         out.extend((batch, _count_joint(data, child, [sets[i] for i in batch], n_configs))
@@ -432,30 +428,33 @@ def _count_tables(data, child, sets):
 
 def _count_joint(data, child, sets, n_configs):
     # The (S, F, J, K) tables of sets with J configurations each. A row's
-    # cell in set s's table is s * J * K (times its ones column), plus its
-    # child level, plus its parent levels times the set's row-major strides:
-    # one product of a block's float copy with an (N + 1, S) stride matrix,
-    # exact since every sum is an integer below S * J * K. One bincount per
-    # block counts every set, weighing each row by its multiplicity (float
-    # sums of integers below 2**53, stored as int64).
+    # cell in set s's tables is s * F * J * K (times its ones column), plus
+    # its group times J * K, plus its child level, plus its parent levels
+    # times the set's row-major strides: the product of the dataset's float
+    # copy with an (N + 2, S) stride matrix, exact since every sum is an
+    # integer below S * F * J * K, taken in row slices of _PRODUCT_MADDS.
+    # One bincount counts every set, weighing each row by its multiplicity
+    # (float sums of integers below 2**53, stored as int64).
     cards = data.cardinalities()
-    child_card = cards[child]
-    strides = np.zeros((data.n_variables + 1, len(sets)))
+    child_card, n_variables = cards[child], data.n_variables
+    shape = (len(sets), data.n_groups, n_configs, child_card)
+    strides = np.zeros((n_variables + 2, len(sets)))
     strides[child] = 1
-    strides[-1] = np.arange(len(sets)) * (n_configs * child_card)
+    strides[n_variables] = n_configs * child_card
+    strides[-1] = np.arange(len(sets)) * math.prod(shape[1:])
     for s, parents in enumerate(sets):
         stride = child_card
         for p in reversed(parents):
             strides[p, s] = stride
             stride *= cards[p]
-    tables = np.empty((len(sets), data.n_groups, n_configs, child_card), dtype=np.int64)
-    for f, (block, (_, weights)) in enumerate(zip(data._float_blocks, data.blocks)):
-        codes = (block @ strides).astype(np.int64)
-        if weights is not None:
-            weights = np.repeat(weights, len(sets))
-        counted = np.bincount(codes.ravel(), weights, minlength=len(sets) * n_configs * child_card)
-        tables[:, f] = counted.reshape(len(sets), n_configs, child_card)
-    return tables
+    rows = data._float_rows
+    step = max(1, _PRODUCT_MADDS // (rows.shape[1] * len(sets)))
+    codes = np.empty((len(rows), len(sets)), dtype=np.int64)
+    for start in range(0, len(rows), step):
+        codes[start:start + step] = rows[start:start + step] @ strides
+    weights = None if data.weights is None else np.repeat(data.weights, len(sets))
+    counted = np.bincount(codes.ravel(), weights, minlength=math.prod(shape))
+    return counted.astype(np.int64, copy=False).reshape(shape)
 
 
 def family_counts(data, child, parents):

@@ -11,7 +11,7 @@ from .graph import arc_confusion, shd, to_cpdag
 
 # column order of the results CSV; every field round-trips exactly
 CSV_COLUMNS = ("config_id", "scenario", "regime", "N", "F", "card", "c", "n_f",
-               "N_F", "N_A", "seed", "score", "shd", "tp", "fp", "fn",
+               "N_F", "N_A", "seed", "score", "iss", "shd", "tp", "fp", "fn",
                "logscore", "wall_time_s")
 
 
@@ -20,8 +20,9 @@ class RunRecord:
     """Metrics of one learned structure on one simulated replicate.
 
     The (config_id, seed) pair identifies the replicate; ``score`` names the
-    scoring method, so records of different methods on the same replicate
-    align on (config_id, seed). The cell fields are named as GenConfig's.
+    scoring method and ``iss`` its imaginary sample size, so records of
+    different methods on the same replicate align on (config_id, seed). The
+    cell fields are named as GenConfig's.
     """
 
     config_id: str
@@ -36,6 +37,7 @@ class RunRecord:
     n_removed: int
     seed: int
     score: str
+    iss: float
     shd: int
     tp: int
     fp: int
@@ -107,13 +109,9 @@ def read_records(path):
 
 
 def record_sort_key(record):
-    """Canonical ordering making result files comparable across runs.
-
-    logscore participates only to break ties when one replicate is scored
-    several times with the same method (e.g. multiple imaginary sample
-    sizes); it is deterministic, unlike wall time.
-    """
-    return (record.config_id, record.seed, record.score, record.logscore)
+    """Canonical ordering making result files comparable across runs: by
+    replicate, then score and iss, which a plan never repeats together."""
+    return (record.config_id, record.seed, record.score, record.iss)
 
 
 @dataclass(frozen=True)
@@ -128,9 +126,16 @@ class PairedDifference:
 def paired_difference(records_a, records_b, metric="shd"):
     """Per-replicate ``metric`` difference of method a minus method b.
 
-    Records are aligned on (config_id, seed) and must match one-to-one.
-    Also returns median and quartiles of the differences per configuration.
+    Records are aligned on (config_id, seed) and must match one-to-one;
+    each side must hold one iss value, or the ValueError names the values it
+    mixes. Also returns median and quartiles of the differences per
+    configuration.
     """
+    for side, records in (("first", records_a), ("second", records_b)):
+        values = sorted({r.iss for r in records})
+        if len(values) > 1:
+            raise ValueError(f"{side} records mix iss values {values}; "
+                             f"compare one iss at a time")
     index_b = {(r.config_id, r.seed): r for r in records_b}
     if len(index_b) != len(records_b):
         raise ValueError("duplicate (config_id, seed) among second records")

@@ -193,8 +193,11 @@ def load_csv_oracle(path, group_column):
     if not os.path.exists(path):
         raise FileNotFoundError(path)
     with open(path, newline="") as fh:
-        # a blank line parses to [] unless a quote left open swallows it
-        rows = list(csv.reader(itertools.chain(fh, ["\n"])))
+        lines = fh.readlines()
+    if lines and lines[0].startswith("\ufeff"):  # a byte-order mark is not header text
+        lines[0] = lines[0][1:]
+    # a blank line parses to [] unless a quote left open swallows it
+    rows = list(csv.reader(lines + ["\n"]))
     if rows.pop() != []:
         raise DataError(f"{path}: quoted cell left open at the end of the file")
     if not rows:

@@ -3,6 +3,7 @@
 import json
 import os
 from concurrent.futures import Future
+from dataclasses import replace
 
 import pytest
 
@@ -10,7 +11,7 @@ from hierbn import bench
 from hierbn.bench import (ExperimentPlan, Job, cell_id, desk_plan, expand,
                           full_grid, plan_from_json, plan_to_json, run,
                           run_job)
-from hierbn.metrics import read_records, record_sort_key, write_records
+from hierbn.metrics import paired_difference, read_records, record_sort_key, write_records
 from hierbn.simgen import GenConfig
 
 
@@ -88,6 +89,65 @@ class TestRunJob:
         strip = lambda r: (r.config_id, r.seed, r.score, r.shd, r.tp, r.fp,
                            r.fn, r.logscore)
         assert [strip(r) for r in a] == [strip(r) for r in b]
+
+
+class TestIssRecorded:
+    """A plan with several iss values writes rows that say which one made
+    them, so the rows of one score at one iss align by replicate."""
+
+    @pytest.fixture(scope="class")
+    def plan(self):
+        cell = GenConfig(n_nodes=3, card=2, arc_ratio=1.0, n_groups=2,
+                         rows_per_group=30, regime="hier")
+        return ExperimentPlan(cells=(cell,), scores=("bdeu", "bhd"), iss=(1.0, 10.0),
+                              n_structures=2, n_param_sets=1, n_data_sets=1, root_seed=3)
+
+    @pytest.fixture(scope="class")
+    def records(self, plan, tmp_path_factory):
+        out = str(tmp_path_factory.mktemp("iss") / "res.csv")
+        return out, run(plan, out)
+
+    def test_rows_carry_their_iss(self, records):
+        out, rows = records
+        assert read_records(out) == rows and len(rows) == 8
+        assert [(r.score, r.iss) for r in rows] == 2 * [
+            ("bdeu", 1.0), ("bdeu", 10.0), ("bhd", 1.0), ("bhd", 10.0)]
+        assert rows == sorted(rows, key=lambda r: (r.config_id, r.seed, r.score, r.iss))
+
+    def test_paired_difference_at_one_iss(self, records):
+        _, rows = records
+        pick = lambda score, iss: [r for r in rows if r.score == score and r.iss == iss]
+        for iss in (1.0, 10.0):
+            diff = paired_difference(pick("bdeu", iss), pick("bhd", iss), "shd")
+            assert len(diff.differences) == 2
+        with pytest.raises(ValueError, match=r"first records mix iss values \[1\.0, 10\.0\]"):
+            paired_difference([r for r in rows if r.score == "bdeu"], pick("bhd", 1.0))
+        with pytest.raises(ValueError, match=r"second records mix iss values \[1\.0, 10\.0\]"):
+            paired_difference(pick("bdeu", 1.0), [r for r in rows if r.score == "bhd"])
+
+    def test_resume_keeps_only_rows_of_the_plans_iss(self, plan, records, tmp_path,
+                                                     monkeypatch):
+        _, rows = records
+        seed0 = rows[0].seed
+        # the first replicate lacks its bhd row at iss 10; the second is
+        # complete
+        partial = str(tmp_path / "partial.csv")
+        dropped = (seed0, "bhd", 10.0)
+        write_records(partial, [r for r in rows if (r.seed, r.score, r.iss) != dropped])
+        kept, completed_jobs = [], bench._completed_jobs
+
+        def spy(plan, existing):
+            done, rows_kept = completed_jobs(plan, existing)
+            kept.append(rows_kept)
+            return done, rows_kept
+
+        monkeypatch.setattr(bench, "_completed_jobs", spy)
+        assert strip_all(run(plan, partial, resume=True)) == strip_all(rows)
+        # a plan at other iss values keeps none of the rows
+        run(replace(plan, iss=(1.0, 2.0)), partial, resume=True)
+        assert [r.seed for r in kept[0]] == [r.seed for r in rows if r.seed != seed0]
+        assert kept[1] == []
+        assert sorted({r.iss for r in read_records(partial)}) == [1.0, 2.0]
 
 
 class TestRun:

@@ -356,6 +356,36 @@ class TestLearnAndScore:
                      "--graph", dot]) == 0
         assert json.loads(capsys.readouterr().out)["logscore"] == learned["logscore"]
 
+    def test_byte_order_mark_before_the_group_column(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(locale, "getpreferredencoding", lambda do_setlocale=True: "utf-8")
+        data = tmp_path / "data.csv"
+        data.write_bytes(b"\xef\xbb\xbfsite,a,b\ns1,x,y\ns1,y,x\ns2,x,x\ns2,y,y\n")
+        assert main(["learn", "--data", str(data), "--group", "site"]) == 0
+        assert json.loads(capsys.readouterr().out)["nodes"] == ["a", "b"]
+
+    @pytest.mark.parametrize("kind", ["bdeu", "bhd"])
+    def test_dot_round_trip_of_a_file_with_a_byte_order_mark(self, tmp_path, monkeypatch, capsys,
+                                                              kind):
+        # the mark stands before the variable a, not before the group column
+        monkeypatch.setattr(locale, "getpreferredencoding", lambda do_setlocale=True: "utf-8")
+        rng = np.random.default_rng(41)
+        lines = ["a,site,b,c"]
+        for i in range(120):
+            a = rng.integers(0, 2)
+            lines.append(f"v{a},s{i % 3},v{(a + (rng.random() < 0.1)) % 2},"
+                         f"v{rng.integers(0, 2)}")
+        data = tmp_path / "data.csv"
+        data.write_bytes(b"\xef\xbb\xbf" + ("\n".join(lines) + "\n").encode())
+        graph, dot = str(tmp_path / "g.json"), str(tmp_path / "g.dot")
+        assert main(["learn", "--data", str(data), "--group", "site", "--score", kind,
+                     "--out", graph, "--dot", dot]) == 0
+        learned = json.loads(open(graph).read())
+        assert learned["nodes"] == ["a", "b", "c"] and learned["arcs"]
+        assert '"\ufeff' not in open(dot, encoding="utf-8").read()
+        assert main(["score", "--data", str(data), "--group", "site", "--score", kind,
+                     "--graph", dot]) == 0
+        assert json.loads(capsys.readouterr().out)["logscore"] == learned["logscore"]
+
     @pytest.mark.parametrize("header", ['"a\nb"', '"a\rb"'], ids=["newline", "return"])
     def test_dot_of_a_name_holding_a_line_break_is_data_error(self, tmp_path, capsys, header):
         rng = np.random.default_rng(37)
@@ -385,17 +415,16 @@ class TestLearnAndScore:
     @pytest.mark.parametrize("kind", ["bdeu", "bhd"])
     def test_loaded_csv_counted_without_its_rows(self, data_csv, tmp_path, monkeypatch, capsys,
                                                  kind):
-        # the file repeats its lines, so a loaded dataset holds each group's
-        # distinct lines once; counting over the expanded rows would build
+        # the file repeats its lines, so a loaded dataset holds its distinct
+        # lines once; counting over the expanded rows would build
         # group_rows, which raises here
         lines = open(data_csv).read().splitlines()[1:]
-        blocks = load_csv(data_csv, "site").blocks
-        assert sum(rows.shape[0] for rows, _ in blocks) <= len(set(lines)) < len(lines)
+        assert len(load_csv(data_csv, "site").rows) <= len(set(lines)) < len(lines)
 
         def expand(self):
             raise AssertionError("group_rows built")
 
-        monkeypatch.setattr(GroupedDataset, "_expand_rows", expand)
+        monkeypatch.setattr(GroupedDataset.__dict__["group_rows"], "func", expand)
         graph = str(tmp_path / "g.json")
         assert main(["learn", "--data", data_csv, "--group", "site", "--score", kind,
                      "--out", graph]) == 0
@@ -567,6 +596,21 @@ class TestBench:
                      "--resume"]) == 2
         assert "results.csv: line 1: unexpected results header" in capsys.readouterr().err
         assert out.read_text() == "a,b\n1,2\n"
+
+    def test_resume_over_a_file_without_the_iss_column_is_data_error(self, tmp_path, capsys):
+        # the results files written before rows recorded their iss
+        out = tmp_path / "results.csv"
+        plan = self.plan(tmp_path)
+        assert main(["bench", "--plan", plan, "--out", str(out), "--jobs", "1"]) == 0
+        column = CSV_COLUMNS.index("iss")
+        rows = [row[:column] + row[column + 1:] for row in csv.reader(open(out, newline=""))]
+        with open(out, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        before = out.read_text()
+        assert main(["bench", "--plan", plan, "--out", str(out), "--jobs", "1",
+                     "--resume"]) == 2
+        assert "results.csv: line 1: unexpected results header" in capsys.readouterr().err
+        assert out.read_text() == before
 
     @pytest.mark.parametrize("case", ["undecodable results", "directory as out",
                                       "directory as plan"])

@@ -146,6 +146,11 @@ ORACLE_CASES = {
     # repeating one of three
     "distinct_next_to_repeats": ('g,a,b\n1,x,p\n1,y,q\n1,x,q\n2,x,p\n2,x,p\n2,y,q\n2,x,p\n'
                                  '3,y,p\n3,x,q\n3,y,p\n'),
+    # a byte-order mark before the header, as spreadsheet programs write
+    # UTF-8 CSV; a later copy of the first line keeps its mark
+    "bom": '\ufeffg,a,b\n1,x,p\n2,y,q\n1,x,q\n',
+    "bom_quoted_header": '\ufeff"g",a,b\n1,x,p\n2,y,q\n1,y,q\n',
+    "bom_first_line_repeated": '\ufeffg,a,b\n1,x,p\n\ufeffg,a,b\n2,y,q\n1,x,q\n',
 }
 
 
@@ -169,6 +174,12 @@ class TestLoadCsvMatchesOracle:
         # the open quote swallows the repeated lines after it and is never closed
         open_last = assert_matches_oracle(tmp_path, ORACLE_CASES["open_last_distinct"])
         assert open_last[0] is DataError and "left open" in open_last[1]
+
+    def test_byte_order_mark_dropped_from_the_first_line_only(self, tmp_path):
+        for name in ("bom", "bom_quoted_header", "bom_first_line_repeated"):
+            variables, groups, _ = assert_matches_oracle(tmp_path, ORACLE_CASES[name])
+            assert [v.name for v in variables] == ["a", "b"]
+        assert groups == ("1", "2", "\ufeffg") and variables[0].levels == ("a", "x", "y")
 
     def test_field_past_csv_limit_only_in_distinct_order(self, tmp_path):
         # the line that closes the quote opened by "2,"y" repeats an earlier
@@ -410,14 +421,15 @@ class TestFamilyCountTables:
 
     @pytest.mark.parametrize("cap", [60, 200])
     def test_batches_stay_under_the_cell_cap(self, monkeypatch, cap):
-        data = mixed_dataset(5, group_sizes=(40, 0, 25))
+        # 50 rows, so one set's row codes fit under either cap
+        data = mixed_dataset(5, group_sizes=(30, 0, 20))
         monkeypatch.setattr(data_mod, "MAX_COUNT_CELLS", cap)
         count_joint, cards = data_mod._count_joint, data.cardinalities()
         sizes = []
 
         def spy(data, child, sets, *layout):
-            # one group's row codes, and the batch's tables
-            rows = max(block.shape[0] for block in data.group_rows)
+            # the dataset's row codes, and the batch's tables
+            rows = len(data.rows)
             n_configs = sum(int(np.prod([cards[p] for p in s])) for s in sets)
             sizes.append((len(sets) * rows, data.n_groups * n_configs * cards[child]))
             return count_joint(data, child, sets, *layout)
@@ -511,7 +523,7 @@ class TestLoadedCountsMatchRowOracle:
                               seed=seed)
         for group_column in ("g", None):
             data = assert_counts_match_rows(path, group_column)
-            assert all(weights is not None for _, weights in data.blocks)
+            assert data.weights is not None and len(data.rows) * 2 <= data.n_rows
 
     def test_lines_parsing_to_one_record(self, tmp_path):
         data = load_csv(write(tmp_path, ORACLE_CASES["quoted_same_record"]), "g")
@@ -522,23 +534,47 @@ class TestLoadedCountsMatchRowOracle:
 
     def test_distinct_group_next_to_repeating_group(self, tmp_path):
         data = load_csv(write(tmp_path, ORACLE_CASES["distinct_next_to_repeats"]), "g")
-        (rows1, weights1), (rows2, weights2), (rows3, weights3) = data.blocks
-        # group 2's two distinct lines stand in for its four rows; groups 1
-        # and 3 have more distinct lines than half their rows, so they are
-        # held as their rows, unweighted
-        assert rows2.shape == (2, 2) and weights2.dtype == np.int64
-        assert sorted(weights2.tolist()) == [1, 3]
-        assert rows1.shape == (3, 2) and weights1 is None
-        assert rows3.shape == (3, 2) and weights3 is None
-        assert not any(rows.flags.writeable for rows, _ in data.blocks)
-        assert not weights2.flags.writeable
+        # 8 distinct lines among 10 rows, more than half: the dataset holds
+        # every row, group 2's repeated line three times, unweighted
+        assert data.rows.shape == (10, 2) and data.weights is None
+        assert data.row_groups.tolist() == [0, 0, 0, 1, 1, 1, 1, 2, 2, 2]
+        assert sorted(map(tuple, data.rows[3:7].tolist())) == sorted(
+            map(tuple, data.group_rows[1].tolist()))
+        assert data.rows.dtype == data.row_groups.dtype == np.int64
+        assert not data.rows.flags.writeable and not data.row_groups.flags.writeable
         assert family_counts(data, 1, (0,)).per_group.tolist() == [
             [[1, 1], [0, 1]], [[3, 0], [0, 1]], [[0, 1], [2, 0]]]
 
+    @pytest.mark.parametrize("text, weighted", [
+        # 4 distinct records among 12 rows: weighted, group s1's three
+        # distinct rows too
+        ("g,a,b\ns1,x,x\ns1,x,y\ns1,y,x\n" + "s2,y,y\n" * 9, True),
+        # 6 distinct records among 9 rows: every row, group s1's four
+        # copies of one line too
+        ("g,a,b\n" + "s1,x,x\n" * 4 + "s2,x,x\ns2,x,y\ns2,y,x\ns2,y,y\ns2,x,z\n", False),
+    ])
+    def test_one_row_form_for_the_whole_dataset(self, tmp_path, text, weighted):
+        path = write(tmp_path, text)
+        data, rows = load_csv(path, "g"), load_csv_oracle(path, "g")
+        n_distinct = len(set(text.splitlines()[1:]))
+        assert data.n_rows == rows.n_rows
+        if weighted:
+            assert len(data.rows) == n_distinct and data.weights.sum() == data.n_rows
+            assert data.weights[data.row_groups == 0].tolist() == [1, 1, 1]
+            assert not data.weights.flags.writeable
+        else:
+            assert len(data.rows) == data.n_rows and data.weights is None
+            assert data.rows[data.row_groups == 0].tolist() == [[0, 0]] * 4
+        assert data.row_groups.tolist() == sorted(data.row_groups.tolist())
+        for parents in ((), (1,)):
+            np.testing.assert_array_equal(family_counts(data, 0, parents).per_group,
+                                          family_counts_oracle(rows, 0, parents))
+
     def test_constructed_dataset_counts_every_row_once(self):
         data = mixed_dataset(0)
-        assert all(weights is None for _, weights in data.blocks)
-        assert all(rows is block for (rows, _), block in zip(data.blocks, data.group_rows))
+        assert data.weights is None and data.row_groups.tolist() == [0] * 40 + [2] * 25
+        np.testing.assert_array_equal(data.rows, np.concatenate(data.group_rows))
+        assert all(np.shares_memory(data.rows, block) for block in data.group_rows if block.size)
 
 
 def repetitive_csv(tmp_path, n_rows=300, seed=3):
@@ -561,20 +597,20 @@ class TestLoadedMemoryGuard:
         assert errors[0] == errors[1] == "count table of 'a' given 2 parents needs 24 cells, " \
                                          "more than 20"
 
-    def test_batches_sized_from_block_rows(self, tmp_path, monkeypatch):
+    def test_batches_sized_from_the_row_matrix(self, tmp_path, monkeypatch):
         path = repetitive_csv(tmp_path)
         data, rows = load_csv(path, "g"), load_csv_oracle(path, "g")
-        block_rows = max(block.shape[0] for block, _ in data.blocks)
+        matrix_rows = len(data.rows)
         cap = 60
-        assert block_rows * 2 <= cap < max(len(b) for b in rows.group_rows)
+        assert matrix_rows * 2 <= cap < data.n_rows
         monkeypatch.setattr(data_mod, "MAX_COUNT_CELLS", cap)
         count_joint, cards = data_mod._count_joint, data.cardinalities()
         batches = []
 
         def spy(data, child, sets, *layout):
-            # one group's row codes and weights, and the batch's tables
+            # the dataset's row codes and weights, and the batch's tables
             n_configs = sum(int(np.prod([cards[p] for p in s])) for s in sets)
-            batches.append((len(sets) * block_rows, data.n_groups * n_configs * cards[child]))
+            batches.append((len(sets) * matrix_rows, data.n_groups * n_configs * cards[child]))
             return count_joint(data, child, sets, *layout)
 
         monkeypatch.setattr(data_mod, "_count_joint", spy)
@@ -583,7 +619,7 @@ class TestLoadedMemoryGuard:
             np.testing.assert_array_equal(table, family_counts_oracle(rows, 0, parents))
         assert all(max(sizes) <= cap for sizes in batches)
         # sized from the expanded rows, every batch would hold one set
-        assert max(codes for codes, _ in batches) > block_rows
+        assert max(codes for codes, _ in batches) > matrix_rows
 
 
 # child 0 with parents 2 and 5 in common: a sorted set places a third
@@ -656,7 +692,7 @@ class TestJointCounting:
     def test_weighted_blocks_of_a_loaded_file(self, tmp_path, seed):
         path = repetitive_csv(tmp_path, n_rows=200, seed=seed)
         data, rows = load_csv(path, "g"), load_csv_oracle(path, "g")
-        assert any(weights is not None for _, weights in data.blocks)
+        assert data.weights is not None
         for child in range(3):
             others = [p for p in range(3) if p != child]
             for base in ((), (others[0],)):
@@ -665,6 +701,19 @@ class TestJointCounting:
                 for parents, table in zip(sets, count_tables(data, child, sets)):
                     np.testing.assert_array_equal(table,
                                                   family_counts_oracle(rows, child, parents))
+
+    @pytest.mark.parametrize("madds", [1, 100, 1000])
+    def test_product_in_row_slices(self, tmp_path, monkeypatch, madds):
+        # one row a slice, a few rows, or about a fifth of the 65 rows
+        monkeypatch.setattr(data_mod, "_PRODUCT_MADDS", madds)
+        sets = grown_sets((2,), [1, 3, 5]) + [(), (6, 1)]
+        self.assert_oracle(mixed_dataset(10, cards=WIDE_CARDS), 0, sets)
+        path = repetitive_csv(tmp_path, n_rows=200)
+        data, rows = load_csv(path, "g"), load_csv_oracle(path, "g")
+        assert data.weights is not None
+        sets = [(1,), (2,), (1, 2)]
+        for parents, table in zip(sets, count_tables(data, 0, sets)):
+            np.testing.assert_array_equal(table, family_counts_oracle(rows, 0, parents))
 
     def test_shared_base_among_unrelated_and_repeated_sets(self):
         data = mixed_dataset(7, group_sizes=(40, 0, 25), cards=WIDE_CARDS)
@@ -675,7 +724,8 @@ class TestJointCounting:
 
     @pytest.mark.parametrize("cap", [60, 120])
     def test_cap_splits_a_shared_base_batch(self, monkeypatch, cap):
-        data = mixed_dataset(8, group_sizes=(40, 0, 25), cards=WIDE_CARDS)
+        # 50 row codes a set, fewer than its table cells: the tables set the split
+        data = mixed_dataset(8, group_sizes=(30, 0, 20), cards=WIDE_CARDS)
         monkeypatch.setattr(data_mod, "MAX_COUNT_CELLS", cap)
         count_joint = data_mod._count_joint
         batches = []
@@ -692,7 +742,7 @@ class TestJointCounting:
         assert sorted(map(len, batches)) == ([1, 1, 1, 1] if cap == 60 else [2, 2])
 
     def test_cap_splits_a_batch_by_its_row_codes(self, monkeypatch):
-        data = mixed_dataset(9, group_sizes=(20,), cards=(2, 2, 2, 2, 2))
+        data = mixed_dataset(9, group_sizes=(12, 8), cards=(2, 2, 2, 2, 2))
         monkeypatch.setattr(data_mod, "MAX_COUNT_CELLS", 60)
         count_joint = data_mod._count_joint
         batches = []
@@ -702,22 +752,23 @@ class TestJointCounting:
             return count_joint(data, child, sets, n_configs)
 
         monkeypatch.setattr(data_mod, "_count_joint", spy)
-        # 20 row codes and 8 cells a set: three sets fit, a fourth would
-        # bring the row codes to 80 cells, whatever the sets' parents
+        # 20 row codes over both groups and 16 cells a set: three sets fit,
+        # a fourth would bring the row codes to 80 cells, whatever the sets'
+        # parents (sized by the larger group, five would fit)
         sets = [(0, 1), (1, 0), (2, 3), (3, 2)]
         self.assert_oracle(data, 4, sets)
         assert batches == [[(0, 1), (1, 0), (2, 3)], [(3, 2)]]
-        assert all(len(batch) * 20 <= 60 and len(batch) * 8 <= 60 for batch in batches)
+        assert all(len(batch) * 20 <= 60 and len(batch) * 16 <= 60 for batch in batches)
 
 
 class TestFloatCopy:
-    """Counting reads one float64 copy of each block, ones last, built on
-    the dataset's first count; the int64 blocks and group rows stay as they
-    are."""
+    """Counting reads one float64 copy of the row matrix, each row's group
+    and a ones column after its levels, built on the dataset's first count;
+    the int64 rows and group rows stay as they are."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
-        prop = GroupedDataset.__dict__["_float_blocks"]
+        prop = GroupedDataset.__dict__["_float_rows"]
         build, built = prop.func, []
 
         def spy(data):
@@ -732,27 +783,27 @@ class TestFloatCopy:
         from hierbn.search import run_hill_climb
 
         for data in (mixed_dataset(10), load_csv(repetitive_csv(tmp_path), "g")):
-            blocks, group_rows = data.blocks, data.group_rows
-            block_arrays = [rows for rows, _ in blocks]
+            rows, row_groups, group_rows = data.rows, data.row_groups, data.group_rows
             count_tables(data, 2, [(1,), (0, 1)])
-            copies = data._float_blocks
+            copy = data._float_rows
             count_tables(data, 1, [(0,), ()])
             run_hill_climb(data, ScoreConfig("bdeu"))
-            assert builds.count(data) == 1 and data._float_blocks is copies
-            for copy, (rows, _) in zip(copies, blocks):
-                assert copy.dtype == np.float64 and not copy.flags.writeable
-                np.testing.assert_array_equal(copy[:, :-1], rows)
-                assert copy.shape == (len(rows), data.n_variables + 1) and (copy[:, -1] == 1).all()
-            assert data.blocks is blocks and data.group_rows is group_rows
-            assert all(rows is before for (rows, _), before in zip(data.blocks, block_arrays))
-            assert all(rows.dtype == np.int64 for rows, _ in data.blocks)
-            assert all(rows.dtype == np.int64 for rows in data.group_rows)
+            assert builds.count(data) == 1 and data._float_rows is copy
+            assert copy.dtype == np.float64 and not copy.flags.writeable
+            assert copy.shape == (len(rows), data.n_variables + 2)
+            np.testing.assert_array_equal(copy[:, :-2], rows)
+            np.testing.assert_array_equal(copy[:, -2], row_groups)
+            assert (copy[:, -1] == 1).all()
+            assert data.rows is rows and data.row_groups is row_groups
+            assert data.group_rows is group_rows
+            assert data.rows.dtype == np.int64
+            assert all(block.dtype == np.int64 for block in data.group_rows)
         assert len(builds) == 2
 
     def test_not_built_before_the_first_count(self, builds):
         data = mixed_dataset(11)
         assert data.group_rows and data.n_rows == 65
-        assert builds == [] and "_float_blocks" not in vars(data)
+        assert builds == [] and "_float_rows" not in vars(data)
         count_tables(data, 0, [()])
         assert builds == [data]
 

@@ -14,9 +14,9 @@ from oracles import random_dag_uniform_pairs
 
 
 def record(config_id="cell-1", seed=7, score="bdeu", shd=3, tp=2, fp=1, fn=2,
-           logscore=-123.456, wall=0.5):
+           logscore=-123.456, wall=0.5, iss=1.0):
     return RunRecord(config_id, "a", "hier", 5, 5, 2, 1.0, 500, 0, 0, seed,
-                     score, shd, tp, fp, fn, logscore, wall)
+                     score, iss, shd, tp, fp, fn, logscore, wall)
 
 
 class TestEvaluate:
@@ -91,7 +91,7 @@ class TestRecordCsv:
         for bad in (row + ",1", row.rsplit(",", 1)[0]):
             path = tmp_path / "r.csv"
             path.write_text(",".join(CSV_COLUMNS) + "\n" + bad + "\n")
-            with pytest.raises(DataError, match=r"r\.csv: line 2: expected 18 cells"):
+            with pytest.raises(DataError, match=r"r\.csv: line 2: expected 19 cells"):
                 read_records(str(path))
 
     def test_empty_file_holds_no_records(self, tmp_path):
@@ -117,7 +117,7 @@ class TestRecordCsv:
     def test_malformed_complete_row_is_data_error_naming_file_and_line(self, tmp_path):
         row = record().to_row()
         path = tmp_path / "r.csv"
-        for bad, message in ((row[:6], "expected 18 cells in a result row, got 6"),
+        for bad, message in ((row[:6], "expected 19 cells in a result row, got 6"),
                              (row[:3] + ["five"] + row[4:], "invalid literal for int")):
             # a complete row between complete rows, not the cut-off last one
             path.write_text("\n".join(map(",".join, [CSV_COLUMNS, row, bad, row])) + "\n")
@@ -138,6 +138,14 @@ class TestRecordCsv:
         ordered = sorted(rows, key=record_sort_key)
         assert [(r.seed, r.score) for r in ordered] == [
             (0, "bdeu"), (0, "bhd"), (1, "bhd")]
+
+
+    def test_sort_key_orders_a_score_by_iss_not_by_logscore(self):
+        rows = [record(score="bhd", iss=10.0, logscore=-2.0), record(score="bhd", iss=1.0),
+                record(score="bdeu", iss=10.0)]
+        ordered = sorted(rows, key=record_sort_key)
+        assert [(r.score, r.iss) for r in ordered] == [
+            ("bdeu", 10.0), ("bhd", 1.0), ("bhd", 10.0)]
 
 
 class TestPairedDifference:
