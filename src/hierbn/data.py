@@ -26,9 +26,10 @@ class DataError(ValueError):
 # bytes the line pass of load_csv reads at a time
 _BLOCK_BYTES = 1 << 16
 
-# largest array one family_count_tables batch allocates: its count tables, or
-# the dataset's row codes or row weights (2**26 cells of 8 bytes, 512 MiB);
-# the float copy of the rows that counting reads is the dataset's, not a batch's
+# most cells one family_count_tables batch's tables hold (2**26 cells of 8
+# bytes, 512 MiB); the row codes and weights a batch holds at once are no more
+# than its tables or one product slice, and the float copy of the rows that
+# counting reads is the dataset's, not a batch's
 MAX_COUNT_CELLS = 2 ** 26
 
 # multiply-adds one slice of a counting product takes at most: a larger
@@ -388,73 +389,75 @@ def family_count_tables(data, child, parent_sets):
     fixes its row-major configuration indexing). Before anything is
     allocated, every index is checked (a Python or numpy integer, not a
     bool, in range, not repeated within a set, and not the child: a
-    ValueError names it) and so is every set's cell count. Sets with one
-    number of configurations are counted together, every group at once,
-    from one matrix product. No batch holds an array of more than
-    ``MAX_COUNT_CELLS`` elements unless one set alone needs more.
+    ValueError names it) and so is every set's cell count. Sets whose
+    tables have one shape are counted together, every group at once, from
+    one matrix product. No batch's tables hold more than ``MAX_COUNT_CELLS``
+    elements unless one set alone needs more.
 
     Returns ``(positions, tables)`` pairs covering every set once:
     ``tables[i]`` is the (F, J, K) count table of ``parent_sets[positions[i]]``.
     """
     sets = [tuple(parents) for parents in parent_sets]
     check_indices(zip(itertools.repeat(child), sets), data.n_variables)
-    return _count_tables(data, child, sets)
+    return _count_tables(data, [(child, parents) for parents in sets])
 
 
-def _count_tables(data, child, sets):
-    # family_count_tables once every index is checked; the scores, whose
-    # families are checked before their cache lookup, count through here
-    cards = data.cardinalities()
-    child_card, n_groups = cards[child], data.n_groups
-    by_configs = {}
-    for position, parents in enumerate(sets):
-        n_configs = math.prod(map(cards.__getitem__, parents))
-        if n_groups * n_configs * child_card > MAX_COUNT_CELLS:
+def _count_tables(data, families):
+    # family_count_tables of (child, parents) families of any children, once
+    # every index is checked; the scores, whose families are checked before
+    # their cache lookup, count through here. The table shape (F, J, K) is
+    # the one batching key: families of one shape share a count, in batches
+    # whose tables fit under the cap.
+    cards, n_groups, by_shape = data.cardinalities(), data.n_groups, {}
+    for position, (child, parents) in enumerate(families):
+        shape = (n_groups, math.prod(map(cards.__getitem__, parents)), cards[child])
+        if shape not in by_shape and math.prod(shape) > MAX_COUNT_CELLS:
             raise DataError(f"count table of {data.variables[child].name!r} given "
-                            f"{len(parents)} parents needs {n_groups * n_configs * child_card} "
+                            f"{len(parents)} parents needs {math.prod(shape)} "
                             f"cells, more than {MAX_COUNT_CELLS}")
-        by_configs.setdefault(n_configs, []).append(position)
-    rows = len(data.rows)
+        by_shape.setdefault(shape, []).append(position)
     out = []
-    for n_configs, positions in by_configs.items():
-        # a batch's tables, and the dataset's row codes and weights, fit
-        # under the cap
-        per_set = max(rows, n_groups * n_configs * child_card)
-        step = max(1, MAX_COUNT_CELLS // max(1, per_set))
-        out.extend((batch, _count_joint(data, child, [sets[i] for i in batch], n_configs))
+    for shape, positions in by_shape.items():
+        step = MAX_COUNT_CELLS // max(1, math.prod(shape))  # a table may have no cells
+        out.extend((batch, _count_joint(data, [families[i] for i in batch], shape))
                    for batch in (positions[i:i + step] for i in range(0, len(positions), step)))
     return out
 
 
-def _count_joint(data, child, sets, n_configs):
-    # The (S, F, J, K) tables of sets with J configurations each. A row's
-    # cell in set s's tables is s * F * J * K (times its ones column), plus
-    # its group times J * K, plus its child level, plus its parent levels
-    # times the set's row-major strides: the product of the dataset's float
-    # copy with an (N + 2, S) stride matrix, exact since every sum is an
-    # integer below S * F * J * K, taken in row slices of _PRODUCT_MADDS.
-    # One bincount counts every set, weighing each row by its multiplicity
-    # (float sums of integers below 2**53, stored as int64).
-    cards = data.cardinalities()
-    child_card, n_variables = cards[child], data.n_variables
-    shape = (len(sets), data.n_groups, n_configs, child_card)
-    strides = np.zeros((n_variables + 2, len(sets)))
-    strides[child] = 1
-    strides[n_variables] = n_configs * child_card
-    strides[-1] = np.arange(len(sets)) * math.prod(shape[1:])
-    for s, parents in enumerate(sets):
-        stride = child_card
+def _count_joint(data, families, shape):
+    # The (S, F, J, K) tables of families whose tables have one shape. A
+    # row's cell in family s's tables is s * F * J * K (times its ones
+    # column), plus its group times J * K, plus its child level (stride 1 in
+    # the family's own column), plus its parent levels times the family's
+    # row-major strides: the product of the dataset's float copy with an
+    # (N + 2, S) stride matrix, exact since every sum is an integer below
+    # S * F * J * K, taken in row slices of _PRODUCT_MADDS. Each bincount
+    # adds a chunk of rows into the tables, weighing a row by its
+    # multiplicity (float sums of integers below 2**53, stored as int64). A
+    # bincount touches every cell, so a chunk holds as many whole slices as
+    # the tables have cells of codes, one at least: a batch's memory is its
+    # tables, whatever the number of rows.
+    cards, n_sets = data.cardinalities(), len(families)
+    strides = np.zeros((data.n_variables + 2, n_sets))
+    strides[-2] = shape[1] * shape[2]
+    strides[-1] = np.arange(n_sets) * math.prod(shape)
+    for s, (child, parents) in enumerate(families):
+        strides[child, s], stride = 1, shape[2]
         for p in reversed(parents):
             strides[p, s] = stride
             stride *= cards[p]
-    rows = data._float_rows
-    step = max(1, _PRODUCT_MADDS // (rows.shape[1] * len(sets)))
-    codes = np.empty((len(rows), len(sets)), dtype=np.int64)
-    for start in range(0, len(rows), step):
-        codes[start:start + step] = rows[start:start + step] @ strides
-    weights = None if data.weights is None else np.repeat(data.weights, len(sets))
-    counted = np.bincount(codes.ravel(), weights, minlength=math.prod(shape))
-    return counted.astype(np.int64, copy=False).reshape(shape)
+    rows, counted = data._float_rows, np.zeros(n_sets * math.prod(shape))
+    step = max(1, _PRODUCT_MADDS // (rows.shape[1] * n_sets))
+    chunk = step * max(1, len(counted) // (step * n_sets))
+    for start in range(0, len(rows), chunk):
+        block = rows[start:start + chunk]
+        codes = np.empty((len(block), n_sets), dtype=np.int64)
+        for i in range(0, len(block), step):
+            codes[i:i + step] = block[i:i + step] @ strides
+        weights = None if data.weights is None else np.repeat(data.weights[start:start + chunk],
+                                                              n_sets)
+        counted += np.bincount(codes.ravel(), weights, minlength=len(counted))
+    return counted.astype(np.int64).reshape(n_sets, *shape)
 
 
 def family_counts(data, child, parents):

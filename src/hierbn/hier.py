@@ -223,7 +223,7 @@ def _fit_stack(per_group, prior, tol, max_iters, traces=None):
     rows = np.swapaxes(per_group, 1, 2)[observed]
     a0 = np.broadcast_to(prior.alpha0, observed.shape + prior.alpha0.shape[1:])[observed]
     a = prior.s / per_group.shape[2]
-    size = max(1, _STACK_CELLS // math.prod(per_group.shape[1::2]))
+    size = max(1, _STACK_CELLS // max(1, math.prod(per_group.shape[1::2])))  # F may be 0
     parts = [_fixed_point_fit(rows[i:i + size], a0[i:i + size], a, tol, max_iters, traces)
              for i in range(0, max(len(rows), 1), size)]
     return (observed,) + tuple(np.concatenate(part) for part in zip(*parts))

@@ -177,29 +177,20 @@ class LocalScoreCache:
 
 
 def _compute_locals(data, families, config):
-    # the equal-shape tables of every child are scored in one call per
-    # shape: bdeu and bic on tables pooled over the groups, bhd on the
-    # groups' tables
-    by_child = {}
-    for position, (child, _) in enumerate(families):
-        by_child.setdefault(child, []).append(position)
-    by_shape = {}
-    for child, positions in by_child.items():
-        for batch, tables in _count_tables(data, child, [families[i][1] for i in positions]):
-            where, parts = by_shape.setdefault(tables.shape[1:], ([], []))
-            where.extend(positions[i] for i in batch)
-            parts.append(tables if config.kind == "bhd" else tables.sum(axis=1))
+    # one kernel call per count batch, whose families share a table shape
+    # whatever their child: bdeu and bic on tables pooled over the groups,
+    # bhd on the groups' tables
     out = np.empty(len(families))
-    for where, parts in by_shape.values():
-        tables = np.concatenate(parts)
-        if config.kind == "bdeu":
-            out[where] = bd_local_log_scores(tables, _uniform_alpha(tables.shape[1:], config.iss))
-        elif config.kind == "bic":
-            out[where] = bic_local_log_scores(tables)
-        else:
+    for where, tables in _count_tables(data, families):
+        if config.kind == "bhd":
             from . import hier  # deferred: hier imports this module's kernel
             out[where] = hier.bhd_local_log_scores(tables, config.iss, config.s0,
                                                    config.vb_tol, config.vb_max_iters)
+        elif config.kind == "bdeu":
+            out[where] = bd_local_log_scores(tables.sum(axis=1),
+                                             _uniform_alpha(tables.shape[2:], config.iss))
+        else:
+            out[where] = bic_local_log_scores(tables.sum(axis=1))
     return out.tolist()
 
 
@@ -210,9 +201,9 @@ def local_log_scores(data, families, config, cache=None):
     Every index is checked first (``data.check_indices``), before any cache
     lookup. Each family is scored with its parents in sorted order, the
     order of its cache key, so its score does not depend on the order the
-    parents are given in. With a ``cache``, only the distinct missing
-    families are counted and scored, in one batch, and hits and misses count
-    as if the families were looked up one by one.
+    parents are given in. Only the distinct families missing from ``cache``
+    (a fresh one when None) are counted and scored, in one batch, and hits
+    and misses count as if the families were looked up one by one.
     """
     families = [(child, tuple(parents)) for child, parents in families]
     # before the keys: a bool or float index would find its integer's entry
@@ -223,9 +214,9 @@ def local_log_scores(data, families, config, cache=None):
 
 def _local_log_scores(data, families, config, cache):
     # local_log_scores past its checks: each family valid and its parents a
-    # sorted tuple, as the climb builds them
-    if cache is None:
-        return _compute_locals(data, families, config)
+    # sorted tuple, as the climb builds them; without a cache, a fresh one
+    # counts a repeated family once
+    cache = LocalScoreCache() if cache is None else cache
     if cache.data is None:
         cache.data = data
     elif cache.data is not data:

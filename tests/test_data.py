@@ -421,25 +421,22 @@ class TestFamilyCountTables:
 
     @pytest.mark.parametrize("cap", [60, 200])
     def test_batches_stay_under_the_cell_cap(self, monkeypatch, cap):
-        # 50 rows, so one set's row codes fit under either cap
         data = mixed_dataset(5, group_sizes=(30, 0, 20))
         monkeypatch.setattr(data_mod, "MAX_COUNT_CELLS", cap)
         count_joint, cards = data_mod._count_joint, data.cardinalities()
         sizes = []
 
-        def spy(data, child, sets, *layout):
-            # the dataset's row codes, and the batch's tables
-            rows = len(data.rows)
-            n_configs = sum(int(np.prod([cards[p] for p in s])) for s in sets)
-            sizes.append((len(sets) * rows, data.n_groups * n_configs * cards[child]))
-            return count_joint(data, child, sets, *layout)
+        def spy(data, families, shape):
+            # the batch's tables
+            sizes.append(len(families) * int(np.prod(shape)))
+            return count_joint(data, families, shape)
 
         monkeypatch.setattr(data_mod, "_count_joint", spy)
         sets = [s for s in MIXED_SETS if 3 * int(np.prod([cards[p] for p in s])) * 4 <= cap]
         for position, table in enumerate(count_tables(data, 2, sets)):
             np.testing.assert_array_equal(table, family_counts_oracle(data, 2, sets[position]))
         assert len(sizes) > len({int(np.prod([cards[p] for p in s])) for s in sets})
-        assert all(max(size) <= cap for size in sizes)
+        assert all(size <= cap for size in sizes)
 
 
 @st.composite
@@ -598,28 +595,27 @@ class TestLoadedMemoryGuard:
                                          "more than 20"
 
     def test_batches_sized_from_the_row_matrix(self, tmp_path, monkeypatch):
-        path = repetitive_csv(tmp_path)
+        # a weighted file of fewer matrix rows than the cap and more data
+        # rows: neither row count sizes a batch, its tables alone do
+        path = repetitive_csv(tmp_path, n_rows=200)
         data, rows = load_csv(path, "g"), load_csv_oracle(path, "g")
-        matrix_rows = len(data.rows)
         cap = 60
-        assert matrix_rows * 2 <= cap < data.n_rows
+        assert len(data.rows) < cap < data.n_rows
         monkeypatch.setattr(data_mod, "MAX_COUNT_CELLS", cap)
-        count_joint, cards = data_mod._count_joint, data.cardinalities()
+        count_joint = data_mod._count_joint
         batches = []
 
-        def spy(data, child, sets, *layout):
-            # the dataset's row codes and weights, and the batch's tables
-            n_configs = sum(int(np.prod([cards[p] for p in s])) for s in sets)
-            batches.append((len(sets) * matrix_rows, data.n_groups * n_configs * cards[child]))
-            return count_joint(data, child, sets, *layout)
+        def spy(data, families, shape):
+            batches.append(len(families))
+            assert len(families) * np.prod(shape) <= cap
+            return count_joint(data, families, shape)
 
         monkeypatch.setattr(data_mod, "_count_joint", spy)
+        # 4 to 24 cells a table, at most 48 a shape: one batch a shape
         sets = [(1,), (2,), (1, 2), (2, 1), (), (1,)]
         for parents, table in zip(sets, count_tables(data, 0, sets)):
             np.testing.assert_array_equal(table, family_counts_oracle(rows, 0, parents))
-        assert all(max(sizes) <= cap for sizes in batches)
-        # sized from the expanded rows, every batch would hold one set
-        assert max(codes for codes, _ in batches) > matrix_rows
+        assert sorted(batches) == [1, 1, 2, 2]
 
 
 # child 0 with parents 2 and 5 in common: a sorted set places a third
@@ -634,9 +630,9 @@ def grown_sets(base, extras):
 
 
 class TestJointCounting:
-    """Sets with one number of parent configurations are counted together,
-    one stride column each, whatever their parents and their order; every
-    table must equal the row-by-row tally."""
+    """Families whose tables have one shape (F, J, K) are counted together,
+    one stride column each, whatever their child, their parents and their
+    order; every table must equal the row-by-row tally."""
 
     def assert_oracle(self, data, child, sets):
         for parents, table in zip(sets, count_tables(data, child, sets)):
@@ -666,9 +662,9 @@ class TestJointCounting:
         count_joint = data_mod._count_joint
         batches = []
 
-        def spy(data, child, sets, n_configs):
-            batches.append((n_configs, sorted(sets)))
-            return count_joint(data, child, sets, n_configs)
+        def spy(data, families, shape):
+            batches.append((shape[1], sorted(parents for _, parents in families)))
+            return count_joint(data, families, shape)
 
         monkeypatch.setattr(data_mod, "_count_joint", spy)
         # 24 configurations: three parents with their shared ones in one
@@ -724,15 +720,14 @@ class TestJointCounting:
 
     @pytest.mark.parametrize("cap", [60, 120])
     def test_cap_splits_a_shared_base_batch(self, monkeypatch, cap):
-        # 50 row codes a set, fewer than its table cells: the tables set the split
         data = mixed_dataset(8, group_sizes=(30, 0, 20), cards=WIDE_CARDS)
         monkeypatch.setattr(data_mod, "MAX_COUNT_CELLS", cap)
         count_joint = data_mod._count_joint
         batches = []
 
-        def spy(data, child, sets, *plans):
-            batches.append(sets)
-            return count_joint(data, child, sets, *plans)
+        def spy(data, families, shape):
+            batches.append(families)
+            return count_joint(data, families, shape)
 
         monkeypatch.setattr(data_mod, "_count_joint", spy)
         # child 1 (3 levels) on a base of variable 6 (3 levels) plus each
@@ -742,23 +737,60 @@ class TestJointCounting:
         assert sorted(map(len, batches)) == ([1, 1, 1, 1] if cap == 60 else [2, 2])
 
     def test_cap_splits_a_batch_by_its_row_codes(self, monkeypatch):
-        data = mixed_dataset(9, group_sizes=(12, 8), cards=(2, 2, 2, 2, 2))
+        data = mixed_dataset(9, group_sizes=(40, 30), cards=(2, 2, 2, 2, 2))
+        assert len(data.rows) > 60
         monkeypatch.setattr(data_mod, "MAX_COUNT_CELLS", 60)
         count_joint = data_mod._count_joint
         batches = []
 
-        def spy(data, child, sets, n_configs):
-            batches.append(sets)
-            return count_joint(data, child, sets, n_configs)
+        def spy(data, families, shape):
+            batches.append([parents for _, parents in families])
+            return count_joint(data, families, shape)
 
         monkeypatch.setattr(data_mod, "_count_joint", spy)
-        # 20 row codes over both groups and 16 cells a set: three sets fit,
-        # a fourth would bring the row codes to 80 cells, whatever the sets'
-        # parents (sized by the larger group, five would fit)
+        # 70 row codes a set, more than the cap, are taken in row chunks and
+        # split no batch; 16 cells a table: three sets fit, whatever their
+        # parents
         sets = [(0, 1), (1, 0), (2, 3), (3, 2)]
         self.assert_oracle(data, 4, sets)
         assert batches == [[(0, 1), (1, 0), (2, 3)], [(3, 2)]]
-        assert all(len(batch) * 20 <= 60 and len(batch) * 16 <= 60 for batch in batches)
+
+    def test_two_children_of_one_table_shape_in_one_call(self, monkeypatch):
+        data = mixed_dataset(11, cards=WIDE_CARDS)
+        count_joint = data_mod._count_joint
+        batches = []
+
+        def spy(data, families, shape):
+            batches.append((shape, families))
+            return count_joint(data, families, shape)
+
+        monkeypatch.setattr(data_mod, "_count_joint", spy)
+        # children 0 and 3 have 2 levels: (3, 6, 2) tables given a 2- and a
+        # 3-level parent, in either order; child 1 (3 levels) alone
+        families = [(0, (1, 3)), (3, (6, 5)), (1, (0, 4)), (0, (5, 4)), (3, (1, 0))]
+        tables = [None] * len(families)
+        for positions, stacked in data_mod._count_tables(data, families):
+            for position, table in zip(positions, stacked):
+                tables[position] = table
+        for (child, parents), table in zip(families, tables):
+            np.testing.assert_array_equal(table, family_counts_oracle(data, child, parents))
+        assert sorted(batches) == [((3, 6, 2), [families[i] for i in (0, 1, 3, 4)]),
+                                   ((3, 6, 3), [families[2]])]
+
+    def test_a_bincount_reads_at_least_the_tables_in_codes(self, monkeypatch):
+        # one row a product slice: 2 sets of 3 * 2 * 2 cells take a bincount
+        # per 12 of the 65 rows, not per row, and the last takes the 5 left
+        data = mixed_dataset(12, cards=WIDE_CARDS)
+        monkeypatch.setattr(data_mod, "_PRODUCT_MADDS", 1)
+        bincount, codes = np.bincount, []
+
+        def spy(x, *args, **kwargs):
+            codes.append(len(x))
+            return bincount(x, *args, **kwargs)
+
+        monkeypatch.setattr(data_mod.np, "bincount", spy)
+        self.assert_oracle(data, 0, [(3,), (5,)])
+        assert codes == [24] * 5 + [10]
 
 
 class TestFloatCopy:

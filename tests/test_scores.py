@@ -8,13 +8,15 @@ import pytest
 
 from hierbn import hier
 from hierbn import scores as scores_mod
-from hierbn.data import FamilyCounts, family_count_tables, family_counts, load_csv
+from hierbn.data import (FamilyCounts, GroupedDataset, VariableMeta, family_count_tables,
+                         family_counts, load_csv)
 from hierbn.graph import Dag
 from hierbn.hier import HierPrior
 from hierbn.scores import (LocalScoreCache, ScoreConfig, bd_local_log_score,
                            bd_local_log_scores, bdeu_local_log_score, bic_local_log_score,
                            bic_local_log_scores, classic_posterior_mean, fold_total, local_log_score,
                            local_log_scores, total_log_score)
+from hierbn.search import run_hill_climb
 from hierbn.simgen import GenConfig, generate
 
 from oracles import (all_dags, bd_local_float_oracle, bd_local_oracle, bdeu_local_oracle,
@@ -518,6 +520,21 @@ class TestBatchedScores:
         assert batched._store.keys() == single._store.keys()
         assert batched.hits > 0
 
+    @pytest.mark.parametrize("config", BATCH_CONFIGS[:3], ids=lambda c: f"{c.kind}-{c.iss}")
+    def test_uncached_request_counts_a_repeated_family_once(self, monkeypatch, config):
+        data = mixed_dataset(3)
+        count_tables, counted = scores_mod._count_tables, []
+
+        def spy(data, families):
+            counted.extend(families)
+            return count_tables(data, families)
+
+        monkeypatch.setattr(scores_mod, "_count_tables", spy)
+        families = [(2, (1, 4)), (0, ()), (2, (4, 1)), (2, (1, 4)), (0, ())]
+        got = local_log_scores(data, families, config)
+        assert counted == [(2, (1, 4)), (0, ())]
+        assert got == [local_oracle(data, child, parents, config) for child, parents in families]
+
     def test_bhd_fits_equal_shapes_of_every_child_as_one_stack(self, monkeypatch):
         stacks = []
         fixed_point_fit = hier._fixed_point_fit
@@ -718,3 +735,30 @@ class TestBhdStackScores:
         with pytest.raises(ValueError, match="s must be positive"):
             hier.bhd_local_log_scores(np.ones((2, 1, 2, 2), int), 0.0)
         assert hier.bhd_local_log_scores(np.ones((0, 1, 2, 2), int), 1.0).shape == (0,)
+
+
+class TestDatasetWithoutGroups:
+    """A dataset with no groups has only empty configurations, each adding
+    exactly 0, so every family scores 0.0 under every score."""
+
+    @pytest.fixture
+    def data(self):
+        variables = [VariableMeta(f"v{i}", tuple(map(str, range(c))))
+                     for i, c in enumerate((2, 3, 2))]
+        return GroupedDataset(variables, [], [])
+
+    @pytest.mark.parametrize("kind", ["bdeu", "bic", "bhd"])
+    def test_every_family_scores_zero(self, data, kind):
+        config = ScoreConfig(kind)
+        families = [(0, (1,)), (1, ()), (2, (0, 1)), (1, (0, 2))]
+        assert local_log_scores(data, families, config) == [0.0] * len(families)
+        assert local_log_score(data, 0, (1,), config) == 0.0
+        result = run_hill_climb(data, config)
+        assert result.dag.arc_count == 0 and result.score == 0.0
+
+    def test_empty_stacks_score_and_fit(self):
+        assert hier.bhd_local_log_scores(np.zeros((2, 0, 3, 2), int), 1.0).tolist() == [0.0, 0.0]
+        counts = FamilyCounts(2, (3,), np.zeros((0, 3, 2), dtype=np.int64))
+        fit = hier.fit_variational(counts, HierPrior.uniform((3, 2), s=1.0))
+        np.testing.assert_array_equal(fit.kappa, np.full((3, 2), 1 / 6))
+        assert fit.nu.shape == (0, 3, 2) and fit.converged
