@@ -7,6 +7,8 @@ requested output files.
 
 import argparse
 import csv
+import io
+import itertools
 import json
 import os
 import sys
@@ -161,14 +163,26 @@ def _cmd_score(args):
     return 0
 
 
+def _csv_field(text):
+    # ``text`` as csv.writer writes it beside another field
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow((text, ""))
+    return buffer.getvalue()[:-3]  # less the empty field and the line end
+
+
 def _write_replicate_csv(path, dataset):
-    levels = [np.array(v.levels, dtype=object) for v in dataset.variables]
+    # the bytes csv.writer writes row by row, from each level text and group
+    # label quoted once: a line joins its row's texts with commas, and the
+    # last variable's texts end it
+    levels = [np.array([_csv_field(text) for text in v.levels], dtype=object)
+              for v in dataset.variables]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["group"] + [v.name for v in dataset.variables])
+        levels[-1] = levels[-1] + "\r\n"
         for label, block in zip(dataset.groups, dataset.group_rows):
-            writer.writerows(zip([label] * block.shape[0],
-                                 *(lv[block[:, i]] for i, lv in enumerate(levels))))
+            fh.writelines(map(",".join, zip(itertools.repeat(_csv_field(label), len(block)),
+                                            *(lv[block[:, i]] for i, lv in enumerate(levels)))))
 
 
 def _check_seed_flag(args):

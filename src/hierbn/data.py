@@ -37,6 +37,11 @@ MAX_COUNT_CELLS = 2 ** 26
 # threaded product often waits a scheduler slice for its second thread
 _PRODUCT_MADDS = 2 ** 19
 
+# rows a counting product's slice spans at least, when the dataset has as
+# many: a wide batch's families are counted in blocks narrow enough for it,
+# so that no bincount adds a few rows into every family's table
+_SLICE_ROWS = 256
+
 
 @dataclass(frozen=True)
 class VariableMeta:
@@ -394,20 +399,23 @@ def family_count_tables(data, child, parent_sets):
     one matrix product. No batch's tables hold more than ``MAX_COUNT_CELLS``
     elements unless one set alone needs more.
 
-    Returns ``(positions, tables)`` pairs covering every set once:
+    Returns a list of ``(positions, tables)`` pairs covering every set once:
     ``tables[i]`` is the (F, J, K) count table of ``parent_sets[positions[i]]``.
     """
     sets = [tuple(parents) for parents in parent_sets]
     check_indices(zip(itertools.repeat(child), sets), data.n_variables)
-    return _count_tables(data, [(child, parents) for parents in sets])
+    return list(_count_tables(data, [(child, parents) for parents in sets]))
 
 
 def _count_tables(data, families):
     # family_count_tables of (child, parents) families of any children, once
-    # every index is checked; the scores, whose families are checked before
-    # their cache lookup, count through here. The table shape (F, J, K) is
-    # the one batching key: families of one shape share a count, in batches
-    # whose tables fit under the cap.
+    # every index is checked, yielding one batch at a time; the scores, whose
+    # families are checked before their cache lookup, count through here and
+    # score each batch before the next is counted, so a request holds one
+    # batch. The table shape (F, J, K) is the one batching key: families of
+    # one shape share a count, in batches whose tables fit under the cap.
+    # Every shape is checked against the cap before the first batch is
+    # counted.
     cards, n_groups, by_shape = data.cardinalities(), data.n_groups, {}
     for position, (child, parents) in enumerate(families):
         shape = (n_groups, math.prod(map(cards.__getitem__, parents)), cards[child])
@@ -416,47 +424,53 @@ def _count_tables(data, families):
                             f"{len(parents)} parents needs {math.prod(shape)} "
                             f"cells, more than {MAX_COUNT_CELLS}")
         by_shape.setdefault(shape, []).append(position)
-    out = []
     for shape, positions in by_shape.items():
         step = MAX_COUNT_CELLS // max(1, math.prod(shape))  # a table may have no cells
-        out.extend((batch, _count_joint(data, [families[i] for i in batch], shape))
-                   for batch in (positions[i:i + step] for i in range(0, len(positions), step)))
-    return out
+        for start in range(0, len(positions), step):
+            batch = positions[start:start + step]
+            yield batch, _count_joint(data, [families[i] for i in batch], shape)
 
 
 def _count_joint(data, families, shape):
-    # The (S, F, J, K) tables of families whose tables have one shape. A
-    # row's cell in family s's tables is s * F * J * K (times its ones
+    # The (S, F, J, K) tables of families whose tables have one shape,
+    # counted in blocks of W families, W the most that lets a product slice
+    # of _PRODUCT_MADDS span _SLICE_ROWS rows (or every row). A row's cell
+    # in the tables of a block's family w is w * F * J * K (times its ones
     # column), plus its group times J * K, plus its child level (stride 1 in
     # the family's own column), plus its parent levels times the family's
-    # row-major strides: the product of the dataset's float copy with an
-    # (N + 2, S) stride matrix, exact since every sum is an integer below
-    # S * F * J * K, taken in row slices of _PRODUCT_MADDS. Each bincount
-    # adds a chunk of rows into the tables, weighing a row by its
-    # multiplicity (float sums of integers below 2**53, stored as int64). A
-    # bincount touches every cell, so a chunk holds as many whole slices as
-    # the tables have cells of codes, one at least: a batch's memory is its
-    # tables, whatever the number of rows.
-    cards, n_sets = data.cardinalities(), len(families)
+    # row-major strides: the product of the dataset's float copy with the
+    # block's (N + 2, W) stride columns, exact since every sum is an integer
+    # below W * F * J * K. Each bincount adds a chunk of rows into its
+    # block's tables, weighing a row by its multiplicity (float sums of
+    # integers below 2**53, stored as int64). A bincount touches every cell
+    # of its block, so a chunk holds as many whole slices as those tables
+    # have cells of codes, one at least: a batch's memory is its tables,
+    # whatever the number of rows.
+    cards, n_sets, cells = data.cardinalities(), len(families), math.prod(shape)
+    rows, counted = data._float_rows, np.zeros(n_sets * cells)
+    slice_rows = max(1, min(_SLICE_ROWS, len(rows)))
+    width = min(n_sets, max(1, _PRODUCT_MADDS // (rows.shape[1] * slice_rows)))
     strides = np.zeros((data.n_variables + 2, n_sets))
     strides[-2] = shape[1] * shape[2]
-    strides[-1] = np.arange(n_sets) * math.prod(shape)
+    strides[-1] = np.arange(n_sets) % width * cells
     for s, (child, parents) in enumerate(families):
         strides[child, s], stride = 1, shape[2]
         for p in reversed(parents):
             strides[p, s] = stride
             stride *= cards[p]
-    rows, counted = data._float_rows, np.zeros(n_sets * math.prod(shape))
-    step = max(1, _PRODUCT_MADDS // (rows.shape[1] * n_sets))
-    chunk = step * max(1, len(counted) // (step * n_sets))
-    for start in range(0, len(rows), chunk):
-        block = rows[start:start + chunk]
-        codes = np.empty((len(block), n_sets), dtype=np.int64)
-        for i in range(0, len(block), step):
-            codes[i:i + step] = block[i:i + step] @ strides
-        weights = None if data.weights is None else np.repeat(data.weights[start:start + chunk],
-                                                              n_sets)
-        counted += np.bincount(codes.ravel(), weights, minlength=len(counted))
+    step = max(1, _PRODUCT_MADDS // (rows.shape[1] * width))
+    chunk = step * max(1, cells // step)
+    for first in range(0, n_sets, width):
+        columns = np.ascontiguousarray(strides[:, first:first + width])
+        tables = counted[first * cells:(first + width) * cells]
+        for start in range(0, len(rows), chunk):
+            block = rows[start:start + chunk]
+            codes = np.empty((len(block), columns.shape[1]), dtype=np.int64)
+            for i in range(0, len(block), step):
+                codes[i:i + step] = block[i:i + step] @ columns
+            weights = None if data.weights is None else np.repeat(
+                data.weights[start:start + chunk], columns.shape[1])
+            tables += np.bincount(codes.ravel(), weights, minlength=len(tables))
     return counted.astype(np.int64).reshape(n_sets, *shape)
 
 

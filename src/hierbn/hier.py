@@ -33,10 +33,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma, gammaln, zeta
 
 from .data import check_count, check_positive
 from .scores import bd_local_log_scores, fold_total
+
+# scipy.special is imported inside the functions that call it, as in
+# scores.bd_local_log_scores: a process that never scores does not load it
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 # a fit stack holds at most this many count cells (one configuration at
@@ -118,6 +120,7 @@ def _log_posterior(n, a0, a, const, p):
     """g of each row at its centre p, for (P, K, F) counts ``n``, (P, K)
     hyperpriors ``a0`` and (P,) ``const``, the part of g that does not
     depend on p; a cell without rows adds exactly 0."""
+    from scipy.special import gammaln
     ap = a * p
     dm = gammaln(ap[..., None] + n) - gammaln(ap)[..., None]
     return (const + dm.reshape(len(n), math.prod(n.shape[1:])).sum(axis=1)
@@ -128,6 +131,7 @@ def _scaled_gradient(n, a0, a, p):
     """u_k = p_k dg/dp_k = a0_k + sum_f w_k [digamma(w_k + n_fk) -
     digamma(w_k)] of each row at w = a * p; g's gradient in the logits of
     p is u - p * sum(u)."""
+    from scipy.special import digamma
     ap = a * p
     return ap * (digamma(ap[..., None] + n) - digamma(ap)[..., None]).sum(axis=-1) + a0
 
@@ -138,6 +142,7 @@ def _log_det(n, a0, a, p):
     [trigamma(w_k) - trigamma(w_k + n_fk)], positive as g is concave in p,
     it is sum(log s) + log sum(p^2 / s). -H here is the Hessian less its
     terms in the gradient, so it equals the Hessian at the mode."""
+    from scipy.special import zeta
     ap = a * p
     # polygamma(1, x) = zeta(2, x), the same values from a cheaper call
     s = ap * ap * (zeta(2, ap)[..., None] - zeta(2, ap[..., None] + n)).sum(axis=-1) + a0
@@ -165,6 +170,7 @@ def _fixed_point_fit(n, a0, a, tol, max_iters, traces=None):
     for ``traces``, it receives each row's list of g, at the start and
     after each step.
     """
+    from scipy.special import gammaln
     n_rows, _, k = n.shape
     totals = n.sum(axis=2)
     n = np.ascontiguousarray(np.swapaxes(n, 1, 2), dtype=float)

@@ -9,7 +9,6 @@ fit of its centres.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .data import FamilyCounts, _count_tables, check_count, check_indices, check_positive
 
@@ -47,6 +46,9 @@ def bd_local_log_scores(tables, alpha):
     for bit the same alone or in any stack and algebraic reductions between
     the scores hold bit for bit.
     """
+    # imported here, not with the module: importing hierbn loads numpy alone,
+    # and scipy loads with a process's first score
+    from scipy.special import gammaln
     tables = np.asarray(tables)
     if tables.ndim != 3:
         raise ValueError("expected a (families, configs, levels) stack of count tables")
@@ -179,7 +181,8 @@ class LocalScoreCache:
 def _compute_locals(data, families, config):
     # one kernel call per count batch, whose families share a table shape
     # whatever their child: bdeu and bic on tables pooled over the groups,
-    # bhd on the groups' tables
+    # bhd on the groups' tables. Each batch is scored as it is counted, so a
+    # request holds one batch's tables, not all of them.
     out = np.empty(len(families))
     for where, tables in _count_tables(data, families):
         if config.kind == "bhd":
@@ -202,8 +205,10 @@ def local_log_scores(data, families, config, cache=None):
     lookup. Each family is scored with its parents in sorted order, the
     order of its cache key, so its score does not depend on the order the
     parents are given in. Only the distinct families missing from ``cache``
-    (a fresh one when None) are counted and scored, in one batch, and hits
-    and misses count as if the families were looked up one by one.
+    (a fresh one when None) are counted and scored, in count batches of at
+    most ``data.MAX_COUNT_CELLS`` cells, each scored before the next is
+    counted; hits and misses count as if the families were looked up one
+    by one.
     """
     families = [(child, tuple(parents)) for child, parents in families]
     # before the keys: a bool or float index would find its integer's entry

@@ -203,17 +203,17 @@ def sample_data(truth, rows_per_group, rng):
     groups = [f"g{f + 1:02d}" for f in range(config.n_groups)]
     blocks = []
     for f, gdag in enumerate(truth.group_dags):
-        block = np.zeros((rows_per_group, n), dtype=np.int64)
+        block = np.zeros((n, rows_per_group), dtype=np.int64)  # a variable's levels a row
         for node in gdag.topological_order():
             parents = gdag.parents(node)
             config_idx = np.zeros(rows_per_group, dtype=np.int64)
             for p in parents:
-                config_idx = config_idx * card + block[:, p]
-            probs = truth.group_params[f][node][config_idx]
-            cumulative = np.cumsum(probs, axis=1)
+                config_idx = config_idx * card + block[p]
+            # each row's cumulative probabilities, summed once per table row
+            cumulative = np.cumsum(truth.group_params[f][node], axis=1)[config_idx]
             u = rng.random(rows_per_group)
-            block[:, node] = np.minimum((u[:, None] > cumulative).sum(axis=1), card - 1)
-        blocks.append(block)
+            block[node] = np.minimum((u[:, None] > cumulative).sum(axis=1), card - 1)
+        blocks.append(block.T)
     return GroupedDataset(variables, groups, blocks)
 
 

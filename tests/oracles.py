@@ -5,13 +5,12 @@ scores are recomputed with arbitrary-precision arithmetic (or, where a
 test pins bits, with the one-table float formula), counts row by row, equivalence
 classes by exhaustive enumeration, distances by breadth-first search
 over single-edge edits, and CSV files are read and written row by row
-(and split into lines in text mode).
+(and split into lines in text mode). The data sampler sums each row's
+gathered probabilities, as first written.
 The per-configuration fixed-point fit is written one configuration at a
 time, to pin the package's stacked fit bit for bit; its Laplace evidence is
-checked against an mpmath quadrature of the exact evidence. The joint-cell
-variational fit that the package used before is kept as first written, as
-the reference of that removed score. The exact optimum of a score comes
-from a dynamic programme over parent subsets.
+checked against an mpmath quadrature of the exact evidence. The exact
+optimum of a score comes from a dynamic programme over parent subsets.
 """
 
 import csv
@@ -23,7 +22,7 @@ from collections import Counter, deque
 
 import mpmath as mp
 import numpy as np
-from scipy.special import digamma, gammaln, polygamma, softmax, zeta
+from scipy.special import digamma, gammaln, polygamma
 
 from hierbn.data import DataError, GroupedDataset, VariableMeta
 from hierbn.graph import Dag
@@ -263,6 +262,28 @@ def write_replicate_csv_oracle(path, dataset):
                 writer.writerow([label] + [dataset.variables[i].levels[row[i]]
                                            for i in range(len(names))])
 
+def sample_data_oracle(truth, rows_per_group, rng):
+    """``simgen.sample_data`` as first written: each row's gathered
+    probabilities summed again, one (rows, N) block a group."""
+    rng = np.random.default_rng(rng)
+    card, n = truth.config.card, truth.master.node_count
+    variables = [VariableMeta(f"X{i + 1:02d}", tuple(f"v{k}" for k in range(card)))
+                 for i in range(n)]
+    groups = [f"g{f + 1:02d}" for f in range(truth.config.n_groups)]
+    blocks = []
+    for f, gdag in enumerate(truth.group_dags):
+        block = np.zeros((rows_per_group, n), dtype=np.int64)
+        for node in gdag.topological_order():
+            config_idx = np.zeros(rows_per_group, dtype=np.int64)
+            for p in gdag.parents(node):
+                config_idx = config_idx * card + block[:, p]
+            cumulative = np.cumsum(truth.group_params[f][node][config_idx], axis=1)
+            u = rng.random(rows_per_group)
+            block[:, node] = np.minimum((u[:, None] > cumulative).sum(axis=1), card - 1)
+        blocks.append(block)
+    return GroupedDataset(variables, groups, blocks)
+
+
 def _log_posterior_float(x, tallies, a, alpha0):
     """g of one configuration at the log-ratio point x, in Python floats:
     the log Dirichlet-multinomial of each group's tallies at weights a * p,
@@ -427,197 +448,3 @@ def exact_optimum(data, config):
         arcs |= {(u, sink) for u in members[best_set[(sink, mask)][1]]}
     dag = Dag(n, frozenset(arcs))
     return dag, total_log_score(dag, data, config)
-
-
-# The variational fit of hierbn.hier as first written (L-BFGS on the profiled
-# bound), constants included, so a change to the package's fit or its
-# settings cannot move this reference with it.
-KAPPA_FLOOR = 1e-12
-_LOG_TAU_MIN = np.log(1e-8)
-_LOG_TAU_MAX = np.log(1e10)
-_LBFGS_PAIRS = 10
-
-
-def _dirichlet_entropy(params):
-    """Entropy of Dirichlet rows; params has shape (..., M)."""
-    m = params.shape[-1]
-    tot = params.sum(axis=-1)
-    return (gammaln(params).sum(axis=-1) - gammaln(tot)
-            + (tot - m) * digamma(tot)
-            - ((params - 1.0) * digamma(params)).sum(axis=-1))
-
-
-def _expected_lgamma_alpha(s, kappa, tau):
-    """Second-order expansion of E[lnGamma(s * centre_m)] about the mean.
-
-    The exact expectation has no closed form; the quadratic term uses the
-    Dirichlet(tau * kappa) variance of each coordinate.
-    """
-    var = s * s * kappa * (1.0 - kappa) / (tau + 1.0)
-    return gammaln(s * kappa) + 0.5 * zeta(2, s * kappa) * var
-
-
-def _elbo_flat(n, a0, s, kappa, tau, nu):
-    n_groups, m = n.shape
-    s0 = a0.sum()
-    e_log_theta = digamma(nu) - digamma(nu.sum(axis=1, keepdims=True))
-    tk = tau * kappa
-    value = float(((n + s * kappa - 1.0) * e_log_theta).sum())
-    value += n_groups * float(gammaln(s)) - n_groups * float(_expected_lgamma_alpha(s, kappa, tau).sum())
-    value += float(gammaln(s0)) - float(gammaln(a0).sum())
-    value += float(((a0 - 1.0) * (digamma(tk) - digamma(tau))).sum())
-    value += float(_dirichlet_entropy(nu).sum())
-    value += float(_dirichlet_entropy(tk[None, :])[0])
-    return value
-
-
-def _elbo_grad_flat(n, a0, s, kappa, tau, nu):
-    """Analytic gradient in the unconstrained parameterization.
-
-    Returns (g_rho, g_tau): g_rho is the gradient with respect to the
-    softmax logits of kappa, g_tau the plain tau derivative.
-    """
-    n_groups, m = n.shape
-    e_log_theta_sum = (digamma(nu) - digamma(nu.sum(axis=1, keepdims=True))).sum(axis=0)
-    sk = s * kappa
-    tk = tau * kappa
-    # polygamma(1, x) = zeta(2, x) and polygamma(2, x) = -2 zeta(3, x), the
-    # same values from a cheaper call
-    pg1_sk = zeta(2, sk)
-    pg1_tk = zeta(2, tk)
-    pg2_sk = -2.0 * zeta(3, sk)
-    var = s * s * kappa * (1.0 - kappa) / (tau + 1.0)
-    d_eg = (s * digamma(sk)
-            + 0.5 * (s * pg2_sk * var + pg1_sk * s * s * (1.0 - 2.0 * kappa) / (tau + 1.0)))
-    g_kappa = s * e_log_theta_sum - n_groups * d_eg + (a0 - tk) * tau * pg1_tk
-    g_rho = kappa * (g_kappa - float((g_kappa * kappa).sum()))
-    g_tau = (n_groups * 0.5 * float((pg1_sk * s * s * kappa * (1.0 - kappa)).sum()) / (tau + 1.0) ** 2
-             + float(((a0 - 1.0) * (kappa * pg1_tk - zeta(2, tau))).sum())
-             + (tau - m) * float(zeta(2, tau))
-             - float(((tk - 1.0) * kappa * pg1_tk).sum()))
-    return g_rho, float(g_tau)
-
-
-def _clamp_simplex(kappa):
-    kappa = np.maximum(kappa, KAPPA_FLOOR)
-    return kappa / kappa.sum()
-
-
-def _centre(x):
-    """(kappa, tau) from x = (softmax logits of kappa, log tau)."""
-    return _clamp_simplex(softmax(x[:-1])), float(np.exp(x[-1]))
-
-
-def _profiled_elbo(n, a0, s, x):
-    """The bound with every nu_f at its conditional maximiser s * kappa + n_f."""
-    kappa, tau = _centre(x)
-    return _elbo_flat(n, a0, s, kappa, tau, s * kappa + n)
-
-
-def _profiled_grad(n, a0, s, x):
-    # envelope theorem: the bound is stationary in nu at s * kappa + n, so its
-    # partial gradient in (kappa, tau) there is the profiled gradient
-    kappa, tau = _centre(x)
-    g_rho, g_tau = _elbo_grad_flat(n, a0, s, kappa, tau, s * kappa + n)
-    return np.append(g_rho, g_tau * tau)
-
-
-def _lbfgs_direction(grad, pairs):
-    """Two-loop recursion: the inverse-Hessian estimate applied to grad.
-
-    ``pairs`` holds (step, gradient decrease, 1 / curvature), oldest first;
-    with none stored the direction is grad scaled to unit length.
-    """
-    if not pairs:
-        return grad / np.linalg.norm(grad)
-    q = grad.copy()
-    alphas = []
-    for step, dgrad, rho in reversed(pairs):
-        alphas.append(rho * float(step @ q))
-        q -= alphas[-1] * dgrad
-    step, dgrad, _ = pairs[-1]
-    q *= float(step @ dgrad) / float(dgrad @ dgrad)
-    for (step, dgrad, rho), alpha in zip(pairs, reversed(alphas)):
-        q += (alpha - rho * float(dgrad @ q)) * step
-    return q
-
-
-def _armijo_step(n, a0, s, x, value, grad, direction):
-    """Backtrack along direction until the bound rises by the Armijo margin.
-
-    Returns (x, bound) of the accepted point, or None once the first-order
-    gain of the remaining steps is below the float resolution of the bound.
-    """
-    slope = float(grad @ direction)
-    resolution = 4.0 * np.finfo(float).eps * max(1.0, abs(value))
-    t = 1.0
-    while t * slope > resolution:
-        trial_x = x + t * direction
-        trial_x[-1] = np.clip(trial_x[-1], _LOG_TAU_MIN, _LOG_TAU_MAX)
-        trial = _profiled_elbo(n, a0, s, trial_x)
-        if trial > value and trial >= value + 1e-4 * t * slope:
-            return trial_x, trial
-        t *= 0.5
-    return None
-
-
-def fit_variational_oracle(counts, prior, tol=1e-6, max_iters=500):
-    """``hier.fit_variational`` as the L-BFGS fit was first written, kept
-    as its bit-for-bit reference: scipy's softmax, ``np.clip`` on log tau,
-    and the bound and its gradient in separate calls, so every accepted
-    point is evaluated twice. The package's fit must return the same
-    kappa, tau, elbo_trace and converged flag on every family.
-    """
-    if tol <= 0 or max_iters < 1:
-        raise ValueError("tol must be positive and max_iters at least 1")
-    n_groups = counts.n_groups
-    shape = (counts.n_configs, counts.child_card)
-    if prior.alpha0.shape != shape:
-        raise ValueError("prior shape does not match the family's cell grid")
-    m = shape[0] * shape[1]
-    n = counts.per_group.reshape(n_groups, m).astype(float)
-    a0 = prior.alpha0.reshape(m)
-    s = prior.s
-    s0 = float(a0.sum())
-
-    if counts.total == 0:
-        # no evidence in any group: posterior centre equals the prior centre
-        kappa = _clamp_simplex(a0 / s0)
-        nu = s * kappa + n
-        trace = (_elbo_flat(n, a0, s, kappa, s0, nu),)
-        return VariationalFit(kappa.reshape(shape), s0, nu.reshape((n_groups,) + shape),
-                              trace, True)
-
-    x = np.append(np.log(_clamp_simplex(n.sum(axis=0) + a0)), np.log(s0))
-    value = _profiled_elbo(n, a0, s, x)
-    grad = _profiled_grad(n, a0, s, x)
-    gtol = tol * max(1.0, abs(value))
-    trace = [value]
-    pairs = deque(maxlen=_LBFGS_PAIRS)
-    converged = False
-    while True:
-        if np.abs(grad).max() <= gtol:
-            converged = True
-            break
-        if len(trace) > max_iters:
-            break
-        accepted = _armijo_step(n, a0, s, x, value, grad,
-                                _lbfgs_direction(grad, pairs))
-        if accepted is None:
-            converged = True
-            break
-        x_new, value = accepted
-        grad_new = _profiled_grad(n, a0, s, x_new)
-        step, dgrad = x_new - x, grad - grad_new
-        curvature = float(step @ dgrad)
-        if curvature > 1e-10 * float(dgrad @ dgrad):
-            pairs.append((step, dgrad, 1.0 / curvature))
-        x, grad = x_new, grad_new
-        trace.append(value)
-    if not converged:
-        warnings.warn("variational fit stopped at max_iters without meeting tol",
-                      VariationalConvergenceWarning, stacklevel=2)
-    kappa, tau = _centre(x)
-    return VariationalFit(kappa.reshape(shape), tau,
-                          (s * kappa + n).reshape((n_groups,) + shape), tuple(trace),
-                          converged)

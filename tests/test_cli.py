@@ -12,9 +12,9 @@ import pytest
 
 import hierbn.cli as cli
 from hierbn.cli import main
-from hierbn.data import GroupedDataset, load_csv
+from hierbn.data import GroupedDataset, VariableMeta, load_csv
 from hierbn.metrics import CSV_COLUMNS, read_records
-from hierbn.scores import fold_total
+from hierbn.scores import ScoreConfig, fold_total, local_log_scores
 from hierbn.simgen import GenConfig, generate
 from oracles import write_replicate_csv_oracle
 
@@ -471,6 +471,38 @@ class TestSimulate:
         assert data.n_groups == 2
         assert data.n_rows == 24
 
+    def test_simulate_process_loads_scipy_only_to_score(self, tmp_path):
+        # a fresh process, as this one imported scipy with the test oracles:
+        # importing hierbn and simulating load no scipy module, the first
+        # score loads it, and the scores equal this process's bit for bit
+        config, out_dir = self.config(tmp_path), str(tmp_path / "sims")
+        rep = os.path.join(out_dir, "rep_s0p0d0.csv")
+        script = "\n".join([
+            "import json, sys",
+            "import hierbn",
+            "def scipy_modules():",
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
+            "imported = scipy_modules()",
+            "from hierbn.cli import main",
+            "from hierbn.scores import ScoreConfig, local_log_scores",
+            f"assert main(['simulate', '--config', {config!r}, '--out-dir', {out_dir!r}]) == 0",
+            "simulated = scipy_modules()",
+            f"data = hierbn.load_csv({rep!r}, 'group')",
+            "scores = [local_log_scores(data, [(1, (0, 2))], ScoreConfig(kind))[0].hex()",
+            "          for kind in ('bdeu', 'bic', 'bhd')]",
+            "print(json.dumps([imported, simulated, 'scipy.special' in sys.modules, scores]))",
+        ])
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        imported, simulated, scored, scores = json.loads(proc.stdout.splitlines()[-1])
+        assert imported == [] and simulated == [] and scored
+        data = load_csv(rep, "group")
+        assert scores == [local_log_scores(data, [(1, (0, 2))], ScoreConfig(kind))[0].hex()
+                          for kind in ("bdeu", "bic", "bhd")]
+
     def test_seed_override_changes_data(self, tmp_path, capsys):
         cfg = self.config(tmp_path, structures=1, data_sets=1)
         d1, d2, d3 = (str(tmp_path / n) for n in ("s1", "s2", "s3"))
@@ -497,6 +529,21 @@ class TestSimulate:
             write_replicate_csv_oracle(reference, dataset)
             written = open(os.path.join(out_dir, f"rep_{rep_id}.csv"), "rb").read()
             assert written == open(reference, "rb").read()
+
+    @pytest.mark.parametrize("n_variables", [1, 3])
+    def test_replicate_bytes_quote_as_the_row_by_row_writer(self, tmp_path, n_variables):
+        # level texts and group labels that csv quotes (a comma, a quote, a
+        # line break, a carriage return) or writes bare (empty, spaces)
+        levels = ("a,b", 'say "hi"', "two\nlines", "", " pad ", "cr\r", "plain")
+        variables = [VariableMeta(f"x{i}", levels[i:] + levels[:i]) for i in range(n_variables)]
+        rng = np.random.default_rng(n_variables)
+        groups = ["g,1", 'q"', "", "multi\nline"]
+        dataset = GroupedDataset(variables, groups, [rng.integers(0, len(levels), (n, n_variables))
+                                                     for n in (5, 0, 3, 4)])
+        written, reference = tmp_path / "written.csv", tmp_path / "reference.csv"
+        cli._write_replicate_csv(written, dataset)
+        write_replicate_csv_oracle(reference, dataset)
+        assert written.read_bytes() == reference.read_bytes()
 
     def test_bad_config_key_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "gen.json"

@@ -778,8 +778,9 @@ class TestJointCounting:
                                    ((3, 6, 3), [families[2]])]
 
     def test_a_bincount_reads_at_least_the_tables_in_codes(self, monkeypatch):
-        # one row a product slice: 2 sets of 3 * 2 * 2 cells take a bincount
-        # per 12 of the 65 rows, not per row, and the last takes the 5 left
+        # one row and one set a product slice: each of 2 sets of 3 * 2 * 2
+        # cells takes a bincount per 12 of the 65 rows, not per row, and the
+        # last takes the 5 left
         data = mixed_dataset(12, cards=WIDE_CARDS)
         monkeypatch.setattr(data_mod, "_PRODUCT_MADDS", 1)
         bincount, codes = np.bincount, []
@@ -790,7 +791,44 @@ class TestJointCounting:
 
         monkeypatch.setattr(data_mod.np, "bincount", spy)
         self.assert_oracle(data, 0, [(3,), (5,)])
-        assert codes == [24] * 5 + [10]
+        assert codes == ([12] * 5 + [5]) * 2
+
+    def test_wide_batch_counted_in_blocks_of_columns(self, monkeypatch):
+        # 9 columns (7 variables, group, ones) and a slice of 20 rows: 4 sets
+        # a block, so 15 sets of (3, 4, 2) tables take blocks of 4, 4, 4 and
+        # 3, each a bincount per 20 of the 95 rows
+        data = mixed_dataset(13, group_sizes=(50, 0, 45), cards=(2,) * 7)
+        monkeypatch.setattr(data_mod, "_SLICE_ROWS", 20)
+        monkeypatch.setattr(data_mod, "_PRODUCT_MADDS", 9 * 20 * 4)
+        bincount, codes = np.bincount, []
+
+        def spy(x, *args, **kwargs):
+            codes.append(len(x))
+            return bincount(x, *args, **kwargs)
+
+        monkeypatch.setattr(data_mod.np, "bincount", spy)
+        self.assert_oracle(data, 0, list(itertools.combinations(range(1, 7), 2)))
+        assert codes == ([80] * 4 + [60]) * 3 + [60] * 4 + [45]
+
+    def test_weighted_rows_counted_in_blocks_of_columns(self, tmp_path, monkeypatch):
+        # fewer matrix rows than _SLICE_ROWS: a slice spans them all, 2 sets
+        # a block, each row's weight repeated once per set of its block
+        path = repetitive_csv(tmp_path, n_rows=200)
+        data, rows = load_csv(path, "g"), load_csv_oracle(path, "g")
+        m = len(data.rows)
+        assert data.weights is not None and m < data_mod._SLICE_ROWS
+        monkeypatch.setattr(data_mod, "_PRODUCT_MADDS", 5 * m * 2)
+        bincount, codes = np.bincount, []
+
+        def spy(x, *args, **kwargs):
+            codes.append(len(x))
+            return bincount(x, *args, **kwargs)
+
+        monkeypatch.setattr(data_mod.np, "bincount", spy)
+        sets = [(1, 2), (2, 1), (2, 1)]
+        for parents, table in zip(sets, count_tables(data, 0, sets)):
+            np.testing.assert_array_equal(table, family_counts_oracle(rows, 0, parents))
+        assert codes == [2 * m, m]
 
 
 class TestFloatCopy:

@@ -717,8 +717,7 @@ def lone_config_local(tallies, s=1.0):
     return float(hier.bhd_local_log_scores(np.asarray(tallies)[None, :, None, :], s)[0])
 
 
-# the tallies per group and s of the K = 2 table in ROADMAP.md, where the
-# removed joint-cell plug-in scored 0.40 to 0.92 nats above the evidence
+# K = 2 tallies per group, each with its s
 K2_TALLIES = [([[1, 0], [1, 0]], 1.0), ([[1, 0], [0, 1]], 1.0), ([[5, 0], [5, 0]], 1.0),
               ([[3, 1], [0, 4]], 0.5), ([[30, 10], [25, 15]], 1.0),
               ([[2, 1], [1, 2], [3, 0], [0, 1], [1, 1]], 1.0)]
@@ -752,17 +751,6 @@ class TestLaplaceEvidence:
         local = hier.bhd_local_log_scores(table[None], 3.0, s0=12.0)[0]
         exact = sum(oracles.exact_config_evidence(table[:, j], 1.0, [2.0, 2.0]) for j in (0, 2))
         assert abs(local - exact) <= 0.2
-
-    def test_removed_joint_cell_plug_in_over_counts(self):
-        # the joint-cell fit scored by the groups' evidence at its centre
-        # sits at least 0.3 nats above the exact evidence on every tally of
-        # the K = 2 table; the Laplace evidence sits within 0.1 of it
-        for tallies, s in K2_TALLIES:
-            counts = make_counts(np.asarray(tallies)[:, None, :])
-            fit = oracles.fit_variational_oracle(counts, HierPrior.uniform((1, 2), s=s))
-            exact = oracles.exact_config_evidence(tallies, s)
-            assert bhd_local_log_score(counts, fit, s) - exact >= 0.3
-            assert abs(lone_config_local(tallies, s) - exact) <= 0.1
 
 
 def local_of(table, s=1.0, max_iters=500):

@@ -1,6 +1,8 @@
 """Classic local scores: hand-checked values, oracle agreement, invariances."""
 
+import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -639,6 +641,30 @@ class TestBatchedScores:
                         for asked in (first, parents[::-1], parents)]
                 assert warm == [cold] * 3
                 assert (cache.hits, cache.misses) == (2, 1)
+
+    def test_request_holds_one_count_batch_at_a_time(self, monkeypatch):
+        # 320 families of (2, 256, 2) tables, 16 to a batch at a cap of 2**14
+        # cells (128 KiB of counts): the request's peak is a few batches, not
+        # the 20 it counts, and its bits are the uncapped request's
+        import hierbn.data as data_mod
+        variables = [VariableMeta(f"v{i}", ("0", "1")) for i in range(16)]
+        rng = np.random.default_rng(5)
+        data = GroupedDataset(variables, ["a", "b"],
+                              [rng.integers(0, 2, (100, 16)) for _ in range(2)])
+        families = [(0, parents) for parents in
+                    itertools.islice(itertools.combinations(range(1, 16), 8), 320)]
+        config = ScoreConfig("bdeu")
+        expected = local_log_scores(data, families, config)
+        batch_bytes = 2 ** 14 * 8
+        monkeypatch.setattr(data_mod, "MAX_COUNT_CELLS", 2 ** 14)
+        tracemalloc.start()
+        try:
+            got = local_log_scores(data, families, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == expected
+        assert peak < 6 * batch_bytes
 
     def test_cache_bound_to_another_dataset_rejected(self):
         first, second = mixed_dataset(1), mixed_dataset(2)

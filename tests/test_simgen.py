@@ -9,6 +9,8 @@ from hierbn.graph import is_acyclic
 from hierbn.simgen import (GenConfig, derive_rng, generate, perturb_structures,
                            random_dag, sample_data, sample_params)
 
+from oracles import sample_data_oracle
+
 
 class TestGenConfig:
     def test_scenario_a_forbids_perturbation(self):
@@ -199,6 +201,22 @@ class TestSampleData:
                 freq = np.bincount(rows[:, v], minlength=2) / rows.shape[0]
                 want = truth.group_params[f][v][0]
                 assert np.abs(freq - want).max() < 0.01
+
+    @pytest.mark.parametrize("regime", ["hier", "iid", "id"])
+    @pytest.mark.parametrize("scenario", ["a", "b"])
+    def test_rows_equal_the_reference_sampler(self, regime, scenario):
+        # scenario b perturbs 2 of the 3 groups' structures, removing 2 arcs
+        extra = {"n_perturbed": 2, "n_removed": 2} if scenario == "b" else {}
+        for seed in range(3):
+            config = GenConfig(n_nodes=6, card=3, arc_ratio=1.5, n_groups=3, rows_per_group=200,
+                               regime=regime, scenario=scenario, seed=seed, **extra)
+            truth, data = generate(config)
+            if scenario == "b":
+                assert any(dag != truth.master for dag in truth.group_dags)
+            reference = sample_data_oracle(truth, 200, derive_rng(seed, 3))
+            assert data.variables == reference.variables and data.groups == reference.groups
+            for rows, expected in zip(data.group_rows, reference.group_rows, strict=True):
+                np.testing.assert_array_equal(rows, expected)
 
     def test_groups_and_levels_named(self):
         truth = self.make_truth()
