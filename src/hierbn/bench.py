@@ -12,7 +12,6 @@ import json
 import os
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -181,6 +180,9 @@ def run(plan, out_path, jobs=1, resume=False):
         for job in pending:
             collect(job, lambda: run_job(job))
     else:
+        # imported here: a process that runs jobs in line loads no multiprocessing
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {pool.submit(run_job, job): job for job in pending}
             for future in as_completed(futures):

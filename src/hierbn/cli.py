@@ -163,26 +163,49 @@ def _cmd_score(args):
     return 0
 
 
-def _csv_field(text):
-    # ``text`` as csv.writer writes it beside another field
+def _csv_texts(columns):
+    # each column's texts as csv.writer writes each beside another field,
+    # an object array a column: one writer writes a (text, "") row per
+    # text, and writerow returns the row's length
     buffer = io.StringIO()
-    csv.writer(buffer).writerow((text, ""))
-    return buffer.getvalue()[:-3]  # less the empty field and the line end
+    writer = csv.writer(buffer)
+    ends = list(itertools.accumulate(writer.writerow((text, ""))
+                                     for column in columns for text in column))
+    value = buffer.getvalue()
+    # less the empty field and the line end
+    texts = iter([value[start:end - 3] for start, end in zip([0] + ends, ends)])
+    return [np.array(list(itertools.islice(texts, len(column))), dtype=object)
+            for column in columns]
 
 
 def _write_replicate_csv(path, dataset):
-    # the bytes csv.writer writes row by row, from each level text and group
-    # label quoted once: a line joins its row's texts with commas, and the
-    # last variable's texts end it
-    levels = [np.array([_csv_field(text) for text in v.levels], dtype=object)
-              for v in dataset.variables]
+    # the bytes csv.writer writes row by row. The group column and the
+    # variables are read as chunks of consecutive columns. A chunk's every
+    # combination of texts is joined once, the last chunk's ending the
+    # line, so a line joins its chunks' texts with commas, or is one text
+    # when one chunk covers every column. A column joins the chunk before
+    # it while their combinations number at most an eighth of the rows,
+    # less 50: joining it costs some 100 ns a combination and a few
+    # microseconds of numpy calls, and saves some 25 ns a row.
+    rows = np.concatenate([np.empty((0, dataset.n_variables), dtype=np.int64),
+                           *dataset.group_rows])
+    columns = [np.repeat(np.arange(dataset.n_groups), [len(b) for b in dataset.group_rows]),
+               *rows.T]
+    texts = _csv_texts([dataset.groups, *(v.levels for v in dataset.variables)])
+    texts[-1] += "\r\n"
+    bound = len(rows) / 8 - 50
+    chunks, start = [], 0
+    while start < len(texts):
+        table, code, stop = texts[start], columns[start], start + 1
+        while stop < len(texts) and len(table) * len(texts[stop]) <= bound:
+            table = np.add.outer(table + ",", texts[stop]).ravel()
+            code = code * len(texts[stop]) + columns[stop]
+            stop += 1
+        chunks.append(table[code].tolist())
+        start = stop
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group"] + [v.name for v in dataset.variables])
-        levels[-1] = levels[-1] + "\r\n"
-        for label, block in zip(dataset.groups, dataset.group_rows):
-            fh.writelines(map(",".join, zip(itertools.repeat(_csv_field(label), len(block)),
-                                            *(lv[block[:, i]] for i, lv in enumerate(levels)))))
+        csv.writer(fh).writerow(["group"] + [v.name for v in dataset.variables])
+        fh.writelines(chunks[0] if len(chunks) == 1 else map(",".join, zip(*chunks)))
 
 
 def _check_seed_flag(args):

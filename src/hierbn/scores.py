@@ -181,8 +181,9 @@ class LocalScoreCache:
 def _compute_locals(data, families, config):
     # one kernel call per count batch, whose families share a table shape
     # whatever their child: bdeu and bic on tables pooled over the groups,
-    # bhd on the groups' tables. Each batch is scored as it is counted, so a
-    # request holds one batch's tables, not all of them.
+    # bhd on the groups' tables. Each batch is scored as it is counted and
+    # released before the next is, so a request holds one batch's tables,
+    # not all of them.
     out = np.empty(len(families))
     for where, tables in _count_tables(data, families):
         if config.kind == "bhd":
@@ -194,6 +195,7 @@ def _compute_locals(data, families, config):
                                              _uniform_alpha(tables.shape[2:], config.iss))
         else:
             out[where] = bic_local_log_scores(tables.sum(axis=1))
+        del tables  # before the next batch is counted
     return out.tolist()
 
 

@@ -193,7 +193,14 @@ def _group_conditionals(master, group_dags, joint):
 
 
 def sample_data(truth, rows_per_group, rng):
-    """Ancestral sampling of every group under its own structure and tables."""
+    """Ancestral sampling of every group under its own structure and tables.
+
+    Each group takes its uniforms in one (nodes, rows) draw, the j-th node
+    of the group's topological order reading the j-th row. A row's level is
+    the number of its table row's cumulative probabilities, all but the
+    last, that its uniform exceeds; the sums never fall, so this is the
+    count over all K of them clipped to K - 1.
+    """
     rng = np.random.default_rng(rng)
     config = truth.config
     card = config.card
@@ -203,16 +210,19 @@ def sample_data(truth, rows_per_group, rng):
     groups = [f"g{f + 1:02d}" for f in range(config.n_groups)]
     blocks = []
     for f, gdag in enumerate(truth.group_dags):
-        block = np.zeros((n, rows_per_group), dtype=np.int64)  # a variable's levels a row
-        for node in gdag.topological_order():
-            parents = gdag.parents(node)
-            config_idx = np.zeros(rows_per_group, dtype=np.int64)
-            for p in parents:
-                config_idx = config_idx * card + block[p]
-            # each row's cumulative probabilities, summed once per table row
-            cumulative = np.cumsum(truth.group_params[f][node], axis=1)[config_idx]
-            u = rng.random(rows_per_group)
-            block[node] = np.minimum((u[:, None] > cumulative).sum(axis=1), card - 1)
+        block = np.empty((n, rows_per_group), dtype=np.int64)  # a variable's levels a row
+        uniforms = rng.random((n, rows_per_group))
+        for u, node in zip(uniforms, gdag.topological_order(), strict=True):
+            # each row's offset into the flattened cumulative table
+            offset = 0
+            for p in gdag.parents(node):
+                offset = offset * card + block[p]
+            offset = offset * card
+            cumulative = np.cumsum(truth.group_params[f][node], axis=1).ravel()
+            level = block[node]
+            level[...] = u > cumulative[offset]
+            for k in range(1, card - 1):
+                level += u > cumulative[k:][offset]
         blocks.append(block.T)
     return GroupedDataset(variables, groups, blocks)
 

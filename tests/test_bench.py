@@ -1,5 +1,6 @@
 """Experiment orchestration: expansion, execution, resume, parallel runs."""
 
+import concurrent.futures
 import json
 import os
 from concurrent.futures import Future
@@ -242,7 +243,9 @@ class TestRun:
                 future.set_result(fn(job))
                 return future
 
-        monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordingPool)
+        # bench.run imports the pool class from concurrent.futures when it
+        # starts more than one worker
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         plan = tiny_plan(root_seed=11)
         out = str(tmp_path / "res.csv")
         # resume over the records of all but ``pending`` jobs

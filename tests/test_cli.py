@@ -6,9 +6,12 @@ import locale
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hierbn.cli as cli
 from hierbn.cli import main
@@ -17,6 +20,12 @@ from hierbn.metrics import CSV_COLUMNS, read_records
 from hierbn.scores import ScoreConfig, fold_total, local_log_scores
 from hierbn.simgen import GenConfig, generate
 from oracles import write_replicate_csv_oracle
+
+
+# level texts and group labels that csv quotes (a comma, a quote, a line
+# break, a carriage return) or writes bare (empty, spaces)
+QUOTING_LEVELS = ("a,b", 'say "hi"', "two\nlines", "", " pad ", "cr\r", "plain")
+QUOTING_GROUPS = ("g,1", 'q"', "", "multi\nline")
 
 
 @pytest.fixture()
@@ -473,8 +482,9 @@ class TestSimulate:
 
     def test_simulate_process_loads_scipy_only_to_score(self, tmp_path):
         # a fresh process, as this one imported scipy with the test oracles:
-        # importing hierbn and simulating load no scipy module, the first
-        # score loads it, and the scores equal this process's bit for bit
+        # importing hierbn and simulating load no scipy module and no
+        # multiprocessing module, the first score loads scipy, and the
+        # scores equal this process's bit for bit
         config, out_dir = self.config(tmp_path), str(tmp_path / "sims")
         rep = os.path.join(out_dir, "rep_s0p0d0.csv")
         script = "\n".join([
@@ -487,18 +497,20 @@ class TestSimulate:
             "from hierbn.scores import ScoreConfig, local_log_scores",
             f"assert main(['simulate', '--config', {config!r}, '--out-dir', {out_dir!r}]) == 0",
             "simulated = scipy_modules()",
+            "pooled = sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing')",
             f"data = hierbn.load_csv({rep!r}, 'group')",
             "scores = [local_log_scores(data, [(1, (0, 2))], ScoreConfig(kind))[0].hex()",
             "          for kind in ('bdeu', 'bic', 'bhd')]",
-            "print(json.dumps([imported, simulated, 'scipy.special' in sys.modules, scores]))",
+            "print(json.dumps([imported, simulated, pooled, 'scipy.special' in sys.modules,",
+            "                  scores]))",
         ])
         src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env=dict(os.environ, PYTHONPATH=path), timeout=120)
         assert proc.returncode == 0, proc.stderr
-        imported, simulated, scored, scores = json.loads(proc.stdout.splitlines()[-1])
-        assert imported == [] and simulated == [] and scored
+        imported, simulated, pooled, scored, scores = json.loads(proc.stdout.splitlines()[-1])
+        assert imported == [] and simulated == [] and pooled == [] and scored
         data = load_csv(rep, "group")
         assert scores == [local_log_scores(data, [(1, (0, 2))], ScoreConfig(kind))[0].hex()
                           for kind in ("bdeu", "bic", "bhd")]
@@ -532,14 +544,12 @@ class TestSimulate:
 
     @pytest.mark.parametrize("n_variables", [1, 3])
     def test_replicate_bytes_quote_as_the_row_by_row_writer(self, tmp_path, n_variables):
-        # level texts and group labels that csv quotes (a comma, a quote, a
-        # line break, a carriage return) or writes bare (empty, spaces)
-        levels = ("a,b", 'say "hi"', "two\nlines", "", " pad ", "cr\r", "plain")
+        levels = QUOTING_LEVELS
         variables = [VariableMeta(f"x{i}", levels[i:] + levels[:i]) for i in range(n_variables)]
         rng = np.random.default_rng(n_variables)
-        groups = ["g,1", 'q"', "", "multi\nline"]
-        dataset = GroupedDataset(variables, groups, [rng.integers(0, len(levels), (n, n_variables))
-                                                     for n in (5, 0, 3, 4)])
+        dataset = GroupedDataset(variables, QUOTING_GROUPS,
+                                 [rng.integers(0, len(levels), (n, n_variables))
+                                  for n in (5, 0, 3, 4)])
         written, reference = tmp_path / "written.csv", tmp_path / "reference.csv"
         cli._write_replicate_csv(written, dataset)
         write_replicate_csv_oracle(reference, dataset)
@@ -586,6 +596,44 @@ class TestSimulate:
         assert main(["simulate", "--config", str(path), "--out-dir", str(out_dir)]) == 2
         assert capsys.readouterr().err.startswith("hierbn: data error:")
         assert not out_dir.exists()
+
+
+@st.composite
+def replicate_datasets(draw):
+    """Variables of 2, 3 or 5 levels, 1-16 of them, whose level texts and
+    group labels are drawn (repeats allowed) from texts csv quotes or writes
+    bare; groups of 0 to 700 rows, so the writer's columns fall in one
+    chunk, in several, or one to a chunk."""
+    texts = st.sampled_from(QUOTING_LEVELS + QUOTING_GROUPS + ("v0", "v1"))
+    cards = draw(st.lists(st.sampled_from((2, 3, 5)), min_size=1, max_size=16))
+    variables = [VariableMeta(f"x{i}", tuple(draw(st.lists(texts, min_size=c, max_size=c))))
+                 for i, c in enumerate(cards)]
+    sizes = draw(st.lists(st.sampled_from((0, 1, 2, 9, 150, 700)), min_size=1, max_size=4))
+    groups = draw(st.lists(texts, min_size=len(sizes), max_size=len(sizes)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    return GroupedDataset(variables, groups, [rng.integers(0, cards, (n, len(cards)))
+                                              for n in sizes])
+
+
+class TestReplicateCsvProperty:
+    @settings(max_examples=120, deadline=None, database=None)
+    @given(replicate_datasets())
+    # groups of 0, 1 and 700 rows, whose every column falls in one chunk
+    @example(GroupedDataset([VariableMeta("x", ("v0", "v1")), VariableMeta("y", QUOTING_LEVELS[:2])],
+                            QUOTING_GROUPS[:3], [np.zeros((0, 2), int), np.ones((1, 2), int),
+                                                 np.tile([[0, 1], [1, 0]], (350, 1))]))
+    # 13 variables of 2, 3 and 5 levels in several chunks
+    @example(GroupedDataset([VariableMeta(f"x{i}", QUOTING_LEVELS[i % 3:][:(2, 3, 5)[i % 3]])
+                             for i in range(13)], ["a", "b"],
+                            [np.random.default_rng(f).integers(0, (2, 3, 5) * 4 + (2,), (700, 13))
+                             for f in range(2)]))
+    def test_bytes_equal_the_row_by_row_writer(self, dataset):
+        with tempfile.TemporaryDirectory() as tmp:
+            written, reference = os.path.join(tmp, "written.csv"), os.path.join(tmp, "ref.csv")
+            cli._write_replicate_csv(written, dataset)
+            write_replicate_csv_oracle(reference, dataset)
+            with open(written, "rb") as fh, open(reference, "rb") as ref:
+                assert fh.read() == ref.read()
 
 
 class TestBench:

@@ -1,6 +1,8 @@
 """Synthetic ground truth: structures, parameter regimes, ancestral sampling."""
 
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -207,9 +209,10 @@ class TestSampleData:
     def test_rows_equal_the_reference_sampler(self, regime, scenario):
         # scenario b perturbs 2 of the 3 groups' structures, removing 2 arcs
         extra = {"n_perturbed": 2, "n_removed": 2} if scenario == "b" else {}
-        for seed in range(3):
-            config = GenConfig(n_nodes=6, card=3, arc_ratio=1.5, n_groups=3, rows_per_group=200,
-                               regime=regime, scenario=scenario, seed=seed, **extra)
+        for card, seed in itertools.product((2, 3, 5), range(3)):
+            config = GenConfig(n_nodes=6, card=card, arc_ratio=1.5, n_groups=3,
+                               rows_per_group=200, regime=regime, scenario=scenario, seed=seed,
+                               **extra)
             truth, data = generate(config)
             if scenario == "b":
                 assert any(dag != truth.master for dag in truth.group_dags)
@@ -217,6 +220,22 @@ class TestSampleData:
             assert data.variables == reference.variables and data.groups == reference.groups
             for rows, expected in zip(data.group_rows, reference.group_rows, strict=True):
                 np.testing.assert_array_equal(rows, expected)
+
+    @pytest.mark.parametrize("card", [2, 3, 5])
+    def test_rows_past_every_cumulative_take_the_last_level(self, card):
+        # tables whose rows sum to 0.5: about half the uniforms exceed every
+        # cumulative probability of their row, and the level is clipped to K-1
+        config = GenConfig(n_nodes=6, card=card, arc_ratio=1.5, n_groups=2, rows_per_group=400,
+                           regime="iid", seed=card)
+        truth, _ = generate(config)
+        halved = replace(truth, group_params=tuple(tuple(0.5 * table for table in tables)
+                                                   for tables in truth.group_params))
+        data = sample_data(halved, 400, derive_rng(card, 3))
+        reference = sample_data_oracle(halved, 400, derive_rng(card, 3))
+        for rows, expected in zip(data.group_rows, reference.group_rows, strict=True):
+            np.testing.assert_array_equal(rows, expected)
+            assert (rows == card - 1).mean() > 0.5
+            assert rows.max() == card - 1
 
     def test_groups_and_levels_named(self):
         truth = self.make_truth()
