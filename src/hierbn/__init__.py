@@ -5,11 +5,10 @@ groups. Classic scores pool the groups; the hierarchical score keeps them
 separate and shares statistical strength through a fitted latent centre.
 """
 
-from .data import (DataError, FamilyCounts, GroupedDataset, VariableMeta, family_count_tables,
-                   family_counts, load_csv)
+from .data import DataError, FamilyCounts, GroupedDataset, VariableMeta, family_counts, load_csv
 from .graph import Cpdag, CycleError, Dag, arc_confusion, is_acyclic, shd, to_cpdag
 from .hier import (HierPrior, VariationalFit, bhd_local_log_score, fit_variational,
-                   fit_variational_stack, hier_posterior_means)
+                   hier_posterior_means)
 from .metrics import RunRecord, evaluate, paired_difference
 from .scores import (LocalScoreCache, ScoreConfig, bd_local_log_score,
                      bd_local_log_scores, bdeu_local_log_score, bic_local_log_score,
@@ -23,10 +22,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DataError", "FamilyCounts", "GroupedDataset", "VariableMeta",
-    "family_count_tables", "family_counts", "load_csv",
+    "family_counts", "load_csv",
     "Cpdag", "CycleError", "Dag", "arc_confusion", "is_acyclic", "shd", "to_cpdag",
     "HierPrior", "VariationalFit", "bhd_local_log_score", "fit_variational",
-    "fit_variational_stack", "hier_posterior_means",
+    "hier_posterior_means",
     "RunRecord", "evaluate", "paired_difference",
     "LocalScoreCache", "ScoreConfig", "bd_local_log_score", "bd_local_log_scores",
     "bdeu_local_log_score", "bic_local_log_score", "bic_local_log_scores",

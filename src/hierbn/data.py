@@ -26,10 +26,10 @@ class DataError(ValueError):
 # bytes the line pass of load_csv reads at a time
 _BLOCK_BYTES = 1 << 16
 
-# most cells one family_count_tables batch's tables hold (2**26 cells of 8
-# bytes, 512 MiB); the row codes and weights a batch holds at once are no more
-# than its tables or one product slice, and the float copy of the rows that
-# counting reads is the dataset's, not a batch's
+# most cells one count batch's tables hold (2**26 cells of 8 bytes, 512 MiB);
+# the row codes and weights a batch holds at once are no more than its tables
+# or one product slice, and the float copy of the rows that counting reads is
+# the dataset's, not a batch's
 MAX_COUNT_CELLS = 2 ** 26
 
 # multiply-adds one slice of a counting product takes at most: a larger
@@ -387,35 +387,16 @@ def check_indices(families, n_variables):
             raise ValueError(f"parent set {parents} repeats variable index {repeated}")
 
 
-def family_count_tables(data, child, parent_sets):
-    """Contingency counts of one child given each of several parent sets.
-
-    ``parent_sets`` is a sequence of parent index tuples (order within a set
-    fixes its row-major configuration indexing). Before anything is
-    allocated, every index is checked (a Python or numpy integer, not a
-    bool, in range, not repeated within a set, and not the child: a
-    ValueError names it) and so is every set's cell count. Sets whose
-    tables have one shape are counted together, every group at once, from
-    one matrix product. No batch's tables hold more than ``MAX_COUNT_CELLS``
-    elements unless one set alone needs more.
-
-    Returns a list of ``(positions, tables)`` pairs covering every set once:
-    ``tables[i]`` is the (F, J, K) count table of ``parent_sets[positions[i]]``.
-    """
-    sets = [tuple(parents) for parents in parent_sets]
-    check_indices(zip(itertools.repeat(child), sets), data.n_variables)
-    return list(_count_tables(data, [(child, parents) for parents in sets]))
-
-
 def _count_tables(data, families):
-    # family_count_tables of (child, parents) families of any children, once
-    # every index is checked, yielding one batch at a time; the scores, whose
-    # families are checked before their cache lookup, count through here and
-    # score each batch before the next is counted, so a request holds one
-    # batch. The table shape (F, J, K) is the one batching key: families of
-    # one shape share a count, in batches whose tables fit under the cap.
-    # Every shape is checked against the cap before the first batch is
-    # counted.
+    # The count tables of (child, parents) families of any children, once
+    # every index is checked, as (positions, (S, F, J, K) tables) batches
+    # that cover every family once, yielded one batch at a time: the scores,
+    # whose families are checked before their cache lookup, count through
+    # here and score each batch before the next is counted, so a request
+    # holds one batch. The table shape (F, J, K) is the one batching key:
+    # families of one shape share a count, in batches whose tables hold at
+    # most MAX_COUNT_CELLS cells. Every shape is checked against the cap (a
+    # DataError) before the first batch is counted.
     cards, n_groups, by_shape = data.cardinalities(), data.n_groups, {}
     for position, (child, parents) in enumerate(families):
         shape = (n_groups, math.prod(map(cards.__getitem__, parents)), cards[child])
@@ -480,9 +461,12 @@ def family_counts(data, child, parents):
     ``child`` is a variable index; ``parents`` an iterable of variable
     indices (order matters for the configuration indexing, which is
     row-major over the parent level tuples). Counts are dense: parent
-    configurations never observed stay as zero rows.
+    configurations never observed stay as zero rows. Every index is checked
+    (``check_indices``, a ValueError) and so is the table's cell count (a
+    DataError above ``MAX_COUNT_CELLS``) before anything is counted.
     """
     parents = tuple(parents)
-    [(_, tables)] = family_count_tables(data, child, [parents])
+    check_indices([(child, parents)], data.n_variables)
+    [(_, tables)] = _count_tables(data, [(child, parents)])
     cards = data.cardinalities()
     return FamilyCounts(cards[child], tuple(cards[p] for p in parents), tables[0])

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import check_count, check_positive
-from .scores import bd_local_log_scores, fold_total
+from .scores import ScoreConfig, bd_local_log_scores, fold_total
 
 # scipy.special is imported inside the functions that call it, as in
 # scores.bd_local_log_scores: a process that never scores does not load it
@@ -246,41 +246,25 @@ def _warn_capped(observed, converged):
     return ~capped.any(axis=1)
 
 
-def fit_variational_stack(per_group, prior, tol=1e-6, max_iters=500):
-    """Fit the centres of each family in a (B, F, J, K) stack of count
-    tables, all under the one (J, K) ``prior``; returns the B fits in stack
-    order. Every observed configuration of the stack is fitted by
-    ``_fixed_point_fit`` on its own path, so each family gets the same bits
-    alone or in any stack; a configuration without rows keeps its
-    hyperprior mean. A family with a configuration capped at ``max_iters``
-    steps warns once.
+def fit_variational(counts, prior, tol=ScoreConfig.vb_tol, max_iters=ScoreConfig.vb_max_iters):
+    """Fit the centres of one family's configurations under the (J, K)
+    ``prior``. Every observed configuration is fitted by
+    ``_fixed_point_fit`` as ``bhd_local_log_scores`` fits it; a
+    configuration without rows keeps its hyperprior mean. A fit with a
+    configuration capped at ``max_iters`` steps warns once.
     """
-    per_group = _checked_stack(per_group, tol, max_iters)
-    n_fam, shape = len(per_group), per_group.shape[2:]
-    if prior.alpha0.shape != shape:
+    per_group = _checked_stack(counts.per_group[None], tol, max_iters)
+    if prior.alpha0.shape != per_group.shape[2:]:
         raise ValueError("prior shape does not match the family's cell grid")
     traces = []
     observed, p, _, converged = _fit_stack(per_group, prior, tol, max_iters, traces)
-    kappa = np.repeat((prior.alpha0 / prior.alpha0.sum(axis=1, keepdims=True))[None], n_fam, axis=0)
-    kappa[observed] = p
-    kappa /= shape[0]
-    nu = prior.s * kappa[:, None] + per_group
-    fine = _warn_capped(observed, converged)
-    fits, start = [], 0
-    for b in range(n_fam):
-        mine = traces[start:start + int(observed[b].sum())]
-        start += len(mine)
-        length = max(map(len, mine), default=1)
-        trace = tuple(fold_total([values[min(i, len(values) - 1)] for values in mine])
-                      for i in range(length))
-        fits.append(VariationalFit(kappa[b], prior.s, nu[b], trace, bool(fine[b])))
-    return fits
-
-
-def fit_variational(counts, prior, tol=1e-6, max_iters=500):
-    """Fit the centres of one family's configurations: the one-family case
-    of ``fit_variational_stack``."""
-    return fit_variational_stack(counts.per_group[None], prior, tol, max_iters)[0]
+    kappa = prior.alpha0 / prior.alpha0.sum(axis=1, keepdims=True)
+    kappa[observed[0]] = p
+    kappa /= len(kappa)
+    [fine] = _warn_capped(observed, converged)
+    trace = tuple(fold_total([values[min(i, len(values) - 1)] for values in traces])
+                  for i in range(max(map(len, traces), default=1)))
+    return VariationalFit(kappa, prior.s, prior.s * kappa + per_group[0], trace, bool(fine))
 
 
 def bhd_local_log_score(counts, fit, s=1.0):
@@ -299,7 +283,8 @@ def bhd_local_log_score(counts, fit, s=1.0):
     return float(fold_total(bd_local_log_scores(counts.per_group, s * fit.kappa)))
 
 
-def bhd_local_log_scores(per_group, s, s0=None, tol=1e-6, max_iters=500):
+def bhd_local_log_scores(per_group, s, s0=None, tol=ScoreConfig.vb_tol,
+                         max_iters=ScoreConfig.vb_max_iters):
     """bhd locals of a (B, F, J, K) stack of count tables, as B floats.
 
     Every observed configuration is fitted under its row of the flat

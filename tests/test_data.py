@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hierbn.data as data_mod
-from hierbn.data import (DataError, FamilyCounts, GroupedDataset, VariableMeta,
-                         family_count_tables, family_counts, load_csv)
+from hierbn.data import DataError, FamilyCounts, GroupedDataset, VariableMeta, family_counts, load_csv
+from hierbn.scores import ScoreConfig, local_log_scores
 from oracles import family_counts_oracle, line_pass_oracle, load_csv_oracle
 
 
@@ -373,10 +373,11 @@ MIXED_SETS = [(), (0,), (1, 3), (3, 1), (0, 1), (4, 0, 1), (1,), (0, 3, 4, 1), (
 
 
 def count_tables(data, child, sets):
-    """``family_count_tables`` of ``sets``, in the order of ``sets``; each
-    set is counted exactly once."""
+    """The tables of ``child`` given each of ``sets`` in one call of the
+    batched counter, in the order of ``sets``; each set is counted exactly
+    once."""
     tables = [None] * len(sets)
-    for positions, stacked in family_count_tables(data, child, sets):
+    for positions, stacked in data_mod._count_tables(data, [(child, tuple(s)) for s in sets]):
         assert stacked.shape[0] == len(positions)
         for position, table in zip(positions, stacked):
             assert tables[position] is None
@@ -385,6 +386,9 @@ def count_tables(data, child, sets):
 
 
 class TestFamilyCountTables:
+    """The batched counter ``_count_tables``, through which the scores
+    count, and the refusals of the public entries in front of it."""
+
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_row_by_row_oracle(self, seed):
         data = mixed_dataset(seed)
@@ -401,11 +405,11 @@ class TestFamilyCountTables:
             assert table.shape[0] == 2 and not table.any()
 
     def test_no_sets(self):
-        assert family_count_tables(mixed_dataset(0), 2, []) == []
+        assert list(data_mod._count_tables(mixed_dataset(0), [])) == []
 
     def test_child_among_parents_rejected(self):
-        with pytest.raises(ValueError):
-            family_count_tables(mixed_dataset(0), 2, [(0,), (1, 2)])
+        with pytest.raises(ValueError, match="child cannot be its own parent"):
+            local_log_scores(mixed_dataset(0), [(2, (0,)), (2, (1, 2))], ScoreConfig("bdeu"))
 
     def test_oversize_family_among_small_ones_rejected_before_counting(self, monkeypatch):
         variables = [VariableMeta(f"v{i}", ("0", "1")) for i in range(63)]
@@ -417,7 +421,8 @@ class TestFamilyCountTables:
         monkeypatch.setattr(data_mod, "_count_joint", no_counting)
         with pytest.raises(DataError, match=f"'v62' given 62 parents needs {2 ** 63} cells, "
                                             f"more than {data_mod.MAX_COUNT_CELLS}"):
-            family_count_tables(data, 62, [(0,), (1, 2), tuple(range(62)), (3,)])
+            local_log_scores(data, [(62, (0,)), (62, (1, 2)), (62, tuple(range(62))), (62, (3,))],
+                             ScoreConfig("bdeu"))
 
     @pytest.mark.parametrize("cap", [60, 200])
     def test_batches_stay_under_the_cell_cap(self, monkeypatch, cap):
@@ -589,7 +594,7 @@ class TestLoadedMemoryGuard:
         errors = []
         for data in (load_csv(path, "g"), load_csv_oracle(path, "g")):
             with pytest.raises(DataError) as caught:
-                family_count_tables(data, 0, [(1,), (1, 2)])
+                family_counts(data, 0, (1, 2))
             errors.append(str(caught.value))
         assert errors[0] == errors[1] == "count table of 'a' given 2 parents needs 24 cells, " \
                                          "more than 20"
@@ -907,17 +912,16 @@ class TestIndexChecks:
     def test_refused_before_counting(self, no_counting, child, sets, named):
         data = mixed_dataset(0)
         with pytest.raises(ValueError, match=named):
-            family_count_tables(data, child, sets)
+            local_log_scores(data, [(child, parents) for parents in sets], ScoreConfig("bdeu"))
 
     def test_numpy_integers_count_as_their_values(self):
         data = mixed_dataset(1)
-        sets = [(np.int64(0), np.int32(3)), (np.uint8(4),)]
-        for parents, table in zip(sets, count_tables(data, np.int64(2), sets)):
-            np.testing.assert_array_equal(table, family_counts_oracle(data, 2, tuple(
-                map(int, parents))))
+        for parents in [(np.int64(0), np.int32(3)), (np.uint8(4),)]:
+            np.testing.assert_array_equal(family_counts(data, np.int64(2), parents).per_group,
+                                          family_counts_oracle(data, 2, tuple(map(int, parents))))
 
     def test_scores_refuse_what_counting_refuses(self):
-        from hierbn.scores import ScoreConfig, local_log_score
+        from hierbn.scores import local_log_score
         from hierbn.simgen import GenConfig, generate
 
         _, data = generate(GenConfig(n_nodes=5, rows_per_group=100, seed=3))
@@ -929,7 +933,7 @@ class TestIndexChecks:
         assert local_log_score(data, 0, (4,), config) != local_log_score(data, 0, (3,), config)
 
     def test_cached_scores_refuse_what_counting_refuses(self):
-        from hierbn.scores import LocalScoreCache, ScoreConfig, local_log_score
+        from hierbn.scores import LocalScoreCache, local_log_score
         from hierbn.simgen import GenConfig, generate
 
         _, data = generate(GenConfig(n_nodes=5, rows_per_group=100, seed=3))

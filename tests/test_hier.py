@@ -14,7 +14,7 @@ from hierbn.data import FamilyCounts, family_counts, load_csv
 from hierbn.graph import Dag
 from hierbn.hier import (HierPrior, VariationalConvergenceWarning,
                          VariationalFit, bhd_local_log_score, fit_variational,
-                         fit_variational_stack, hier_posterior_means)
+                         hier_posterior_means)
 from hierbn.scores import (ScoreConfig, bd_local_log_score,
                            bdeu_local_log_score, local_log_score,
                            total_log_score)
@@ -159,7 +159,6 @@ class TestFitVariational:
         stack = np.array([[[[30, 3], [4, 20]], [[2, 25], [18, 6]]]])
         counts, prior = make_counts(stack[0]), HierPrior.uniform((2, 2), s=1.0)
         for fit in (lambda: fit_variational(counts, prior, max_iters=max_iters),
-                    lambda: fit_variational_stack(stack, prior, max_iters=max_iters),
                     lambda: hier.bhd_local_log_scores(stack, 1.0, max_iters=max_iters)):
             with pytest.raises(ValueError, match="max_iters must be an integer"):
                 fit()
@@ -175,8 +174,9 @@ class TestFitVariational:
         prior = HierPrior.uniform((2, 2), s=CAPPED_S)
         with pytest.warns(VariationalConvergenceWarning):
             fit = fit_variational(counts, prior, max_iters=np.int32(CAP))
-            lone = fit_variational_stack(counts.per_group[None], prior, max_iters=CAP)[0]
-        assert same_fit(fit, lone)
+        with pytest.warns(VariationalConvergenceWarning):
+            plain = fit_variational(counts, prior, max_iters=CAP)
+        assert same_fit(fit, plain)
         assert len(fit.elbo_trace) == CAP + 1
 
     def test_infinite_tol_rejected(self):
@@ -187,7 +187,7 @@ class TestFitVariational:
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             fit_variational(counts, prior, tol=np.inf)
         with pytest.raises(ValueError, match="tol must be a number, got True"):
-            fit_variational_stack(counts.per_group[None], prior, tol=True)
+            fit_variational(counts, prior, tol=True)
 
     def test_deterministic(self):
         counts = make_counts([[[7, 2], [1, 5]], [[3, 3], [2, 8]]])
@@ -197,6 +197,19 @@ class TestFitVariational:
         assert np.array_equal(a.kappa, b.kappa)
         assert a.tau == b.tau
         assert a.elbo_trace == b.elbo_trace
+
+    def test_prior_of_another_shape_rejected(self):
+        with pytest.raises(ValueError, match="prior shape"):
+            fit_variational(make_counts([[[1, 2, 3]]]), HierPrior.uniform((1, 2), s=1.0))
+
+    def test_capped_fit_warns_at_its_caller(self):
+        # the default filter shows a warning once per location, so a
+        # location inside the package would show a process's first capped
+        # fit only
+        counts, prior = make_counts(CAPPED_PAIR), HierPrior.uniform((2, 2), s=CAPPED_S)
+        with pytest.warns(VariationalConvergenceWarning) as record:
+            fit_variational(counts, prior, max_iters=CAP)
+        assert len(record) == 1 and record[0].filename == __file__
 
     def test_results_read_only(self):
         counts = make_counts([[[5, 5]]])
@@ -410,7 +423,7 @@ def count_steps(monkeypatch):
 
 
 def stack_cases():
-    """(stack, prior, fit options) of stacks of equal-shape families for
+    """(stack, s, s0, fit options) of stacks of equal-shape families for
     the comparison with lone fits: random stacks with sparse and all-zero
     members, capped stacks, the extreme families among others of their
     shape, and stacks fitted to 1e-12."""
@@ -427,17 +440,15 @@ def stack_cases():
         s = float(rng.choice([0.5, 1.0, 7.5]))
         s0 = float(rng.uniform(0.5, 20.0)) if i % 4 == 1 else None
         options = {"tol": 1e-12} if i % 6 == 5 else {}
-        cases.append((stack, HierPrior.uniform((j, k), s=s, s0=s0), options))
+        cases.append((stack, s, s0, options))
     cases.append((np.array([CAPPED_PAIR, np.zeros((2, 2, 2), int), CAPPED_PAIR[::-1]]),
-                  HierPrior.uniform((2, 2), s=CAPPED_S), {"max_iters": CAP}))
+                  CAPPED_S, None, {"max_iters": CAP}))
     for arr in EXTREME_FAMILIES:
         arr = np.asarray(arr)
         others = rng.integers(0, 6, size=(3,) + arr.shape)
-        cases.append((np.concatenate([others[:1], arr[None], others[1:]]),
-                      HierPrior.uniform(arr.shape[1:], s=1e4, s0=1e-3), {}))
+        cases.append((np.concatenate([others[:1], arr[None], others[1:]]), 1e4, 1e-3, {}))
     for options in ({}, {"tol": 1e-12}):
-        cases.append((np.array([[[[2, 9]]], [[[13, 5]]], [[[40, 1]]]]),
-                      HierPrior.uniform((1, 2), s=1.0), options))
+        cases.append((np.array([[[[2, 9]]], [[[13, 5]]], [[[40, 1]]]]), 1.0, None, options))
     return cases
 
 
@@ -449,55 +460,52 @@ def same_fit(a, b):
 
 class TestFitStack:
     def test_each_family_gets_its_lone_and_oracle_bits(self):
-        cases = stack_cases()
+        # the stacked score gives each family the local of its lone score
+        # and of the oracle, and warns once per capped family in stack
+        # order; the family's own fit has the oracle's bits and warnings
         zero_members = capped_stacks = 0
-        for stack, prior, options in cases:
-            fits, warned = fit_recording(fit_variational_stack, stack, prior, options)
-            assert len(fits) == len(stack)
+        for stack, s, s0, options in stack_cases():
+            prior = HierPrior.uniform(stack.shape[2:], s=s, s0=s0)
+
+            def score(tables, _, **settings):
+                return hier.bhd_local_log_scores(tables, s, s0, **settings).tolist()
+
+            locals_, warned = fit_recording(score, stack, None, options)
+            assert len(locals_) == len(stack)
             lone_warned = []
-            for table, fit in zip(stack, fits):
+            for table, local in zip(stack, locals_):
                 counts = make_counts(table)
-                lone, lone_warning = fit_recording(fit_variational, counts, prior, options)
-                ref, ref_warning = fit_recording(oracle_fit, counts, prior, options)
-                assert same_fit(fit, lone)
+                [lone], lone_warning = fit_recording(score, table[None], None, options)
+                fit, fit_warning = fit_recording(fit_variational, counts, prior, options)
+                (ref, ref_local), ref_warning = fit_recording(oracles.fixed_point_fit_oracle,
+                                                              counts, prior, options)
+                assert local == lone == ref_local
                 assert same_fit(fit, ref)
-                assert lone_warning == ref_warning
+                assert lone_warning == fit_warning == ref_warning
                 lone_warned += lone_warning
                 zero_members += counts.total == 0 and len(stack) > 1
-            # each capped family warns once, in stack order
             assert warned == lone_warned
             capped_stacks += len(warned) == 2
         assert zero_members >= 3 and capped_stacks >= 1
 
     def test_each_round_evaluates_every_searching_family_once(self, monkeypatch):
         # one call per step, with one row per configuration still
-        # searching: as many calls as the longest lone fit makes, as many
+        # searching: as many calls as the longest lone score makes, as many
         # rows as all make
         calls = count_steps(monkeypatch)
         rng = np.random.default_rng(61)
         stack = rng.integers(0, 40, size=(6, 4, 5, 3)) * np.array([1, 2, 3, 30, 1, 300])[:, None, None, None]
         stack[4] *= rng.random(stack[4].shape) < 0.3
-        prior = HierPrior.uniform((5, 3), s=1.0)
         lone, lone_rows = [], []
         for table in stack:
             calls.clear()
-            fit_variational(make_counts(table), prior)
+            hier.bhd_local_log_scores(table[None], 1.0)
             lone.append(len(calls))
             lone_rows.append(sum(calls))
         calls.clear()
-        fit_variational_stack(stack, prior)
+        hier.bhd_local_log_scores(stack, 1.0)
         assert len(calls) == max(lone) and sum(calls) == sum(lone_rows)
         assert len(set(lone)) > 1
-
-    def test_bad_stacks_rejected(self):
-        prior = HierPrior.uniform((2, 2), s=1.0)
-        with pytest.raises(ValueError, match="stack of count tables"):
-            fit_variational_stack(np.ones((2, 2, 2), int), prior)
-        with pytest.raises(ValueError, match="prior shape"):
-            fit_variational_stack(np.ones((2, 1, 2, 3), int), prior)
-        with pytest.raises(ValueError, match="tol"):
-            fit_variational_stack(np.ones((2, 1, 2, 2), int), prior, tol=0.0)
-        assert fit_variational_stack(np.ones((0, 1, 2, 2), int), prior) == []
 
 
 def random_rows(rng, n_rows=12, max_groups=4, max_levels=5, top=30):
@@ -910,11 +918,10 @@ class TestMonotoneSteps:
         # at the default tolerance every configuration stops converged
         # within 20 steps (18 at most when this was written)
         for families in seeded_stacks(card):
-            stack = np.array([counts.per_group for counts in families])
+            prior = HierPrior.uniform((families[0].n_configs, families[0].child_card), s=iss)
             with warnings.catch_warnings():
                 warnings.simplefilter("error", VariationalConvergenceWarning)
-                fits = fit_variational_stack(stack, HierPrior.uniform(stack.shape[2:], s=iss),
-                                             max_iters=20)
+                fits = [fit_variational(counts, prior, max_iters=20) for counts in families]
             assert all(fit.converged for fit in fits)
 
 

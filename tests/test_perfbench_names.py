@@ -7,6 +7,7 @@ and the grid_slice workload captures learned DAGs by patching
 the benchmark run without failing any other test. ``tracing.install()`` is
 never called. The search_wide reference learn is checked here too, so that
 a climb that slips by one bit fails the suite and not only the benchmark.
+So is the package's own export list, which scripts import from.
 """
 
 import hashlib
@@ -19,6 +20,7 @@ from dataclasses import replace
 
 import numpy as np
 
+import hierbn
 from hierbn import bench, cli
 from hierbn.scores import ScoreConfig
 from hierbn.simgen import GenConfig, generate
@@ -41,6 +43,14 @@ def load_as(monkeypatch, name):
     monkeypatch.setitem(sys.modules, name, module)
     spec.loader.exec_module(module)
     return module
+
+
+def test_exported_names_resolve():
+    assert all(hasattr(hierbn, name) for name in hierbn.__all__)
+    assert len(set(hierbn.__all__)) == len(hierbn.__all__)
+    namespace = {}
+    exec("from hierbn import *", namespace)
+    assert set(hierbn.__all__) <= set(namespace)
 
 
 def test_traced_names_resolve():

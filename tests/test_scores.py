@@ -10,7 +10,7 @@ import pytest
 
 from hierbn import hier
 from hierbn import scores as scores_mod
-from hierbn.data import (FamilyCounts, GroupedDataset, VariableMeta, family_count_tables,
+from hierbn.data import (FamilyCounts, GroupedDataset, VariableMeta, _count_tables,
                          family_counts, load_csv)
 from hierbn.graph import Dag
 from hierbn.hier import HierPrior
@@ -749,7 +749,7 @@ class TestBhdStackScores:
         for child in range(data.n_variables):
             others = [v for v in range(data.n_variables) if v != child]
             sets = [()] + [(u,) for u in others] + [tuple(others[:2]), tuple(others[1:3])]
-            for positions, tables in family_count_tables(data, child, sets):
+            for positions, tables in _count_tables(data, [(child, parents) for parents in sets]):
                 got = hier.bhd_local_log_scores(tables, config.iss, config.s0, config.vb_tol,
                                                 config.vb_max_iters)
                 assert got.tolist() == [local_oracle(data, child, sets[i], config)
@@ -760,6 +760,8 @@ class TestBhdStackScores:
             hier.bhd_local_log_scores(np.ones((2, 2, 2), int), 1.0)
         with pytest.raises(ValueError, match="s must be positive"):
             hier.bhd_local_log_scores(np.ones((2, 1, 2, 2), int), 0.0)
+        with pytest.raises(ValueError, match="tol must be positive"):
+            hier.bhd_local_log_scores(np.ones((2, 1, 2, 2), int), 1.0, tol=0.0)
         assert hier.bhd_local_log_scores(np.ones((0, 1, 2, 2), int), 1.0).shape == (0,)
 
 

@@ -193,7 +193,7 @@ class TestClimbMatrices:
         assert len(checked) == 1
         total_log_score(result.dag, data, config)
         assert len(checked) == 2
-        data_module.family_count_tables(data, 0, [(1,), (2, 3)])
+        data_module.family_counts(data, 0, (2, 3))
         assert len(checked) == 3
 
 
