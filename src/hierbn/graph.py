@@ -47,6 +47,31 @@ def is_acyclic(node_count, arcs):
     return len(_smallest_first_order(children)) == node_count
 
 
+def _arc_matrix(dag):
+    arcs = np.zeros((dag.node_count, dag.node_count), dtype=bool)
+    if dag.arcs:
+        arcs[tuple(zip(*dag.arcs))] = True
+    return arcs
+
+
+def _joins(a, b):
+    """Boolean matrix product: [u, w] is whether a[u, v] and b[v, w] for some
+    v. Counted in float32, which is exact for fewer than 2**24 nodes."""
+    return (a.astype(np.float32) @ b.astype(np.float32)) > 0
+
+
+def _reachability(arcs):
+    """N x N bool matrix of a DAG's N x N arc matrix: entry [v, w] is whether
+    w is a proper descendant of v. Squares the path relation until it stops
+    growing, so paths of every length up to N - 1 are in."""
+    below = arcs.copy()
+    while True:
+        grown = below | _joins(below, below)
+        if (grown == below).all():
+            return below
+        below = grown
+
+
 @dataclass(frozen=True)
 class Dag:
     """Immutable directed acyclic graph over ``node_count`` labelled nodes."""
@@ -74,26 +99,25 @@ class Dag:
         object.__setattr__(self, "_parents", tuple(map(tuple, parents)))
         object.__setattr__(self, "_children", tuple(map(tuple, children)))
 
+    def _node(self, v):
+        """``v``; a ValueError unless it is an integer (``is_integer``) in
+        [0, node_count)."""
+        if not is_integer(v) or not 0 <= v < self.node_count:
+            raise ValueError(f"node index {v!r} is not an integer in [0, {self.node_count})")
+        return v
+
     def parents(self, v):
-        return self._parents[v]
+        return self._parents[self._node(v)]
 
     def children(self, u):
-        return self._children[u]
+        return self._children[self._node(u)]
 
     def adjacent(self, u, v):
         return (u, v) in self.arcs or (v, u) in self.arcs
 
     def has_path(self, source, target):
-        return source == target or bool(self.descendants()[source] >> target & 1)
-
-    def descendants(self):
-        """One int bitmask per node: bit w of entry v is set iff w is a
-        proper descendant of v."""
-        below = [0] * self.node_count
-        for v in reversed(self.topological_order()):
-            for c in self._children[v]:
-                below[v] |= below[c] | (1 << c)
-        return tuple(below)
+        source, target = self._node(source), self._node(target)
+        return source == target or bool(_reachability(_arc_matrix(self))[source, target])
 
     def with_arc(self, u, v):
         return Dag(self.node_count, self.arcs | {(u, v)})
@@ -221,8 +245,13 @@ def to_cpdag(dag):
     return Cpdag(n, frozenset(directed), frozenset(undirected))
 
 
-def _as_cpdag(g):
-    return g if isinstance(g, Cpdag) else to_cpdag(g)
+def _shared_cpdags(estimated, truth):
+    """Both graphs as equivalence-class representatives; a ValueError unless
+    they have the same node count."""
+    a, b = (g if isinstance(g, Cpdag) else to_cpdag(g) for g in (estimated, truth))
+    if a.node_count != b.node_count:
+        raise ValueError("graphs must share the node set")
+    return a, b
 
 
 def shd(estimated, truth):
@@ -232,10 +261,7 @@ def shd(estimated, truth):
     every node pair whose status differs (absent / directed either way /
     undirected) counts as one edit.
     """
-    a = _as_cpdag(estimated)
-    b = _as_cpdag(truth)
-    if a.node_count != b.node_count:
-        raise ValueError("graphs must share the node set")
+    a, b = _shared_cpdags(estimated, truth)
     count = 0
     for u, v in itertools.combinations(range(a.node_count), 2):
         if a.pair_status(u, v) != b.pair_status(u, v):
@@ -245,18 +271,34 @@ def shd(estimated, truth):
 
 def arc_confusion(estimated, truth):
     """Skeleton-level (tp, fp, fn) of the equivalence-class representatives."""
-    a = _as_cpdag(estimated).skeleton()
-    b = _as_cpdag(truth).skeleton()
+    a, b = (g.skeleton() for g in _shared_cpdags(estimated, truth))
     tp = len(a & b)
     fp = len(a - b)
     fn = len(b - a)
     return tp, fp, fn
 
 
+def _check_names(names):
+    if not all(isinstance(name, str) for name in names) or len(set(names)) < len(names):
+        raise ValueError("node names must be distinct strings")
+
+
+def _names_to_write(dag, names):
+    """X0, X1, ... when ``names`` is None, else ``names`` as a list; a
+    ValueError unless they are ``dag.node_count`` distinct strings, the
+    names a reader accepts."""
+    if names is None:
+        return [f"X{i}" for i in range(dag.node_count)]
+    names = list(names)
+    _check_names(names)
+    if len(names) != dag.node_count:
+        raise ValueError(f"{len(names)} node names for {dag.node_count} nodes")
+    return names
+
+
 def dag_to_json(dag, names=None):
     """Serialize as a versioned JSON document with named nodes."""
-    if names is None:
-        names = [f"X{i}" for i in range(dag.node_count)]
+    names = _names_to_write(dag, names)
     doc = {
         "schema": 1,
         "nodes": list(names),
@@ -268,8 +310,7 @@ def dag_to_json(dag, names=None):
 def _named_dag(names, arcs):
     """The Dag over ``names``, in order, with the named ``(from, to)`` arcs; a
     ValueError unless the names are distinct strings and every arc joins two."""
-    if not all(isinstance(name, str) for name in names) or len(set(names)) < len(names):
-        raise ValueError("node names must be distinct strings")
+    _check_names(names)
     index = {name: i for i, name in enumerate(names)}
     if not all(isinstance(end, str) and end in index for arc in arcs for end in arc):
         raise ValueError("every arc must join two of the nodes")
@@ -292,8 +333,7 @@ def dag_to_dot(dag, names=None):
     """DOT text: a quoted line per node in order, then one per arc, sorted.
     A quote or backslash in a name is escaped with a backslash; a name
     holding a line break is a ValueError, since a DOT line cannot hold it."""
-    if names is None:
-        names = [f"X{i}" for i in range(dag.node_count)]
+    names = _names_to_write(dag, names)
     broken = [name for name in names if "\n" in name or "\r" in name]
     if broken:
         raise ValueError(f"a DOT name cannot hold a line break: {broken[0]!r}")

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from hierbn import data as data_module
+from hierbn import graph as graph_module
 from hierbn import scores, search
 from hierbn.data import load_csv
 from hierbn.graph import Dag, is_acyclic
@@ -107,6 +108,13 @@ class TestNeighbourhood:
         assert ("reverse", 0, 1) not in neighbourhood(dag2, 1)
         assert ("reverse", 2, 0) in neighbourhood(dag2, 1)
 
+    @pytest.mark.parametrize("max_parents", [-1, True, 0.5, "1", np.float64(1)])
+    def test_max_parents_checked_as_the_search_config_checks_it(self, max_parents):
+        with pytest.raises(ValueError, match="max_parents"):
+            neighbourhood(Dag(3, frozenset({(0, 2)})), max_parents)
+        with pytest.raises(ValueError, match="max_parents"):
+            SearchConfig(max_parents=max_parents)
+
     def test_deterministic_order(self):
         dag = Dag(4, frozenset({(0, 1), (2, 3)}))
         assert neighbourhood(dag, None) == sorted(neighbourhood(dag, None))
@@ -123,9 +131,9 @@ class TestNeighbourhood:
 
 
 class TestClimbMatrices:
-    """The climb keeps its graph as an arc matrix, a reachability matrix and
-    sorted parent tuples, updated move by move; after every move they must
-    describe the same DAG as one built from scratch."""
+    """The climb keeps its graph as an arc matrix and a reachability matrix,
+    updated move by move; after every move they must describe the same DAG
+    as one built from scratch."""
 
     @pytest.mark.parametrize("max_parents", [0, 1, None])
     def test_random_move_sequences(self, max_parents):
@@ -134,9 +142,8 @@ class TestClimbMatrices:
         for trial in range(30):
             n = int(rng.integers(2, 9))
             start = random_dag_uniform_pairs(n, rng, p=rng.uniform(0.0, 0.6))
-            arcs = search._arc_matrix(start)
-            below = search._reachability(arcs)
-            parents = [start.parents(v) for v in range(n)]
+            arcs = graph_module._arc_matrix(start)
+            below = graph_module._reachability(arcs)
             dag = start
             for _ in range(25):
                 masks = search._legal_masks(arcs, below, max_parents)
@@ -147,13 +154,12 @@ class TestClimbMatrices:
                     break
                 move = moves[rng.integers(len(moves))]
                 kinds[move[0]] += 1
-                search._apply_to_matrices(arcs, below, parents, move)
+                search._apply_to_matrices(arcs, below, move)
                 dag = apply_move(dag, move)
                 graph = nx.DiGraph(sorted(dag.arcs))
                 graph.add_nodes_from(range(n))
                 for v in range(n):
                     assert set(np.flatnonzero(below[v]).tolist()) == nx.descendants(graph, v)
-                    assert parents[v] == dag.parents(v)
                 assert set(zip(*np.nonzero(arcs))) == dag.arcs
         # every kind of move the cap allows was exercised: with no parent
         # allowed, only deletions are legal
@@ -172,6 +178,25 @@ class TestClimbMatrices:
         monkeypatch.setattr(search, "Dag", counting)
         result = run_hill_climb(data, ScoreConfig("bdeu"), start=original(2))
         assert len(result.trace) == 2 and len(built) == 1
+
+    def test_one_scoring_request_a_step(self, monkeypatch):
+        # the start's locals come with the first step's toggles, and each
+        # later step asks once for its cleared columns, diagonal included
+        _, data = generate(GenConfig(n_nodes=6, arc_ratio=1.5, rows_per_group=150, seed=0))
+        requests = []
+        original = search._local_log_scores
+
+        def spy(data, families, config, cache):
+            requests.append(families)
+            return original(data, families, config, cache)
+
+        monkeypatch.setattr(search, "_local_log_scores", spy)
+        for cap in (1000, 2):
+            requests.clear()
+            result = run_hill_climb(data, ScoreConfig("bdeu"), SearchConfig(max_iterations=cap))
+            assert len(result.trace) > 2 and len(requests) == len(result.trace)
+            pairs = itertools.product(range(6), repeat=2)
+            assert sorted(requests[0]) == sorted((v, (u,) if u != v else ()) for v, u in pairs)
 
     def test_climb_checks_no_index_the_public_entries_check_once(self, monkeypatch):
         # the climb builds its families valid and sorted, so only the
@@ -284,22 +309,23 @@ class TestHillClimb:
         assert result.trace[-1] == result.score
 
 
-def replay_climb(data, config, max_parents=None, start=None):
+def replay_climb(data, config, max_parents=None, start=None, cap=None):
     """The greedy rule with cold scoring: from the start graph, apply the
     first move in neighbourhood order whose folded total is strictly the
-    highest, until none improves."""
+    highest, until none improves or ``cap`` moves are applied."""
     dag = start if start is not None else Dag(data.n_variables)
     totals = [total_log_score(dag, data, config)]
-    while True:
+    while cap is None or len(totals) <= cap:
         best, best_total = None, totals[-1]
         for move in neighbourhood(dag, max_parents):
             candidate = total_log_score(apply_move(dag, move), data, config)
             if candidate > best_total:
                 best, best_total = move, candidate
         if best is None:
-            return dag, totals
+            break
         dag = apply_move(dag, best)
         totals.append(best_total)
+    return dag, totals
 
 
 class TestGreedyReplay:
@@ -328,6 +354,14 @@ class TestGreedyReplay:
         assert list(result.trace) == totals
         assert result.dag == dag
         assert result.score == totals[-1]
+        # a climb capped at every move count stops where the replay does
+        for cap in range(1, len(totals)):
+            capped = run_hill_climb(data, config, SearchConfig(max_parents, cap), start=start)
+            dag, prefix = replay_climb(data, config, max_parents, start, cap)
+            assert prefix == totals[:cap + 1]
+            assert list(capped.trace) == prefix
+            assert capped.dag == dag
+            assert capped.score == totals[cap]
 
     def test_screen_keeps_near_ties_exact(self, monkeypatch):
         """Locals of mixed magnitude, where a move's score change and its
